@@ -75,7 +75,8 @@ class IsingCensus:
                  gram: np.ndarray, source: str,
                  frame_size: int | None = None,
                  algebra: GriessAlgebra | None = None,
-                 embeddings: list[HammingEmbedding] | None = None):
+                 embeddings: list[HammingEmbedding] | None = None,
+                 blocks: list[tuple[int, "IsingCensus"]] | None = None):
         self.points = points
         self.elements = elements
         self.gram = gram
@@ -83,6 +84,8 @@ class IsingCensus:
         self.frame_size = frame_size
         self.algebra = algebra
         self.embeddings = embeddings
+        # direct sums: (offset, summand census) per block, in order
+        self.blocks = blocks
         self._elem_index = None
 
     def __len__(self) -> int:

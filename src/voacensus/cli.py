@@ -127,17 +127,21 @@ def run(args) -> dict:
             spec = f"commutant:{spec}:{args.orthogonal_to}"
         c = registry.census(spec)
         table = registry.sigma_table(spec)
-        ok3, witness = transpo.is_3transposition(table)
         order = transpo.group_order(list(table))
-        res = {"point_count": len(c), "is_3transposition": ok3,
-               "group_order": str(order)}
-        if ok3:
+        res = {"point_count": len(c), "group_order": str(order)}
+        # fischer_space runs the 3-transposition check; the witness is only
+        # recomputed when that check fails
+        try:
             space = transpo.fischer_space(c, table)
+        except transpo.TranspoError:
+            ok3 = False
+            res["witness"] = list(map(int, transpo.is_3transposition(table)[1]))
+            report["ok"] = False
+        else:
+            ok3 = True
             res["line_count"] = len(space.lines)
             res["symplectic_type"] = transpo.is_symplectic_type(space, table)
-        else:
-            res["witness"] = list(map(int, witness))
-            report["ok"] = False
+        res["is_3transposition"] = ok3
         if args.inductive and ok3:
             pair = _noncommuting_pair(c, table)
             if pair is not None:

@@ -103,9 +103,6 @@ class BinaryCode:
                 w ^= g
         return w == 0
 
-    def is_subcode_of(self, other: "BinaryCode") -> bool:
-        return self.length == other.length and all(g in other for g in self.generators)
-
     def weight_enumerator(self) -> tuple[int, ...]:
         """Counts of codewords by Hamming weight, indices 0..n."""
         counts = [0] * (self.length + 1)
@@ -117,9 +114,6 @@ class BinaryCode:
         if self.rank == 0:
             raise CodeError("minimum weight of the zero code is undefined")
         return min(weight(w) for w in self.words() if w)
-
-    def is_even(self) -> bool:
-        return all(weight(g) % 2 == 0 for g in self.generators)
 
 
 def span(length: int, rows: list[int]) -> BinaryCode:

@@ -25,7 +25,8 @@ from math import lcm
 
 import numpy as np
 
-from .rootlat import Mod2Class, RootLattice
+from .exact import LeftSolver, inverse, kernel, rref
+from .rootlat import Mod2Class, RootLattice, _hnf_basis
 
 DIM_GUARD = 512
 _INT_GUARD = 1 << 62
@@ -141,7 +142,7 @@ class GriessAlgebra:
             targets[k] = lattice.pair_of(v)
         self._tp, self._tq, self._tr = tp, tq, targets
         self._pair_outer = np.einsum("pi,pj->pij", P, P)
-        self.omega = self._build_omega()
+        self.omega = self._build_omega(lattice.basis)
         self._sym_solver = None
         self._commutant_cache: dict[tuple, list[list[Fraction]]] = {}
 
@@ -165,14 +166,11 @@ class GriessAlgebra:
         xv[p] = 1
         return GriessElement(self, np.zeros((self.m, self.m), dtype=np.int64), xv, 1)
 
-    def _build_omega(self) -> GriessElement:
-        # omega = (s2/2) * projection onto the root span, as an exact matrix
-        basis = self.lattice.basis
-        sol = _rational_inverse(basis @ basis.T)
-        num, den = sol
+    def _build_omega(self, basis: np.ndarray) -> GriessElement:
+        # omega = (s2/2) * projection onto the span of `basis`, as an exact matrix
+        num, den = inverse(basis @ basis.T)
         proj_num = basis.T @ num @ basis  # projection * den
-        cart = self.s2 * proj_num
-        return GriessElement(self, cart.astype(np.int64),
+        return GriessElement(self, (self.s2 * proj_num).astype(np.int64),
                              np.zeros(self.npairs, dtype=np.int64), 2 * den)
 
     def w_vector(self, root_or_pair, sign: int) -> ConformalVector:
@@ -181,6 +179,8 @@ class GriessAlgebra:
             raise GriessError("sign must be +1 or -1")
         p = root_or_pair if isinstance(root_or_pair, int) \
             else self.lattice.pair_of(root_or_pair)
+        if not 0 <= p < self.npairs:
+            raise GriessError(f"pair index {p} is outside 0..{self.npairs - 1}")
         r = self.pairs[p]
         cart = np.outer(r, r)
         xv = np.zeros(self.npairs, dtype=np.int64)
@@ -211,23 +211,16 @@ class GriessAlgebra:
     def sublattice_conformal_pair(self, sub_roots) -> tuple[ConformalVector, ConformalVector]:
         """(s, wtilde) of an embedded indecomposable root sublattice."""
         sub = np.array([np.asarray(r, dtype=np.int64) for r in sub_roots])
-        sub_basis = _row_basis(sub)
+        sub_basis = _hnf_basis(sub)
         rank = len(sub_basis)
         h = len(sub) // rank
-        num, den = _rational_inverse(sub_basis @ sub_basis.T)
-        proj_num = sub_basis.T @ num @ sub_basis
-        omega_sub = GriessElement(self, (self.s2 * proj_num).astype(np.int64),
-                                  np.zeros(self.npairs, dtype=np.int64), 2 * den)
+        omega_sub = self._build_omega(sub_basis)
         pair_ids = sorted({self.lattice.pair_of(r) for r in sub})
         pair_sum = self._sum_pairs(pair_ids)
         s = Fraction(h, h + 2) * omega_sub - Fraction(1, h + 2) * pair_sum
         wt = Fraction(2, h + 2) * omega_sub + Fraction(1, h + 2) * pair_sum
         return (ConformalVector(s, Fraction(rank * h, h + 2)),
                 ConformalVector(wt, Fraction(2 * rank, h + 2)))
-
-    def wtilde_on_sublattice(self, sub_roots) -> ConformalVector:
-        """conformal_wtilde of an embedded root sublattice, inside this algebra."""
-        return self.sublattice_conformal_pair(sub_roots)[1]
 
     # -- products and forms ---------------------------------------------------
     def product(self, a: GriessElement, b: GriessElement) -> GriessElement:
@@ -314,26 +307,26 @@ class GriessAlgebra:
                 labels.append((i, j))
         A = [[Fraction(int(c[k]), 2) for c in cols]
              for k in range(len(cols[0]))]
-        self._sym_solver = (_fraction_pseudo_solve(A), labels)
+        self._sym_solver = (LeftSolver(A), labels)
         return self._sym_solver
 
     def expand(self, v: GriessElement) -> list[Fraction]:
         solver, _ = self._solver()
         target = v.cart[np.triu_indices(self.m)]
-        rhs = [Fraction(int(x), v.den) for x in target]
-        quad_coords = solver(rhs)
+        quad_coords = solver.solve([Fraction(int(x), v.den) for x in target])
+        if quad_coords is None:
+            raise GriessError("quadratic part lies outside the root span")
         return quad_coords + [Fraction(int(x), v.den) for x in v.xv]
 
     # -- kernels -------------------------------------------------------------------
     def commutant_weight2(self, u: GriessElement) -> list[list[Fraction]]:
-        """Echelon basis of ker(v -> u * v), coordinates over the labeled basis."""
+        """Reduced echelon basis of ker(v -> u * v) over the labeled basis."""
         ck = u.key()
         if ck in self._commutant_cache:
             return self._commutant_cache[ck]
         basis_elems = self._basis_elements()
         cols = [self.expand(self.product(u, b)) for b in basis_elems]
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]
-        kern = _echelonize(_rational_kernel(mat))
+        kern = rref(kernel(list(zip(*cols))))[0]
         self._commutant_cache[ck] = kern
         return kern
 
@@ -349,129 +342,18 @@ class GriessAlgebra:
         return out
 
     def in_span(self, v: GriessElement, echelon: list[list[Fraction]]) -> bool:
-        """Membership of v in the row space of an echelon kernel basis."""
+        """Membership of v in the row space of a reduced echelon basis.
+
+        In reduced form the coefficient of each row is v's entry at the
+        row's pivot, so v is in the span iff it equals that combination.
+        """
         vec = self.expand(v)
+        combo = [Fraction(0)] * len(vec)
         for row in echelon:
-            piv = next(i for i, x in enumerate(row) if x != 0)
-            if vec[piv] != 0:
-                f = vec[piv] / row[piv]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return all(x == 0 for x in vec)
-
-
-def _row_basis(rows: np.ndarray) -> np.ndarray:
-    from .rootlat import _hnf_basis
-    return _hnf_basis(rows)
-
-
-def _rational_inverse(mat: np.ndarray) -> tuple[np.ndarray, int]:
-    """Inverse of a symmetric positive definite integer matrix as (num, den)."""
-    n = len(mat)
-    aug = [[Fraction(int(mat[i, j])) for j in range(n)] +
-           [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    entries = [row[n:] for row in aug]
-    den = lcm(*[x.denominator for row in entries for x in row])
-    num = np.array([[int(x * den) for x in row] for row in entries], dtype=np.int64)
-    return num, den
-
-
-def _fraction_pseudo_solve(A):
-    """Left-inverse application for a full-column-rank Fraction matrix A."""
-    rows, cols = len(A), len(A[0])
-    work = [list(r) + [Fraction(int(i == j)) for j in range(rows)]
-            for i, r in enumerate(A)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if work[i][c] != 0), None)
-        if piv is None:
-            raise GriessError("quadratic basis is rank-deficient")
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == cols:
-            break
-    lift = [row[cols:] for row in work[:cols]]
-
-    def solve(rhs):
-        coords = [sum(lift[i][j] * rhs[j] for j in range(rows) if rhs[j] != 0)
-                  for i in range(cols)]
-        # consistency: A @ coords must reproduce rhs
-        for j in range(rows):
-            s = sum(A[j][i] * coords[i] for i in range(cols) if coords[i] != 0)
-            if s != rhs[j]:
-                raise GriessError("quadratic part lies outside the root span")
-        return coords
-
-    return solve
-
-
-def _echelonize(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced echelon form with first-nonzero-column pivoting; drops zero rows."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    out: list[list[Fraction]] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return [row for row in work if any(x != 0 for x in row)]
-
-
-def _rational_kernel(mat) -> list[list[Fraction]]:
-    """Deterministic echelon basis of the kernel of a square Fraction matrix."""
-    rows = len(mat)
-    cols = len(mat[0])
-    work = [list(r) for r in mat]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append((r, c))
-        r += 1
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    kern = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for pr, pc in pivots:
-            vec[pc] = -work[pr][fc]
-        kern.append(vec)
-    return kern
+            f = vec[next(i for i, x in enumerate(row) if x)]
+            if f:
+                combo = [a + f * b for a, b in zip(combo, row)]
+        return combo == vec
 
 
 def verify_twist_chain(algebra: GriessAlgebra, alpha0) -> dict:

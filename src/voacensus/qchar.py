@@ -14,7 +14,7 @@ from math import lcm
 
 import numpy as np
 
-from . import rootlat
+from . import registry, rootlat
 
 
 class QSeriesError(ValueError):
@@ -217,14 +217,9 @@ def minimal_character(m: int, r: int, s: int, upto: int) -> QSeries:
 # ---------------------------------------------------------------------------
 # lattice characters
 
-@lru_cache(maxsize=None)
-def _lattice(tag: str) -> rootlat.RootLattice:
-    return rootlat.build_lattice(tag)
-
-
 def lattice_theta(tag: str, upto: int, shift: tuple | None = None) -> QSeries:
     """Sum of q^norm over the (shifted) lattice, exponents = geometric norms."""
-    lat = _lattice(tag)
+    lat = registry.lattice(tag)
     counts = rootlat.norm_counts(lat, upto,
                                  None if shift is None else np.array(shift))
     return QSeries({e: c for e, c in counts.items()}, upto)
@@ -232,14 +227,14 @@ def lattice_theta(tag: str, upto: int, shift: tuple | None = None) -> QSeries:
 
 def vfull_character(tag: str, upto: int, shift: tuple | None = None) -> QSeries:
     """Graded dimension of the doubled-lattice vertex algebra (or a coset)."""
-    lat = _lattice(tag)
+    lat = registry.lattice(tag)
     theta = lattice_theta(tag, upto, shift)
     return (theta * euler_inverse_power(lat.rank, upto)).truncate(upto)
 
 
 def vplus_character(tag: str, upto: int) -> QSeries:
     """Graded dimension of the involution-fixed subalgebra."""
-    lat = _lattice(tag)
+    lat = registry.lattice(tag)
     untwisted = vfull_character(tag, upto)
     twisted = twisted_inverse_power(lat.rank, upto)
     both = untwisted + twisted

@@ -26,10 +26,14 @@ CODE_TAGS = ("hamming8", "rm14", "rm24", "cn2", "cn3", "cn4",
 @lru_cache(maxsize=None)
 def code(tag: str) -> gf2code.BinaryCode:
     """Resolve a catalog code tag (or read `file:PATH`)."""
+    if tag[:5].lower() == "file:":
+        try:
+            with open(tag[5:], "r", encoding="ascii") as fh:
+                return gf2code.parse_code_text(fh.read())
+        except OSError as exc:
+            raise RegistryError(f"cannot read code file {tag[5:]!r}: "
+                                f"{exc.strerror}") from exc
     tag = tag.lower()
-    if tag.startswith("file:"):
-        with open(tag[5:], "r", encoding="ascii") as fh:
-            return gf2code.parse_code_text(fh.read())
     if tag == "hamming8" or tag == "h8":
         return gf2code.named_code("hamming8")
     if tag.startswith("rm") and len(tag) == 4:
@@ -108,10 +112,8 @@ def _direct_sum_census(parts, spec: str) -> census_mod.IsingCensus:
         blocks.append((offset, p))
         offset += len(p)
     frame = sum(p.frame_size for p in parts)
-    out = census_mod.IsingCensus(points, None, gram, f"lattice:{spec}",
-                                 frame_size=frame)
-    out.blocks = blocks
-    return out
+    return census_mod.IsingCensus(points, None, gram, f"lattice:{spec}",
+                                  frame_size=frame, blocks=blocks)
 
 
 @lru_cache(maxsize=None)
@@ -181,12 +183,11 @@ def sigma_table(spec: str):
     """Involution table of a census; direct sums act blockwise."""
     from . import transpo
     c = census(spec)
-    blocks = getattr(c, "blocks", None)
-    if blocks is None:
+    if c.blocks is None:
         return transpo.sigma_permutations(c, c.algebra)
     n = len(c)
     table = np.tile(np.arange(n, dtype=np.int32), (n, 1))
-    for offset, part in blocks:
+    for offset, part in c.blocks:
         sub = transpo.sigma_permutations(part, part.algebra)
         k = len(part)
         table[offset:offset + k, offset:offset + k] = sub + offset

@@ -15,6 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import gf2code
+from .exact import LeftSolver, rref
 
 
 class LatticeError(ValueError):
@@ -104,7 +105,7 @@ class RootLattice:
         self.basis = _hnf_basis(self.roots)
         if len(self.basis) != rank:
             raise LatticeError(f"{name}: roots span rank {len(self.basis)} != {rank}")
-        self._basis_solver = _FractionSolver(self.basis)
+        self._basis_solver = LeftSolver(self.basis.T)
         self._mod2 = None
 
     def __repr__(self) -> str:
@@ -144,23 +145,16 @@ class RootLattice:
 
     def coords(self, v) -> tuple[Fraction, ...]:
         """Coordinates of v in the lattice basis (exact)."""
-        return self._basis_solver.solve(np.asarray(v, dtype=np.int64))
+        coeffs = self._basis_solver.solve(v)
+        if coeffs is None:
+            raise LatticeError("vector not in the lattice span")
+        return tuple(coeffs)
 
     def __contains__(self, v) -> bool:
         try:
             return all(c.denominator == 1 for c in self.coords(v))
         except LatticeError:
             return False
-
-    def short_vectors(self, max_norm: int) -> list[tuple[np.ndarray, int]]:
-        """All nonzero lattice vectors of geometric norm <= max_norm."""
-        gram = [[self.inner(a, b) for b in self.basis] for a in self.basis]
-        out = []
-        for coeffs, norm in _enumerate_short(gram, Fraction(max_norm)):
-            vec = np.asarray(coeffs, dtype=np.int64) @ self.basis
-            assert norm.denominator == 1
-            out.append((vec, int(norm)))
-        return out
 
     def mod2_classes(self) -> list[Mod2Class]:
         """The 2^rank cosets of 2L, classified by minimal-norm vectors."""
@@ -207,38 +201,6 @@ class RootLattice:
             if cl.key == key:
                 return cl
         raise LatticeError("class lookup failed")
-
-
-class _FractionSolver:
-    """Exact solver for x B = v with B a full-row-rank integer matrix."""
-
-    def __init__(self, basis: np.ndarray):
-        self.basis = basis
-        bbt = basis @ basis.T
-        n = len(basis)
-        aug = [[Fraction(int(bbt[i, j])) for j in range(n)] +
-               [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        self.inv = [[row[n + j] for j in range(n)] for row in aug]
-
-    def solve(self, v: np.ndarray) -> tuple[Fraction, ...]:
-        rhs = [Fraction(int(x)) for x in (self.basis @ v)]
-        coeffs = tuple(sum(self.inv[i][j] * rhs[j] for j in range(len(rhs)))
-                       for i in range(len(rhs)))
-        recon = np.zeros(self.basis.shape[1], dtype=object)
-        for c, b in zip(coeffs, self.basis):
-            recon = recon + np.array([c * int(x) for x in b], dtype=object)
-        if any(recon[i] != int(v[i]) for i in range(len(v))):
-            raise LatticeError("vector not in the lattice span")
-        return coeffs
 
 
 def _enumerate_short(gram, bound: Fraction, shift=None):
@@ -473,7 +435,7 @@ def norm_counts(lattice: RootLattice, bound, shift=None) -> dict[Fraction, int]:
     gram = [[lattice.inner(a, b) for b in lattice.basis] for a in lattice.basis]
     shift_coords = None
     if shift is not None:
-        shift_coords = lattice._basis_solver.solve(np.asarray(shift))
+        shift_coords = lattice.coords(shift)
     counts: dict[Fraction, int] = {}
     for _, norm in _enumerate_short(gram, Fraction(bound), shift=shift_coords):
         counts[norm] = counts.get(norm, 0) + 1
@@ -493,7 +455,7 @@ def root_isometry(src: RootLattice, dst: RootLattice) -> np.ndarray | None:
     basis: list[np.ndarray] = []
     for r in src.roots:
         cand = basis + [r]
-        if np.linalg.matrix_rank(np.array(cand, dtype=float)) == len(cand):
+        if len(rref(cand)[1]) == len(cand):
             basis.append(r)
         if len(basis) == src.rank:
             break
@@ -515,46 +477,18 @@ def root_isometry(src: RootLattice, dst: RootLattice) -> np.ndarray | None:
 
     if not extend(0):
         return None
-    bmat = [[Fraction(int(x)) for x in b] for b in basis]
-    imat = [[Fraction(int(x)) for x in im] for im in images]
-    # solve basis @ T = images in the row span; lift via basis solver of src
-    # T = pinv(basis) @ images restricted to the span; build via coordinates
-    tmat = _solve_linear_map(bmat, imat, src.ambient, dst.ambient)
+    # basis @ T = images: the RREF of [basis | images] puts row c of T at
+    # each pivot column c; T is zero on the other rows
+    red, pivots = rref([[*b, *im] for b, im in zip(basis, images)], src.ambient)
+    tmat = [[Fraction(0)] * dst.ambient for _ in range(src.ambient)]
+    for row, c in zip(red, pivots):
+        tmat[c] = row[src.ambient:]
     # verify on all roots
     for r in src.roots:
         img = _apply_fraction_map(tmat, r)
         if any(x.denominator != 1 for x in img) or tuple(int(x) for x in img) not in dst_set:
             return None
     return tmat
-
-
-def _solve_linear_map(bmat, imat, m_src, m_dst):
-    """Least-structure solution T of B T = I for full-row-rank B (exact)."""
-    n = len(bmat)
-    aug = [list(bmat[i]) + list(imat[i]) for i in range(n)]
-    cols = list(range(m_src))
-    pivots = []
-    r = 0
-    for c in cols:
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    T = [[Fraction(0)] * m_dst for _ in range(m_src)]
-    for row, c in zip(aug, pivots):
-        for j in range(m_dst):
-            T[c][j] = row[m_src + j]
-    return T
 
 
 def _apply_fraction_map(T, v):

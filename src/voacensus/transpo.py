@@ -202,12 +202,6 @@ class PermutationGroup:
             out *= len(level["transversal"])
         return out
 
-    def element_from_word(self, word, sigmas: np.ndarray) -> np.ndarray:
-        p = identity_perm(self.degree)
-        for i in word:
-            p = mul(sigmas[i], p)
-        return p
-
 
 def group_order(perms) -> int:
     """Exact order of the group generated by the given permutations."""
@@ -259,9 +253,6 @@ def is_3transposition(sigmas: np.ndarray) -> tuple[bool, tuple[int, int] | None]
 class FischerSpace:
     npoints: int
     lines: tuple[tuple[int, int, int], ...]
-
-    def lines_through(self, x: int) -> list[tuple[int, int, int]]:
-        return [ln for ln in self.lines if x in ln]
 
 
 def fischer_space(census: IsingCensus, sigmas: np.ndarray) -> FischerSpace:

@@ -81,11 +81,38 @@ def test_byte_determinism_modulo_walltime():
 
 
 def test_code_file_roundtrip(tmp_path):
-    path = tmp_path / "code.txt"
-    path.write_text(gf2code.format_code_text(gf2code.hamming8_code()))
-    code, data = invoke_json(["census", "code", f"file:{path}"])
+    text = gf2code.format_code_text(gf2code.hamming8_code())
+    for name in ("code.txt", "Hamming8.TXT"):
+        path = tmp_path / name
+        path.write_text(text)
+        code, data = invoke_json(["census", "code", f"file:{path}"])
+        assert code == 0
+        assert data["results"]["count"] == 24
+    # only the tag prefix is case-insensitive, never the path
+    code, data = invoke_json(["census", "code", f"FILE:{tmp_path / 'Hamming8.TXT'}"])
     assert code == 0
-    assert data["results"]["count"] == 24
+
+
+def test_missing_code_file_is_usage_error(tmp_path):
+    proc = subprocess.run(RUN + ["census", "code", f"file:{tmp_path / 'absent.txt'}"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["ok"] is False and "absent.txt" in data["error"]
+
+
+def test_frame_vector_index_out_of_range():
+    # E8 has 120 root pairs: valid indices are 0..119
+    for bad in ("w+:-1", "w-:120", "w+:999"):
+        proc = subprocess.run(RUN + ["griess", "inner", "E8", bad, "w+:0"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, bad
+        assert "Traceback" not in proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["ok"] is False and "outside 0..119" in data["error"]
+    code, data = invoke_json(["griess", "inner", "E8", "w+:119", "w+:119"])
+    assert code == 0 and data["results"]["inner"] == "1/4"
 
 
 def test_tsv_format():

@@ -108,6 +108,21 @@ def test_class_of_consistency():
     assert lat.class_of(doubled).kind == "zero"
 
 
+def test_coords_are_exact_on_non_lattice_vectors():
+    lat = rl.build_lattice("A2")
+    half = np.array([0.5, -0.5, 0.0])
+    # a half-root is in the rational span but not in the lattice; it must not
+    # be truncated to an integer vector on the way in
+    coeffs = lat.coords(half)
+    recon = [sum(c * int(b[k]) for c, b in zip(coeffs, lat.basis)) for k in range(3)]
+    assert recon == [Fraction(1, 2), Fraction(-1, 2), 0]
+    assert half not in lat
+    assert np.array([1, -1, 0]) in lat
+    with pytest.raises(rl.LatticeError):
+        lat.coords(np.array([1, 0, 0]))
+    assert np.array([1, 0, 0]) not in lat
+
+
 def test_sublattice_embedding_a1_e7():
     emb = rl.sublattice_embedding("A1_E7_in_E8")
     axis, perp = emb.components
