@@ -23,6 +23,13 @@ from .griess import verify_orthogonal_split, verify_twist_chain
 from .rootlat import sublattice_embedding
 
 
+_SERIES_HELP = ("minimal:m:r:s | vplus:TAG | vfull:TAG | w:l:j:k | man:N:2s | "
+                "affine:l:j")
+# fields after the kind, per series kind
+_SERIES_FIELDS = {form.split(":")[0]: form.count(":")
+                  for form in _SERIES_HELP.split(" | ")}
+
+
 def _default_cutoff() -> int:
     return int(os.environ.get("VOA_CUTOFF", "8"))
 
@@ -81,9 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv = csub.add_parser("verify")
     cv.add_argument("--cutoff", type=int, default=None)
     cs = csub.add_parser("show")
-    cs.add_argument("object",
-                    help="minimal:m:r:s | vplus:TAG | vfull:TAG | w:l:j:k | "
-                         "man:N:2s | affine:l:j")
+    cs.add_argument("object", help=_SERIES_HELP)
     cs.add_argument("--cutoff", type=int, default=None)
     return ap
 
@@ -224,27 +229,27 @@ def _noncommuting_pair(c, table):
 
 
 def _show_series(spec: str, cutoff: int) -> dict:
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, *parts = spec.split(":")
+    if len(parts) != _SERIES_FIELDS.get(kind):
+        raise registry.RegistryError(
+            f"unknown series object {spec!r}; forms: {_SERIES_HELP}")
     if kind == "minimal":
-        m, r, s = map(int, parts[1:])
+        m, r, s = map(int, parts)
         series = qchar.minimal_character(m, r, s, cutoff)
     elif kind == "vplus":
-        series = qchar.vplus_character(parts[1].upper(), cutoff)
+        series = qchar.vplus_character(parts[0].upper(), cutoff)
     elif kind == "vfull":
-        series = qchar.vfull_character(parts[1].upper(), cutoff)
+        series = qchar.vfull_character(parts[0].upper(), cutoff)
     elif kind == "w":
-        level, j, k = map(int, parts[1:])
+        level, j, k = map(int, parts)
         series = qchar.w_character(level, j, k, cutoff)
     elif kind == "man":
-        N, twos = map(int, parts[1:])
+        N, twos = map(int, parts)
         series = qchar.man_character(N, twos, cutoff)
-    elif kind == "affine":
-        level, j = map(int, parts[1:])
+    else:
+        level, j = map(int, parts)
         two = qchar.affine_sl2_character(level, j, cutoff)
         series = two.specialize_z1()
-    else:
-        raise registry.RegistryError(f"unknown series object {spec!r}")
     return {"object": spec, "denom": series.denom,
             "cutoff": str(series.cutoff),
             "terms": [[str(e), c] for e, c in series.items()]}
@@ -302,7 +307,8 @@ def main(argv=None) -> int:
     except (registry.RegistryError, UnrealizedGramError, ValueError) as exc:
         _emit({"tool": f"voacensus {__version__}", "ok": False,
                "error": str(exc)}, args.format, args.output)
-        return 2
+        # a failed sigma-table check is a check failure, not a usage error
+        return 1 if isinstance(exc, transpo.SigmaCheckError) else 2
     _emit(report, args.format, args.output)
     return 0 if report.get("ok", False) else 1
 

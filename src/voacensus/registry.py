@@ -180,15 +180,6 @@ def census(spec: str) -> census_mod.IsingCensus:
 
 @lru_cache(maxsize=None)
 def sigma_table(spec: str):
-    """Involution table of a census; direct sums act blockwise."""
+    """Involution table of a census (see `transpo.sigma_permutations`)."""
     from . import transpo
-    c = census(spec)
-    if c.blocks is None:
-        return transpo.sigma_permutations(c, c.algebra)
-    n = len(c)
-    table = np.tile(np.arange(n, dtype=np.int32), (n, 1))
-    for offset, part in c.blocks:
-        sub = transpo.sigma_permutations(part, part.algebra)
-        k = len(part)
-        table[offset:offset + k, offset:offset + k] = sub + offset
-    return table
+    return transpo.sigma_permutations(census(spec))

@@ -361,6 +361,8 @@ def _code_frame_roots(code: gf2code.BinaryCode) -> np.ndarray:
 def build_lattice(tag: str) -> RootLattice:
     """Build a catalog lattice: A1..A8, D2..D12, E6, E7, E8, E8H, D4C/D6C/D8C."""
     tag = tag.upper()
+    if not tag:
+        raise LatticeError("empty lattice tag")
     if tag == "E8":
         return RootLattice("E8", "E", 8, 8, 4, _e8_roots())
     if tag == "E7":

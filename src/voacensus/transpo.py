@@ -12,12 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import GRAM_32ND, GRAM_ZERO, IsingCensus
+from .census import GRAM_32ND, GRAM_ZERO, CensusError, IsingCensus
 from .griess import GriessAlgebra
 
 
 class TranspoError(ValueError):
     pass
+
+
+class SigmaCheckError(TranspoError):
+    """A sigma-table failed a mathematical check (CLI exit 1, not 2)."""
 
 
 def identity_perm(n: int) -> np.ndarray:
@@ -67,33 +71,66 @@ def sigma_permutations(census: IsingCensus,
 
     Entry (i, j) is the image of point j under the involution of point i:
     fixed when the points are orthogonal, and the third point of their line
-    when the inner product is 1/32.  The census must be closed under the
-    rule; injectivity is asserted when every point has a 1/32-partner.
+    when the inner product is 1/32.  Direct sums act blockwise.  Each
+    sigma_x is an algebra automorphism, so sigma_{sigma_x(y)} = sigma_x
+    sigma_y sigma_x: only seed rows (the smallest unknown index) take Griess
+    products, and conjugation by the seeds closes the rest.  A failed check
+    (closure, Gram, injectivity, involution, consistency of derivations)
+    raises SigmaCheckError.
     """
+    n = len(census)
+    table = np.tile(np.arange(n, dtype=np.int32), (n, 1))
+    if census.blocks is not None:
+        for offset, part in census.blocks:
+            k = len(part)
+            table[offset:offset + k, offset:offset + k] = \
+                sigma_permutations(part) + offset
+        return table
     if census.elements is None:
         raise TranspoError("sigma permutations need realized census points")
     algebra = algebra or census.algebra
-    n = len(census)
-    table = np.tile(np.arange(n, dtype=np.int32), (n, 1))
-    pairs = np.argwhere(np.triu(census.gram == GRAM_32ND, k=1))
-    for i, j in pairs:
-        e, f = census.elements[i], census.elements[j]
-        g = algebra.sigma_image(e, f)
-        try:
-            k = census.element_index(g)
-        except Exception as exc:
-            raise TranspoError(
-                f"census not closed: image of ({i},{j}) is missing") from exc
-        table[i, j] = k
-        table[j, i] = k
-    rows_with_partner = (census.gram == GRAM_32ND).any(axis=1)
-    if rows_with_partner.all() and n > 0:
-        distinct = {table[i].tobytes() for i in range(n)}
-        if len(distinct) != n:
-            raise TranspoError("sigma map is not injective on this census")
-    for i in range(n):
-        if not np.array_equal(mul(table[i], table[i]), np.arange(n)):
-            raise TranspoError(f"sigma of point {i} is not an involution")
+    partners = census.gram == GRAM_32ND
+    known = np.zeros(n, dtype=bool)
+    seeds: list[int] = []
+    while not known.all():
+        s = int(np.argmin(known))
+        for j in np.flatnonzero(partners[s]):
+            try:
+                table[s, j] = census.element_index(algebra.sigma_image(
+                    census.elements[s], census.elements[j]))
+            except CensusError as exc:
+                raise SigmaCheckError(
+                    f"census not closed: image of ({s},{j}) is missing") from exc
+        if (census.gram[np.ix_(table[s], table[s])] != census.gram).any():
+            raise SigmaCheckError(f"sigma of point {s} does not preserve the Gram")
+        known[s] = True
+        seeds.append(s)
+        frontier = np.flatnonzero(known)
+        while len(frontier):
+            fresh_rows = []
+            for x in seeds:
+                sx = table[x]
+                z, first = np.unique(sx[frontier], return_index=True)
+                fresh = ~known[z]
+                z = z[fresh]
+                table[z] = sx[table[frontier[first[fresh]]][:, sx]]
+                known[z] = True
+                fresh_rows.append(z)
+            frontier = np.concatenate(fresh_rows)
+    if (partners.any(axis=1).all()
+            and len({row.tobytes() for row in table}) != n):
+        raise SigmaCheckError("sigma map is not injective on this census")
+    bad = np.flatnonzero((np.take_along_axis(table, table, axis=1)
+                          != np.arange(n)).any(axis=1))
+    if len(bad):
+        raise SigmaCheckError(f"sigma of point {bad[0]} is not an involution")
+    for x in range(n):
+        sx = table[x]
+        bad = np.flatnonzero((table[sx] != sx[table[:, sx]]).any(axis=1))
+        if len(bad):
+            raise SigmaCheckError(
+                f"two derivations of row {sx[bad[0]]} disagree "
+                f"(point {bad[0]} conjugated by point {x})")
     return table
 
 

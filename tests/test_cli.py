@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
-from voacensus import cli, gf2code
+import pytest
+
+from voacensus import cli, gf2code, registry, transpo
+from voacensus.census import IsingCensus
 
 RUN = [sys.executable, "-m", "voacensus.cli"]
 
@@ -113,6 +116,41 @@ def test_frame_vector_index_out_of_range():
         assert data["ok"] is False and "outside 0..119" in data["error"]
     code, data = invoke_json(["griess", "inner", "E8", "w+:119", "w+:119"])
     assert code == 0 and data["results"]["inner"] == "1/4"
+
+
+@pytest.mark.parametrize("obj", ["vplus", "vplus:", "minimal:1:1", "man:4"])
+def test_series_object_field_count_is_usage_error(obj):
+    proc = subprocess.run(RUN + ["characters", "show", obj],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, obj
+    assert "Traceback" not in proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["ok"] is False and data["error"]
+
+
+def test_empty_lattice_tag_is_usage_error():
+    proc = subprocess.run(RUN + ["griess", "build", ""],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["ok"] is False and "empty lattice tag" in data["error"]
+
+
+def test_failed_sigma_check_exits_1(monkeypatch):
+    good = registry.census("ma3")
+    elems = list(good.elements)
+    elems[0], elems[1] = elems[1], elems[0]
+    swapped = IsingCensus(good.points, elems, good.gram, "swapped",
+                          algebra=good.algebra)
+    with pytest.raises(transpo.SigmaCheckError, match="Gram"):
+        transpo.sigma_permutations(swapped)
+    dropped = good.subcensus(range(1, len(good)), "dropped")
+    with pytest.raises(transpo.SigmaCheckError, match="not closed"):
+        transpo.sigma_permutations(dropped)
+    # an unknown spec keeps the cached tables of real censuses out of play
+    monkeypatch.setattr(registry, "census", lambda spec: swapped)
+    assert cli.main(["group", "--census", "swapped"]) == 1
 
 
 def test_tsv_format():

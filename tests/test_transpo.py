@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from voacensus import registry, transpo as tp
+from voacensus import census as cz, registry, transpo as tp
 from voacensus.census import GRAM_32ND
 
 
@@ -50,6 +50,37 @@ def _closure(gens):
                     nxt.append(q)
         frontier = nxt
     return [np.array(p, dtype=np.int32) for p in seen]
+
+
+def _product_table(c):
+    """Product-only oracle: one Griess product per 1/32 pair, no closure."""
+    n = len(c)
+    table = np.tile(np.arange(n, dtype=np.int32), (n, 1))
+    if c.blocks is not None:
+        for offset, part in c.blocks:
+            k = len(part)
+            table[offset:offset + k, offset:offset + k] = \
+                _product_table(part) + offset
+        return table
+    for i, j in np.argwhere(np.triu(c.gram == GRAM_32ND, k=1)):
+        img = c.algebra.sigma_image(c.elements[i], c.elements[j])
+        table[i, j] = table[j, i] = c.element_index(img)
+    return table
+
+
+@pytest.mark.parametrize("spec", [
+    "me8", "uc", "me6", "me7", "md4", "ma1", "ma2", "ma3", "ma4", "ma5",
+    "hamming24", "lattice:E8", "code:rm24", "lattice:A2+A2",
+])
+def test_closure_table_matches_product_oracle(spec):
+    table = registry.sigma_table(spec)
+    assert table.dtype == np.int32
+    assert np.array_equal(table, _product_table(registry.census(spec)))
+
+
+def test_closure_table_matches_product_oracle_hamming_model():
+    hm = cz.hamming_model()
+    assert np.array_equal(tp.sigma_permutations(hm), _product_table(hm))
 
 
 def test_sigma_involutions_and_gram_preserved():
