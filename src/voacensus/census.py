@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gf2code, rootlat
 from .gf2code import BinaryCode, HammingEmbedding
-from .griess import GriessAlgebra, GriessElement
+from .griess import INT_GUARD, GriessAlgebra, GriessElement
 
 GRAM_ZERO, GRAM_32ND, GRAM_QUARTER, GRAM_UNKNOWN = 0, 1, 2, 3
 _GRAM_VALUE = {GRAM_ZERO: Fraction(0), GRAM_32ND: Fraction(1, 32),
@@ -147,6 +147,9 @@ def gram_from_elements(elements: list[GriessElement]) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int8)
     alg = elements[0].alg
     s4 = alg.s2 * alg.s2
+    mag = max(e.mag for e in elements)
+    if 32 * alg.inner_gain * mag * mag >= INT_GUARD:   # num * 32 below
+        raise CensusError("census elements too large for an exact int64 Gram")
     dens = np.array([e.den for e in elements], dtype=np.int64)
     carts = np.stack([e.cart.ravel() for e in elements])
     xvs = np.stack([e.xv for e in elements])

@@ -208,6 +208,8 @@ def run(args) -> dict:
     elif args.command == "characters":
         report["command"] = f"characters {args.ccommand}"
         cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
+        if cutoff < 0:
+            raise registry.RegistryError(f"cutoff {cutoff} is negative")
         if args.ccommand == "verify":
             checks = qchar.verify_decompositions(cutoff)
             report["results"] = {"cutoff": cutoff, "checks": checks,

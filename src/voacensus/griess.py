@@ -29,24 +29,27 @@ from .exact import LeftSolver, inverse, kernel, rref
 from .rootlat import Mod2Class, RootLattice, _hnf_basis
 
 DIM_GUARD = 512
-_INT_GUARD = 1 << 62
+INT_GUARD = 1 << 62
 
 
 class GriessError(ValueError):
     pass
 
 
+def _guard(bound: int) -> None:
+    """Refuse int64 arithmetic whose results may reach `bound` in magnitude."""
+    if bound >= INT_GUARD:
+        raise GriessError("operands too large for exact int64 arithmetic")
+
+
 class GriessElement:
     """An element: symmetric matrix `cart` + pair vector `xv`, over `den`."""
 
-    __slots__ = ("alg", "cart", "xv", "den")
+    __slots__ = ("alg", "cart", "xv", "den", "mag")
 
     def __init__(self, alg: "GriessAlgebra", cart: np.ndarray, xv: np.ndarray,
-                 den: int, _normalized: bool = False):
+                 den: int):
         self.alg = alg
-        if _normalized:
-            self.cart, self.xv, self.den = cart, xv, den
-            return
         if den < 0:
             cart, xv, den = -cart, -xv, -den
         g = int(np.gcd.reduce(np.concatenate(
@@ -54,15 +57,17 @@ class GriessElement:
         g = g or 1
         self.cart = (cart // g).astype(np.int64)
         self.xv = (xv // g).astype(np.int64)
-        self.den = den // g
-        hi = max(int(np.abs(self.cart).max(initial=0)),
-                 int(np.abs(self.xv).max(initial=0)), self.den)
-        if hi >= _INT_GUARD:
+        self.den = int(den // g)
+        # the largest integer held: operations bound their int64 results by it
+        self.mag = max(int(np.abs(self.cart).max(initial=0)),
+                       int(np.abs(self.xv).max(initial=0)), self.den)
+        if self.mag >= INT_GUARD:
             raise GriessError("integer overflow guard tripped")
 
     # -- linear structure ---------------------------------------------------
     def __add__(self, other: "GriessElement") -> "GriessElement":
         d = lcm(self.den, other.den)
+        _guard(self.mag * (d // self.den) + other.mag * (d // other.den))
         return GriessElement(self.alg,
                              self.cart * (d // self.den) + other.cart * (d // other.den),
                              self.xv * (d // self.den) + other.xv * (d // other.den), d)
@@ -72,6 +77,7 @@ class GriessElement:
 
     def __rmul__(self, scalar) -> "GriessElement":
         f = Fraction(scalar)
+        _guard(self.mag * max(abs(f.numerator), f.denominator))
         return GriessElement(self.alg, self.cart * f.numerator, self.xv * f.numerator,
                              self.den * f.denominator)
 
@@ -142,6 +148,11 @@ class GriessAlgebra:
             targets[k] = lattice.pair_of(v)
         self._tp, self._tq, self._tr = tp, tq, targets
         self._pair_outer = np.einsum("pi,pj->pij", P, P)
+        # |integer| of a product / inner numerator <= gain * a.mag * b.mag
+        pmax = int(np.abs(P).max(initial=0))
+        self.product_gain = (4 * s2 * m + 2 * s2 * s2 * self.npairs * pmax ** 2
+                             + 4 * m * m * pmax ** 2 + s2 * s2 * (len(tp) + 1))
+        self.inner_gain = 2 * m * m + 2 * s2 * s2 * self.npairs
         self.omega = self._build_omega(lattice.basis)
         self._sym_solver = None
         self._commutant_cache: dict[tuple, list[list[Fraction]]] = {}
@@ -224,6 +235,7 @@ class GriessAlgebra:
 
     # -- products and forms ---------------------------------------------------
     def product(self, a: GriessElement, b: GriessElement) -> GriessElement:
+        _guard(self.product_gain * a.mag * b.mag)
         s2 = self.s2
         P = self.pairs
         cart = 2 * s2 * (a.cart @ b.cart + b.cart @ a.cart)
@@ -243,6 +255,7 @@ class GriessAlgebra:
         return GriessElement(self, cart, xv, a.den * b.den * s2 * s2)
 
     def inner(self, a: GriessElement, b: GriessElement) -> Fraction:
+        _guard(self.inner_gain * a.mag * b.mag)
         s4 = self.s2 * self.s2
         num = 2 * int(np.trace(a.cart @ b.cart)) + 2 * s4 * int(a.xv @ b.xv)
         return Fraction(num, s4 * a.den * b.den)

@@ -119,57 +119,51 @@ def one(cutoff) -> QSeries:
 # ---------------------------------------------------------------------------
 # eta-type products on the integer grid
 
-def euler_inverse_power(ell: int, cutoff: int) -> QSeries:
-    """prod_{n>=1} (1 - q^n)^(-ell): ell-component partition counts."""
-    N = int(cutoff)
-    p = [0] * (N + 1)
-    p[0] = 1
-    for _ in range(ell):
-        for n in range(1, N + 1):
-            for m in range(n, N + 1):
-                p[m] += p[m - n]
-    return QSeries({Fraction(n): p[n] for n in range(N + 1)}, N)
-
-
 def euler_power(ell: int, cutoff: int) -> QSeries:
-    """prod_{n>=1} (1 - q^n)^(ell)."""
-    N = int(cutoff)
-    p = [0] * (N + 1)
-    p[0] = 1
-    for _ in range(ell):
-        for n in range(1, N + 1):
-            for m in range(N, n - 1, -1):
-                p[m] -= p[m - n]
-    return QSeries({Fraction(n): p[n] for n in range(N + 1)}, N)
+    """prod_{n>=1} (1 - q^n)^ell for a signed ell."""
+    return _product_power(ell, cutoff, 1)
 
 
 def twisted_inverse_power(ell: int, cutoff: int) -> QSeries:
-    """prod_{n>=1} (1 + q^n)^(-ell)."""
+    """prod_{n>=1} (1 + q^n)^(-ell), which is prod over odd n of (1 - q^n)^ell."""
+    return _product_power(ell, cutoff, 2)
+
+
+def _product_power(ell: int, cutoff: int, step: int) -> QSeries:
+    """prod over n = 1, 1 + step, 1 + 2*step, ... of (1 - q^n)^ell."""
     N = int(cutoff)
-    base = [0] * (N + 1)
-    base[0] = 1
-    for n in range(1, N + 1):
-        for m in range(n, N + 1):
-            base[m] -= base[m - n]
     p = [0] * (N + 1)
     p[0] = 1
-    for _ in range(ell):
-        p = _convolve_int(p, base, N)
+    for _ in range(abs(ell)):
+        for n in range(1, N + 1, step):
+            if ell > 0:     # multiply by 1 - q^n, top coefficient first
+                for m in range(N, n - 1, -1):
+                    p[m] -= p[m - n]
+            else:           # divide by 1 - q^n, bottom coefficient first
+                for m in range(n, N + 1):
+                    p[m] += p[m - n]
     return QSeries({Fraction(n): p[n] for n in range(N + 1)}, N)
-
-
-def _convolve_int(a, b, N):
-    out = [0] * (N + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(0, N + 1 - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
 
 
 # ---------------------------------------------------------------------------
 # unitary minimal-model data and characters
+
+def _alternating_terms(terms, bound):
+    """The terms of an alternating sum over k = 0, 1, -1, 2, -2, ... up to `bound`.
+
+    `terms(k)` lists tuples whose first entry is an exponent; those at most
+    `bound` are yielded.  Exponents grow quadratically in |k|, so the walk
+    ends at the first k > 0 where neither k nor -k has a term in range.
+    """
+    k = 0
+    while True:
+        kept = [t for kk in ((k, -k) if k else (0,)) for t in terms(kk)
+                if t[0] <= bound]
+        if k and not kept:
+            return
+        yield from kept
+        k += 1
+
 
 def unitary_central_charge(m: int) -> Fraction:
     return 1 - Fraction(6, (m + 2) * (m + 3))
@@ -194,42 +188,29 @@ def minimal_character(m: int, r: int, s: int, upto: int) -> QSeries:
     if depth < 0:
         return QSeries({}, Fraction(upto))
     terms: dict[Fraction, int] = {}
-    k = 0
-    while True:
-        hit = False
-        for kk in ({0} if k == 0 else {k, -k}):
-            a = p * pp * kk * kk + kk * (r * pp - s * p)
-            b = p * pp * kk * kk + kk * (r * pp + s * p) + r * s
-            if a <= depth:
-                terms[Fraction(a)] = terms.get(Fraction(a), 0) + 1
-                hit = True
-            if b <= depth:
-                terms[Fraction(b)] = terms.get(Fraction(b), 0) - 1
-                hit = True
-        if not hit and k > 0:
-            break
-        k += 1
+    for e, c in _alternating_terms(
+            lambda k: ((p * pp * k * k + k * (r * pp - s * p), 1),
+                       (p * pp * k * k + k * (r * pp + s * p) + r * s, -1)),
+            depth):
+        terms[Fraction(e)] = terms.get(Fraction(e), 0) + c
     numer = QSeries(terms, depth)
-    series = numer * euler_inverse_power(1, depth)
+    series = numer * euler_power(-1, depth)
     return series.shift(h).truncate(upto)
 
 
 # ---------------------------------------------------------------------------
 # lattice characters
 
-def lattice_theta(tag: str, upto: int, shift: tuple | None = None) -> QSeries:
-    """Sum of q^norm over the (shifted) lattice, exponents = geometric norms."""
-    lat = registry.lattice(tag)
-    counts = rootlat.norm_counts(lat, upto,
-                                 None if shift is None else np.array(shift))
-    return QSeries({e: c for e, c in counts.items()}, upto)
+def vfull_character(tag: str, upto: int) -> QSeries:
+    """Graded dimension of the doubled-lattice vertex algebra."""
+    return _lattice_character(registry.lattice(tag), upto)
 
 
-def vfull_character(tag: str, upto: int, shift: tuple | None = None) -> QSeries:
-    """Graded dimension of the doubled-lattice vertex algebra (or a coset)."""
-    lat = registry.lattice(tag)
-    theta = lattice_theta(tag, upto, shift)
-    return (theta * euler_inverse_power(lat.rank, upto)).truncate(upto)
+def _lattice_character(lat: rootlat.RootLattice, upto: int,
+                       shift: np.ndarray | None = None) -> QSeries:
+    """Theta series of shift + lat over the rank-fold Euler product."""
+    theta = QSeries(rootlat.norm_counts(lat, upto, shift), upto)
+    return (theta * euler_power(-lat.rank, upto)).truncate(upto)
 
 
 def vplus_character(tag: str, upto: int) -> QSeries:
@@ -278,24 +259,11 @@ class TwoVarSeries:
 def _theta_slices(level: int, weight: int, qmax: int) -> list[dict[int, int]]:
     """Slices of the alternating sum at (level, weight), integer q-grid."""
     slices: list[dict[int, int]] = [dict() for _ in range(qmax + 1)]
-    k = 0
-    while True:
-        hit = False
-        for kk in ({0} if k == 0 else {k, -k}):
-            base = level * kk * kk
-            e1 = base + weight * kk
-            e2 = base - weight * kk
-            if e1 <= qmax:
-                z = weight + 2 * level * kk
-                slices[e1][z] = slices[e1].get(z, 0) + 1
-                hit = True
-            if e2 <= qmax:
-                z = -weight + 2 * level * kk
-                slices[e2][z] = slices[e2].get(z, 0) - 1
-                hit = True
-        if not hit and k > 0:
-            break
-        k += 1
+    for e, z, c in _alternating_terms(
+            lambda k: ((level * k * k + weight * k, weight + 2 * level * k, 1),
+                       (level * k * k - weight * k, -weight + 2 * level * k, -1)),
+            qmax):
+        slices[e][z] = slices[e].get(z, 0) + c
     return slices
 
 
@@ -382,49 +350,45 @@ def parafermion_central_charge(level: int) -> Fraction:
 def coset_boson_factor(level: int, charge: int, upto) -> QSeries:
     """Character of the charge sector of the rank-1 lattice boson factor."""
     out: dict[Fraction, int] = {}
-    m = 0
-    while True:
-        hit = False
-        for mm in ({0} if m == 0 else {m, -m}):
-            e = Fraction((charge + 2 * level * mm) ** 2, 4 * level)
-            if e <= upto:
-                out[e] = out.get(e, 0) + 1
-                hit = True
-        if not hit and m > 0:
-            break
-        m += 1
+    for e, c in _alternating_terms(
+            lambda k: ((Fraction((charge + 2 * level * k) ** 2, 4 * level), 1),),
+            upto):
+        out[e] = out.get(e, 0) + c
     theta = QSeries(out, upto)
-    return (theta * euler_inverse_power(1, int(upto) + 1)).truncate(upto)
+    return (theta * euler_power(-1, int(upto) + 1)).truncate(upto)
 
 
 # ---------------------------------------------------------------------------
 # tower characters over the A-series
 
 def man_character(N: int, twos: int, upto: int) -> QSeries:
-    """Vacuum-tower module character: nested sum of minimal-model products."""
+    """Vacuum-tower module character: nested sum of minimal-model products.
+
+    Sum over even label chains 0 = k_0, k_1, ..., k_N = twos (k_j <= j + 1) of
+    the products of minimal_character(j, k_{j-1} + 1, k_j + 1), walked left to
+    right: live[k] sums the partial products ending in label k.  The bound is
+    that of the term-by-term sum: a chain that meets a zero factor stops, and
+    its bound at that point enters the result's.
+    """
+    if N < 1:
+        raise QSeriesError(f"tower length {N} is below 1")
     if not (0 <= twos <= N + 1):
         raise QSeriesError(f"label {twos} outside 0..{N + 1}")
     if twos % 2:
         raise QSeriesError("label must be even")
-    total = QSeries({}, upto)
-    for tup in _even_tuples(N):
-        ks = list(tup) + [twos]
-        prod = one(upto)
-        for j in range(1, N + 1):
-            prod = prod * minimal_character(j, ks[j - 1] + 1, ks[j] + 1, upto)
-            if prod.is_zero():
-                break
-        total = total + prod.truncate(upto)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _even_tuples(N: int) -> tuple[tuple[int, ...], ...]:
-    """All (k_0, ..., k_{N-1}) with k_j even and 0 <= k_j <= j+1."""
-    out: list[tuple[int, ...]] = [()]
-    for j in range(N):
-        out = [t + (k,) for t in out for k in range(0, j + 2, 2)]
-    return tuple(out)
+    live = {0: one(upto)}
+    bound = Fraction(upto)
+    for j in range(1, N + 1):
+        step: dict[int, QSeries] = {}
+        for b in ((twos,) if j == N else range(0, j + 2, 2)):
+            for a, prefix in live.items():
+                prod = prefix * minimal_character(j, a + 1, b + 1, upto)
+                if prod.is_zero():
+                    bound = min(bound, prod.cutoff)
+                else:
+                    step[b] = step[b] + prod if b in step else prod
+        live = step
+    return live.get(twos, QSeries({}, upto)).truncate(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -465,30 +429,25 @@ _ME6_LINES = (
 )
 
 
-def _c2528_character(h: Fraction, upto: int) -> QSeries:
-    """Minimal character at central charge 25/28 (degree-5 table) by weight."""
-    for r in range(1, 7):
-        for s in range(1, 8):
-            if unitary_weight(5, r, s) == h:
-                return minimal_character(5, r, s, upto)
-    raise QSeriesError(f"weight {h} not in the degree-5 table")
+def _minimal_at_weight(m: int, h: Fraction, upto: int) -> QSeries:
+    """The degree-m minimal character of conformal weight h."""
+    for r in range(1, m + 2):
+        for s in range(1, m + 3):
+            if unitary_weight(m, r, s) == h:
+                return minimal_character(m, r, s, upto)
+    raise QSeriesError(f"weight {h} not in the degree-{m} table")
 
 
-def _ising_character(h: Fraction, upto: int) -> QSeries:
-    table = {Fraction(0): (1, 1), Fraction(1, 2): (1, 3), Fraction(1, 16): (1, 2)}
-    r, s = table[h]
-    return minimal_character(1, r, s, upto)
+def _me6_block(parts, upto: int) -> QSeries:
+    """Sum of (c=25/28 at h1) * (Ising at h2) over one line of _ME6_LINES."""
+    return sum((_minimal_at_weight(5, h1, upto) * _minimal_at_weight(1, h2, upto)
+                for h1, h2 in parts), QSeries({}, upto))
 
 
 def me6_display_character(upto: int) -> QSeries:
     """The printed four-line commutant character over the rank-6 chain."""
-    total = QSeries({}, upto)
-    for twos, parts in _ME6_LINES:
-        block = QSeries({}, upto)
-        for h1, h2 in parts:
-            block = block + _c2528_character(h1, upto) * _ising_character(h2, upto)
-        total = total + man_character(5, twos, upto) * block
-    return total.truncate(upto)
+    return sum((man_character(5, twos, upto) * _me6_block(parts, upto)
+                for twos, parts in _ME6_LINES), QSeries({}, upto))
 
 
 def com_ma4_display_character(upto: int) -> QSeries:
@@ -503,23 +462,15 @@ def com_ma4_display_character(upto: int) -> QSeries:
         (Fraction(13, 4), Fraction(13, 4), Fraction(1, 2)),
         (Fraction(15, 2), Fraction(0), Fraction(1, 2)),
     )
-    total = QSeries({}, upto)
-    for a, b, c in triples:
-        total = total + (_c2528_character(a, upto) * _c2528_character(b, upto)
-                         * _ising_character(c, upto))
-    return total.truncate(upto)
+    return sum((_minimal_at_weight(5, a, upto) * _minimal_at_weight(5, b, upto)
+                * _minimal_at_weight(1, c, upto) for a, b, c in triples),
+               QSeries({}, upto))
 
 
 def com_ma4_substituted_character(upto: int) -> QSeries:
     """The same commutant assembled through the nested branching rule."""
-    total = QSeries({}, upto)
-    for twos, parts in _ME6_LINES:
-        outer = _c2528_character(unitary_weight(5, 1, twos + 1), upto)
-        block = QSeries({}, upto)
-        for h1, h2 in parts:
-            block = block + _c2528_character(h1, upto) * _ising_character(h2, upto)
-        total = total + outer * block
-    return total.truncate(upto)
+    return sum((minimal_character(5, 1, twos + 1, upto) * _me6_block(parts, upto)
+                for twos, parts in _ME6_LINES), QSeries({}, upto))
 
 
 def u_factor_character(twos: int, upto: int) -> QSeries:
@@ -532,15 +483,8 @@ def u_factor_character(twos: int, upto: int) -> QSeries:
         6: ((Fraction(3, 5), Fraction(3, 5)), (Fraction(1, 10), Fraction(1, 10))),
         8: ((Fraction(0), Fraction(0)), (Fraction(3, 2), Fraction(3, 2))),
     }
-    tab = {Fraction(0): (1, 1), Fraction(3, 2): (3, 1),
-           Fraction(3, 5): (1, 3), Fraction(1, 10): (1, 2)}
-    total = QSeries({}, upto)
-    for h1, h2 in pairs[twos]:
-        r1, s1 = tab[h1]
-        r2, s2 = tab[h2]
-        total = total + (minimal_character(2, r1, s1, upto)
-                         * minimal_character(2, r2, s2, upto))
-    return total.truncate(upto)
+    return sum((_minimal_at_weight(2, h1, upto) * _minimal_at_weight(2, h2, upto)
+                for h1, h2 in pairs[twos]), QSeries({}, upto))
 
 
 def verify_decompositions(depth: int = 8) -> list[dict]:
@@ -628,11 +572,7 @@ def verify_decompositions(depth: int = 8) -> list[dict]:
 def _coset_a7_character(upto: int) -> QSeries:
     """Graded dimension of the xi-shifted rank-7 lattice coset module."""
     emb = rootlat.sublattice_embedding("A7_in_E7_with_xi")
-    lat = emb.ambient
     # the sublattice as its own enumeration problem: A7 with shift xi
-    sub = np.array([np.asarray(r) for r in emb.sub_roots])
-    from .rootlat import RootLattice
-    a7 = RootLattice("A7@E7", "A", 7, 8, lat.scale_sq, sub)
-    counts = rootlat.norm_counts(a7, upto, np.array(emb.glue, dtype=np.int64))
-    theta = QSeries({e: c for e, c in counts.items()}, upto)
-    return (theta * euler_inverse_power(7, upto)).truncate(upto)
+    a7 = rootlat.RootLattice("A7@E7", "A", 7, 8, emb.ambient.scale_sq,
+                             np.array(emb.sub_roots))
+    return _lattice_character(a7, upto, np.array(emb.glue, dtype=np.int64))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -123,6 +124,23 @@ def test_series_object_field_count_is_usage_error(obj):
     proc = subprocess.run(RUN + ["characters", "show", obj],
                           capture_output=True, text=True)
     assert proc.returncode == 2, obj
+    assert "Traceback" not in proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["ok"] is False and data["error"]
+
+
+@pytest.mark.parametrize("args,cutoff_env", [
+    (["characters", "show", "vplus:E8", "--cutoff", "-3"], None),
+    (["characters", "show", "vplus:E8"], "-3"),
+    (["characters", "show", "man:0:0"], None),
+    (["characters", "show", "man:-1:0"], None),
+])
+def test_bad_character_input_is_usage_error(args, cutoff_env):
+    env = {k: v for k, v in os.environ.items() if k != "VOA_CUTOFF"}
+    if cutoff_env is not None:
+        env["VOA_CUTOFF"] = cutoff_env
+    proc = subprocess.run(RUN + args, capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, args
     assert "Traceback" not in proc.stderr
     data = json.loads(proc.stdout)
     assert data["ok"] is False and data["error"]

@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voacensus import rootlat as rl
-from voacensus.griess import (GriessError, verify_orthogonal_split,
-                              verify_twist_chain)
+from voacensus.census import CensusError, gram_from_elements
+from voacensus.griess import (INT_GUARD, GriessElement, GriessError,
+                              verify_orthogonal_split, verify_twist_chain)
 from voacensus.registry import algebra
 
 
@@ -233,3 +237,81 @@ def test_element_json_roundtrip():
         if coeff:
             rebuilt = rebuilt + coeff * elem
     assert rebuilt == wt
+
+
+def _diagonal_element(alg, x):
+    cart = np.zeros((alg.m, alg.m), dtype=np.int64)
+    cart[0, 0] = x
+    return GriessElement(alg, cart, np.zeros(alg.npairs, dtype=np.int64), 1)
+
+
+def test_int64_wrap_is_refused():
+    alg = algebra("A2")
+    e31, e40 = _diagonal_element(alg, 2 ** 31), _diagonal_element(alg, 2 ** 40)
+    # the square's cart[0, 0] is 2**64 exactly, which wrapped to 0
+    with pytest.raises(GriessError, match="too large"):
+        e31 * e31
+    # 2 * 2**80 exactly, which wrapped to 0
+    with pytest.raises(GriessError, match="too large"):
+        e40.inner(e40)
+    # 2**70 exactly, which wrapped to the zero element
+    with pytest.raises(GriessError, match="too large"):
+        (2 ** 30) * e40
+    with pytest.raises(GriessError, match="too large"):
+        e40 + GriessElement(alg, e40.cart, e40.xv, 2 ** 23 + 1)
+    with pytest.raises(CensusError, match="too large"):
+        gram_from_elements([e40, e40])
+
+
+def _object_product(alg, a, b):
+    """Product of a and b with Python integers, from the structure constants."""
+    s2, P = alg.s2, alg.pairs.astype(object)
+    A, B = a.cart.astype(object), b.cart.astype(object)
+    ax, bx = a.xv.astype(object), b.xv.astype(object)
+    cart = 2 * s2 * (A.dot(B) + B.dot(A))
+    xv = np.zeros(alg.npairs, dtype=object)
+    for p in range(alg.npairs):
+        cart = cart + 2 * s2 * s2 * ax[p] * bx[p] * np.outer(P[p], P[p])
+        xv[p] += 2 * P[p].dot(A).dot(P[p]) * bx[p] + 2 * P[p].dot(B).dot(P[p]) * ax[p]
+        for q in range(alg.npairs):
+            d = P[p].dot(P[q]) // s2
+            if abs(d) == 1:
+                xv[alg.lattice.pair_of(alg.pairs[p] - d * alg.pairs[q])] += \
+                    s2 * s2 * ax[p] * bx[q]
+    return cart, xv, a.den * b.den * s2 * s2
+
+
+@st.composite
+def _element_pair(draw):
+    alg = algebra(draw(st.sampled_from(["A2", "A3"])))
+    if draw(st.booleans()):
+        ints = st.integers(-1000, 1000)
+    else:
+        # operands as large as the product bound admits
+        hi = isqrt((INT_GUARD - 1) // alg.product_gain)
+        ints = st.builds(lambda x, sign: sign * x, st.integers(hi // 2, hi),
+                         st.sampled_from([1, -1]))
+
+    def element():
+        upper = np.array([[draw(ints) if i <= j else 0 for j in range(alg.m)]
+                          for i in range(alg.m)], dtype=np.int64)
+        xv = np.array([draw(ints) for _ in range(alg.npairs)], dtype=np.int64)
+        return GriessElement(alg, upper + np.triu(upper, 1).T, xv,
+                             draw(st.integers(1, 50)))
+    return alg, element(), element()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_element_pair())
+def test_product_and_inner_match_object_reference(case):
+    alg, a, b = case
+    s4 = alg.s2 * alg.s2
+    got_prod, got_inner = alg.product(a, b), alg.inner(a, b)
+    cart, xv, den = _object_product(alg, a, b)
+    assert [Fraction(int(x), got_prod.den) for x in got_prod.cart.ravel()] == \
+        [Fraction(x, den) for x in cart.ravel()]
+    assert [Fraction(int(x), got_prod.den) for x in got_prod.xv] == \
+        [Fraction(x, den) for x in xv]
+    num = 2 * np.trace(a.cart.astype(object).dot(b.cart.astype(object))) \
+        + 2 * s4 * a.xv.astype(object).dot(b.xv.astype(object))
+    assert got_inner == Fraction(num, s4 * a.den * b.den)

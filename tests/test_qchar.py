@@ -97,8 +97,22 @@ def test_qseries_ring_axioms(a, b, c):
 
 def test_euler_products_invert():
     for ell in (1, 3, 8):
-        p = qc.euler_power(ell, 10) * qc.euler_inverse_power(ell, 10)
+        p = qc.euler_power(ell, 10) * qc.euler_power(-ell, 10)
         assert p.truncate(10).agrees_with(qc.one(10))
+
+
+def test_twisted_inverse_power_inverts_plus_product():
+    N = 12
+    for ell in (1, 7, 8):
+        # prod_{n>=1} (1 + q^n)^ell, one factor at a time
+        p = [1] + [0] * N
+        for _ in range(ell):
+            for n in range(1, N + 1):
+                for m in range(N, n - 1, -1):
+                    p[m] += p[m - n]
+        plus = qc.QSeries({Fraction(n): c for n, c in enumerate(p)}, N)
+        prod = plus * qc.twisted_inverse_power(ell, N)
+        assert prod.cutoff == N and prod.agrees_with(qc.one(N)), ell
 
 
 def test_vplus_vacuum_and_dims():
@@ -127,7 +141,7 @@ def test_affine_character_symmetry_and_top():
 def test_affine_level_one_is_lattice():
     # level-one vacuum character: theta of the even rank-one lattice over eta
     two = qc.affine_sl2_character(1, 0, 10)
-    pinv = qc.euler_inverse_power(1, 10)
+    pinv = qc.euler_power(-1, 10)
     for n in range(11):
         for z in range(-7, 8):
             got = two.slices[n].get(z, 0)
@@ -181,6 +195,41 @@ def test_man_character_values():
         qc.man_character(3, 3, 4)
     with pytest.raises(qc.QSeriesError):
         qc.man_character(3, 6, 4)
+    for N in (0, -1):
+        with pytest.raises(qc.QSeriesError):
+            qc.man_character(N, 0, 4)
+
+
+def _man_by_tuples(N, twos, upto):
+    """Term-by-term tower sum over every even label tuple: the chain-sum oracle."""
+    tuples = [()]
+    for j in range(N):
+        tuples = [t + (k,) for t in tuples for k in range(0, j + 2, 2)]
+    total = qc.QSeries({}, upto)
+    for tup in tuples:
+        ks = list(tup) + [twos]
+        prod = qc.one(upto)
+        for j in range(1, N + 1):
+            prod = prod * qc.minimal_character(j, ks[j - 1] + 1, ks[j] + 1, upto)
+            if prod.is_zero():
+                break
+        total = total + prod.truncate(upto)
+    return total
+
+
+def test_man_character_chain_sum_matches_tuple_oracle():
+    cases = [(N, twos, upto) for N in range(1, 7) for twos in range(0, N + 2, 2)
+             for upto in (2, 5, 8)]
+    cases += [(7, twos, 4) for twos in (0, 4, 8)]
+    for N, twos, upto in cases:
+        got = qc.man_character(N, twos, upto)
+        want = _man_by_tuples(N, twos, upto)
+        assert (got.coeffs, got.cutoff) == (want.coeffs, want.cutoff), \
+            (N, twos, upto)
+    # chains that meet a zero factor set these bounds
+    assert qc.man_character(6, 4, 2).cutoff == Fraction(12, 7)
+    assert qc.man_character(6, 6, 2).cutoff == Fraction(12, 7)
+    assert qc.man_character(7, 4, 4).cutoff == Fraction(22, 7)
 
 
 def test_display_characters():
