@@ -261,13 +261,7 @@ def _emit(report: dict, fmt: str, output) -> None:
     if "raw" in report:
         # bit-exact emission regardless of the report format
         text = report.pop("raw").rstrip("\n")
-        if output:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return
-    if fmt == "json":
+    elif fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
     else:
         lines = []
@@ -306,13 +300,19 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         report = run(args)
+        code = 0 if report["ok"] else 1
     except (registry.RegistryError, UnrealizedGramError, ValueError) as exc:
-        _emit({"tool": f"voacensus {__version__}", "ok": False,
-               "error": str(exc)}, args.format, args.output)
+        report = {"tool": f"voacensus {__version__}", "ok": False,
+                  "error": str(exc)}
         # a failed sigma-table check is a check failure, not a usage error
-        return 1 if isinstance(exc, transpo.SigmaCheckError) else 2
-    _emit(report, args.format, args.output)
-    return 0 if report.get("ok", False) else 1
+        code = 1 if isinstance(exc, transpo.SigmaCheckError) else 2
+    try:
+        _emit(report, args.format, args.output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -527,12 +527,14 @@ def verify_decompositions(depth: int = 8) -> list[dict]:
     checks.append(_check("U0_equals_U8", u_factor_character(0, upto),
                          u_factor_character(8, upto), bound=depth))
 
-    me7 = me7_display_character(upto)
+    # the q^2 checks need upto >= 3 (me7 at upto 2 is valid through 12/7)
+    dim_upto = max(upto, 3)
+    me7 = me7_display_character(dim_upto)
     checks.append(_coeff_check("ME7_dim2", me7, 2, 63))
     checks.append(_coeff_check("ME7_vacuum", me7, 0, 1))
     checks.append(_coeff_check("ME7_dim1", me7, 1, 0))
 
-    me6 = me6_display_character(upto)
+    me6 = me6_display_character(dim_upto)
     checks.append(_coeff_check("ME6_dim2", me6, 2, 36))
     checks.append(_coeff_check("ME6_vacuum", me6, 0, 1))
     checks.append(_coeff_check("ME6_dim1", me6, 1, 0))

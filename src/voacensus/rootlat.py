@@ -8,9 +8,11 @@ exact integer arithmetic.  All roots have geometric norm 2.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -160,9 +162,8 @@ class RootLattice:
         """The 2^rank cosets of 2L, classified by minimal-norm vectors."""
         if self._mod2 is not None:
             return self._mod2
-        gram = [[self.inner(a, b) for b in self.basis] for a in self.basis]
         buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-        for coeffs, norm in _enumerate_short(gram, Fraction(4)):
+        for coeffs, norm in _enumerate_short(_basis_gram(self), Fraction(4)):
             key = tuple(c % 2 for c in coeffs)
             vec = tuple(int(x) for x in np.asarray(coeffs, dtype=np.int64) @ self.basis)
             buckets.setdefault(key, []).append((vec, int(norm)))
@@ -197,72 +198,73 @@ class RootLattice:
         if any(c.denominator != 1 for c in coeffs):
             raise LatticeError(f"{v} is not in {self.name}")
         key = tuple(int(c) % 2 for c in coeffs)
-        for cl in self.mod2_classes():
-            if cl.key == key:
-                return cl
-        raise LatticeError("class lookup failed")
+        # mod2_classes holds all 2^rank keys
+        return next(cl for cl in self.mod2_classes() if cl.key == key)
+
+
+def _basis_gram(lattice: RootLattice) -> list[list[Fraction]]:
+    """Gram matrix of the lattice basis: the integer basis . basis^T over scale_sq."""
+    return [[Fraction(x, lattice.scale_sq) for x in row]
+            for row in (lattice.basis @ lattice.basis.T).tolist()]
 
 
 def _enumerate_short(gram, bound: Fraction, shift=None):
-    """Fincke-Pohst enumeration of x (+ shift) with norm <= bound.
+    """Fincke-Pohst enumeration of the vectors x + shift with norm <= bound.
 
-    `gram` is an exact rational Gram matrix; yields (coeff tuple, norm) with
-    coeffs integers, one representative per +-pair when shift is None.
+    `gram` is an exact rational Gram matrix, `shift` optional rational
+    coordinates.  Returns every (x, norm) with x an integer tuple, sorted by
+    x; when the shift is zero, x = 0 is left out and x and -x both appear.
+    The search is on integers (README: "How lattice vectors are
+    enumerated"): level i admits the x_i with |T_i| <= isqrt(rem // w_i).
     """
     n = len(gram)
-    # exact LDL^T decomposition
+    s = lcm(*(Fraction(x).denominator for row in gram for x in row))
+    shift = [Fraction(0)] * n if shift is None else [Fraction(c) for c in shift]
+    m = lcm(*(c.denominator for c in shift))
+    # reversed, so that coordinate 0 is the outermost level and the tuples
+    # come out sorted; y = m (x + shift) is integral, s m^2 norm = y g y^T
+    g = [[int(Fraction(x) * s) for x in row[::-1]] for row in gram[::-1]]
+    t = [int(c * m) for c in shift[::-1]]
     L = [[Fraction(0)] * n for _ in range(n)]
     D = [Fraction(0)] * n
     for i in range(n):
         for j in range(i):
-            s = gram[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))
-            L[i][j] = s / D[j]
-        D[i] = gram[i][i] - sum(L[i][k] ** 2 * D[k] for k in range(i))
+            L[i][j] = (g[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
+        D[i] = g[i][i] - sum((L[i][k] ** 2 * D[k] for k in range(i)), Fraction(0))
         if D[i] <= 0:
             raise LatticeError("Gram matrix is not positive definite")
-        L[i][i] = Fraction(1)
-    shift = [Fraction(0)] * n if shift is None else [Fraction(s) for s in shift]
-    shift_zero = all(s == 0 for s in shift)
+    # s m^2 norm = sum D_i z_i^2 with z_i = y_i + sum_{k>i} L_ki y_k; the
+    # integer T_i = den_i z_i has weight D_i / den_i^2, all weights and the
+    # bound scaled by one integer
+    dens = [lcm(*(L[k][i].denominator for k in range(i + 1, n))) for i in range(n)]
+    weights = [D[i] / (dens[i] * m) ** 2 for i in range(n)]
+    scale = lcm(Fraction(bound * s).denominator, *(w.denominator for w in weights))
+    levels = []  # T_i = step x_i + base + sum of c x_k over (k, c) in coef
+    for i in range(n):
+        lint = [int(L[k][i] * dens[i]) for k in range(n)]
+        base = dens[i] * t[i] + sum(lint[k] * t[k] for k in range(i + 1, n))
+        coef = [(k, m * lint[k]) for k in range(i + 1, n) if lint[k]]
+        levels.append((dens[i] * m, base, coef, int(weights[i] * scale)))
+    budget = int(bound * s * scale)
+    xs = [0] * n
     out = []
-    coeffs_full = [Fraction(0)] * n
 
-    def rec(i: int, rem: Fraction, coeffs: list[int]):
+    def rec(i: int, rem: int):
         if i < 0:
-            if shift_zero and all(c == 0 for c in coeffs):
-                return
-            out.append((tuple(reversed(coeffs)), bound - rem))
+            if any(t) or any(xs):
+                out.append((tuple(xs[::-1]), Fraction(budget - rem, s * scale)))
             return
-        # center for coordinate i given the already-chosen higher coordinates
-        center = -shift[i] - sum(L[k][i] * (coeffs_full[k] + shift[k])
-                                 for k in range(i + 1, n))
-        radius = _fsqrt_upper(rem / D[i])
-        c = _ceil_fr(center - radius)
-        while Fraction(c) <= center + radius:
-            coeffs_full[i] = Fraction(c)
-            used = D[i] * (Fraction(c) - center) ** 2
-            if used <= rem:
-                coeffs.append(c)
-                rec(i - 1, rem - used, coeffs)
-                coeffs.pop()
-            c += 1
+        step, base, coef, w = levels[i]
+        b = base + sum(c * xs[k] for k, c in coef)
+        r = isqrt(rem // w)
+        for x in range(-((r + b) // step), (r - b) // step + 1):
+            xs[i] = x
+            T = step * x + b
+            rec(i - 1, rem - w * T * T)
 
-    rec(n - 1, bound, [])
-    return sorted(out)
-
-
-def _fsqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(x), tight to ~1e-9."""
-    if x < 0:
-        return Fraction(-1)
-    f = float(x)
-    r = Fraction(int((f ** 0.5 + 1e-9) * 10 ** 9) + 2, 10 ** 9)
-    while r * r < x:
-        r += Fraction(1, 10 ** 6)
-    return r
-
-
-def _ceil_fr(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+    if budget >= 0:
+        rec(n - 1, budget)
+    return out
 
 
 def _an_roots(n: int) -> np.ndarray:
@@ -434,15 +436,11 @@ def norm_counts(lattice: RootLattice, bound, shift=None) -> dict[Fraction, int]:
     `shift` is an ambient vector in the rational span of the lattice; without
     it the zero vector is included with norm 0.
     """
-    gram = [[lattice.inner(a, b) for b in lattice.basis] for a in lattice.basis]
-    shift_coords = None
-    if shift is not None:
-        shift_coords = lattice.coords(shift)
-    counts: dict[Fraction, int] = {}
-    for _, norm in _enumerate_short(gram, Fraction(bound), shift=shift_coords):
-        counts[norm] = counts.get(norm, 0) + 1
+    coords = None if shift is None else lattice.coords(shift)
+    counts = Counter(norm for _, norm in _enumerate_short(
+        _basis_gram(lattice), Fraction(bound), coords))
     if shift is None:
-        counts[Fraction(0)] = counts.get(Fraction(0), 0) + 1
+        counts[Fraction(0)] += 1
     return counts
 
 

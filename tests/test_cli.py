@@ -53,6 +53,32 @@ def test_characters_verify_exit_codes():
     assert data["results"]["failures"] == []
 
 
+def test_characters_verify_cutoff_zero():
+    # the q^2 dimension checks need series valid past exponent 2
+    code, data = invoke_json(["characters", "verify", "--cutoff", "0"])
+    assert code == 0
+    checks = data["results"]["checks"]
+    assert len(checks) == 21
+    assert all(c["status"] == "pass" for c in checks)
+    assert data["results"]["failures"] == []
+
+
+@pytest.mark.parametrize("args,exit_code", [
+    (["characters", "show", "minimal:0:1:1"], 0),
+    (["census", "code", "no_such_tag"], 2),
+])
+def test_closed_stdout_exits_without_traceback(args, exit_code):
+    proc = subprocess.Popen(RUN + args, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    # the reader goes away before the report is written
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == exit_code
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
+
+
 def test_characters_empty_cutoff_via_env(monkeypatch):
     import os
     env = dict(**__import__("os").environ, VOA_CUTOFF="4")

@@ -1,9 +1,16 @@
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voacensus import rootlat as rl
+from voacensus.exact import inverse
+
+CATALOG = ([f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(2, 13)] +
+           ["E6", "E7", "E8", "E8H", "D4C", "D6C", "D8C"])
 
 
 @pytest.mark.parametrize("tag,count", [
@@ -202,3 +209,145 @@ def test_root_isometry_models():
         assert all(x.denominator == 1 for x in img)
         imgs.add(tuple(int(x) for x in img))
     assert imgs == {tuple(r) for r in e8h.roots.tolist()}
+
+
+# ---------------------------------------------------------------------------
+# short-vector enumeration against the Fraction Fincke-Pohst it replaced
+
+
+def _fraction_enumerate_short(gram, bound: Fraction, shift=None):
+    """Oracle: Fincke-Pohst over Fractions with a float-seeded radius."""
+    n = len(gram)
+    L = [[Fraction(0)] * n for _ in range(n)]
+    D = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            s = gram[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))
+            L[i][j] = s / D[j]
+        D[i] = gram[i][i] - sum(L[i][k] ** 2 * D[k] for k in range(i))
+        if D[i] <= 0:
+            raise rl.LatticeError("Gram matrix is not positive definite")
+        L[i][i] = Fraction(1)
+    shift = [Fraction(0)] * n if shift is None else [Fraction(s) for s in shift]
+    shift_zero = all(s == 0 for s in shift)
+    out = []
+    coeffs_full = [Fraction(0)] * n
+
+    def rec(i: int, rem: Fraction, coeffs: list[int]):
+        if i < 0:
+            if shift_zero and all(c == 0 for c in coeffs):
+                return
+            out.append((tuple(reversed(coeffs)), bound - rem))
+            return
+        center = -shift[i] - sum(L[k][i] * (coeffs_full[k] + shift[k])
+                                 for k in range(i + 1, n))
+        radius = _fsqrt_upper(rem / D[i])
+        c = _ceil_fr(center - radius)
+        while Fraction(c) <= center + radius:
+            coeffs_full[i] = Fraction(c)
+            used = D[i] * (Fraction(c) - center) ** 2
+            if used <= rem:
+                coeffs.append(c)
+                rec(i - 1, rem - used, coeffs)
+                coeffs.pop()
+            c += 1
+
+    rec(n - 1, bound, [])
+    return sorted(out)
+
+
+def _fsqrt_upper(x: Fraction) -> Fraction:
+    if x < 0:
+        return Fraction(-1)
+    r = Fraction(int((float(x) ** 0.5 + 1e-9) * 10 ** 9) + 2, 10 ** 9)
+    while r * r < x:
+        r += Fraction(1, 10 ** 6)
+    return r
+
+
+def _ceil_fr(x: Fraction) -> int:
+    return -((-x.numerator) // x.denominator)
+
+
+def _inner_gram(lat):
+    return [[lat.inner(a, b) for b in lat.basis] for a in lat.basis]
+
+
+@pytest.mark.parametrize("bound", [4, 6])
+@pytest.mark.parametrize("tag", CATALOG)
+def test_enumeration_matches_fraction_oracle(tag, bound):
+    lat = rl.build_lattice(tag)
+    gram = _inner_gram(lat)
+    assert rl._basis_gram(lat) == gram
+    got = rl._enumerate_short(gram, Fraction(bound))
+    assert got == _fraction_enumerate_short(gram, Fraction(bound))
+
+
+@pytest.mark.parametrize("bound", [Fraction(5, 2), Fraction(4), Fraction(8)])
+def test_shifted_enumeration_matches_fraction_oracle(bound):
+    emb = rl.sublattice_embedding("A7_in_E7_with_xi")
+    sub = np.array([np.asarray(r) for r in emb.sub_roots])
+    lat = rl.RootLattice("A7It", "A", 7, 8, emb.ambient.scale_sq, sub)
+    shift = lat.coords(np.array(emb.glue, dtype=np.int64))
+    assert any(c.denominator > 1 for c in shift)
+    gram = _inner_gram(lat)
+    got = rl._enumerate_short(gram, bound, shift)
+    assert got and got == _fraction_enumerate_short(gram, bound, shift)
+
+
+def test_enumeration_rejects_indefinite_gram():
+    for gram in ([[1, 2], [2, 1]], [[2, 0], [0, 0]], [[-1]]):
+        with pytest.raises(rl.LatticeError, match="not positive definite"):
+            rl._enumerate_short(gram, Fraction(4))
+
+
+def test_enumeration_leaves_out_origin_only_for_zero_shift():
+    assert rl._enumerate_short([[1]], Fraction(1), [Fraction(0)]) == \
+        rl._enumerate_short([[1]], Fraction(1)) == [((-1,), 1), ((1,), 1)]
+    assert rl._enumerate_short([[1]], Fraction(1), [1]) == \
+        [((-2,), 1), ((-1,), 0), ((0,), 1)]
+
+
+def _brute_force_short(g_int, scale, bound, shift):
+    """Every x in a box around -shift with norm <= bound (x = 0 left out
+    when the shift is zero), by direct sums."""
+    n = len(g_int)
+    sh = [Fraction(0)] * n if shift is None else shift
+    num, den = inverse(g_int)
+    # |x_i + shift_i| <= sqrt(bound * (gram^-1)_ii) on the ellipsoid
+    box = []
+    for i in range(n):
+        radius = isqrt(max(0, -((-bound * scale * int(num[i][i])) // den))) + 1
+        box.append(np.arange(int(-sh[i]) - radius - 1, int(-sh[i]) + radius + 2))
+    xs = np.array(np.meshgrid(*box, indexing="ij")).reshape(n, -1).T
+    # s m^2 norm = y G y^T for the integer y = m (x + shift)
+    m = int(np.lcm.reduce([c.denominator for c in sh]))
+    ys = m * xs + np.array([int(c * m) for c in sh])
+    quad = np.einsum("ki,ij,kj->k", ys, np.array(g_int), ys)
+    out = []
+    for x, q in zip(xs.tolist(), quad.tolist()):
+        norm = Fraction(q, scale * m * m)
+        if norm <= bound and (any(sh) or any(x)):
+            assert all(r[0] < xi < r[-1] for xi, r in zip(x, box))
+            out.append((tuple(x), norm))
+    return out
+
+
+_rational = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_enumeration_matches_brute_force(data):
+    n = data.draw(st.integers(1, 4))
+    a = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    # A^T A + I is a positive definite integer Gram
+    g_int = [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)]
+             for i in range(n)]
+    scale = data.draw(st.integers(1, 2))
+    bound = Fraction(data.draw(st.integers(-1, 7)), data.draw(st.integers(1, 2)))
+    shift = data.draw(st.none() | st.lists(_rational, min_size=n, max_size=n))
+    gram = [[Fraction(x, scale) for x in row] for row in g_int]
+    expected = _brute_force_short(g_int, scale, bound, shift)
+    assert rl._enumerate_short(gram, bound, shift) == expected
