@@ -132,7 +132,7 @@ def run(args) -> dict:
             spec = f"commutant:{spec}:{args.orthogonal_to}"
         c = registry.census(spec)
         table = registry.sigma_table(spec)
-        order = transpo.group_order(list(table))
+        order = transpo.group_order(list(table.rows))
         res = {"point_count": len(c), "group_order": str(order)}
         # fischer_space runs the 3-transposition check; the witness is only
         # recomputed when that check fails
@@ -150,7 +150,7 @@ def run(args) -> dict:
         if args.inductive and ok3:
             pair = _noncommuting_pair(c, table)
             if pair is not None:
-                ind = transpo.inductive_structure(c, table, *pair)
+                ind = transpo.inductive_structure(c, table.rows, *pair)
                 res["inductive"] = {
                     "d1_order": str(ind["d1_order"]),
                     "d2_order": str(ind["d2_order"]),

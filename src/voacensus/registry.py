@@ -180,6 +180,6 @@ def census(spec: str) -> census_mod.IsingCensus:
 
 @lru_cache(maxsize=None)
 def sigma_table(spec: str):
-    """Involution table of a census (see `transpo.sigma_permutations`)."""
+    """Checked involution table of a census (see `transpo.SigmaTable`)."""
     from . import transpo
     return transpo.sigma_permutations(census(spec))

@@ -433,13 +433,15 @@ def sublattice_embedding(name: str) -> SublatticeEmbedding:
 def norm_counts(lattice: RootLattice, bound, shift=None) -> dict[Fraction, int]:
     """Counts of (shift + L)-vectors by geometric norm, up to `bound` inclusive.
 
-    `shift` is an ambient vector in the rational span of the lattice; without
-    it the zero vector is included with norm 0.
+    `shift` is an ambient vector in the rational span of the lattice; when
+    the coset holds the zero vector and `bound` >= 0, it counts with norm 0.
     """
+    bound = Fraction(bound)
     coords = None if shift is None else lattice.coords(shift)
     counts = Counter(norm for _, norm in _enumerate_short(
-        _basis_gram(lattice), Fraction(bound), coords))
-    if shift is None:
+        _basis_gram(lattice), bound, coords))
+    # _enumerate_short leaves out x = 0 exactly when the shift is zero
+    if (coords is None or not any(coords)) and bound >= 0:
         counts[Fraction(0)] += 1
     return counts
 

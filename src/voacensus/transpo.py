@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import GRAM_32ND, GRAM_ZERO, CensusError, IsingCensus
-from .griess import GriessAlgebra
+from .griess import GriessAlgebra, GriessError
 
 
 class TranspoError(ValueError):
@@ -39,59 +39,105 @@ def inv(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def perm_order(p: np.ndarray) -> int:
-    n = len(p)
-    seen = np.zeros(n, dtype=bool)
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        ln = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = int(p[j])
-            ln += 1
-        if ln > 1:
-            order = _lcm(order, ln)
-    return order
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a * b // gcd(a, b)
-
-
 # ---------------------------------------------------------------------------
 # sigma involutions of a census
 
-def sigma_permutations(census: IsingCensus,
-                       algebra: GriessAlgebra | None = None) -> np.ndarray:
-    """One involution per census point, as rows of an (n, n) table.
+class SigmaTable:
+    """A checked sigma-table: `rows[i]` is the involution of point i.
 
-    Entry (i, j) is the image of point j under the involution of point i:
-    fixed when the points are orthogonal, and the third point of their line
-    when the inner product is 1/32.  Direct sums act blockwise.  Each
-    sigma_x is an algebra automorphism, so sigma_{sigma_x(y)} = sigma_x
-    sigma_y sigma_x: only seed rows (the smallest unknown index) take Griess
-    products, and conjugation by the seeds closes the rest.  A failed check
-    (closure, Gram, injectivity, involution, consistency of derivations)
-    raises SigmaCheckError.
+    Only a table that passes the checks below is constructed, and
+    SigmaCheckError names the first failure: the rows of the seeds preserve
+    `gram`; the rows are distinct when every point has a 1/32 partner;
+    every row is an involution; every seed s satisfies
+
+        R(s):  sigma_{sigma_s(y)} = sigma_s sigma_y sigma_s  for every y;
+
+    and every orbit of the group the seed rows generate holds a seed.
+    With every point a seed, R is checked at every row.
+
+    Why the seeds suffice: each point z outside the seeds is sigma_s(f) for
+    a seed s and a point f nearer to the seeds, so rows[z] = sigma_s sigma_f
+    sigma_s by R(s), and R(z) follows from R(s) and R(f) in three steps:
+
+        sigma_{sigma_z(y)} = sigma_s sigma_{sigma_f sigma_s(y)} sigma_s      by R(s)
+                           = sigma_s sigma_f sigma_{sigma_s(y)} sigma_f sigma_s  by R(f)
+                           = sigma_z sigma_y sigma_z                         by R(s).
+
+    By induction R holds at every row, and every row is a product of seed
+    rows, so it preserves the Gram as well.  Each row is then an
+    automorphism of the points, their Gram and the lines {x, y, sigma_x(y)},
+    and a property that such automorphisms preserve holds everywhere once
+    it holds at one point of each orbit.  `reps` is the smallest point of
+    each orbit, ascending; `rows` is read-only.
     """
+
+    def __init__(self, rows: np.ndarray, gram: np.ndarray, seeds):
+        n = len(rows)
+        seeds = np.asarray(seeds, dtype=np.int64)
+        for s in seeds:
+            if (gram[np.ix_(rows[s], rows[s])] != gram).any():
+                raise SigmaCheckError(f"sigma of point {s} does not preserve the Gram")
+        if ((gram == GRAM_32ND).any(axis=1).all()
+                and len({row.tobytes() for row in rows}) != n):
+            raise SigmaCheckError("sigma map is not injective on this census")
+        bad = np.flatnonzero((np.take_along_axis(rows, rows, axis=1)
+                              != np.arange(n)).any(axis=1))
+        if len(bad):
+            raise SigmaCheckError(f"sigma of point {bad[0]} is not an involution")
+        for s in seeds:
+            ss = rows[s]
+            bad = np.flatnonzero((rows[ss] != ss[rows[:, ss]]).any(axis=1))
+            if len(bad):
+                raise SigmaCheckError(
+                    f"two derivations of row {ss[bad[0]]} disagree "
+                    f"(point {bad[0]} conjugated by point {s})")
+        # smallest point of each orbit, by relaxation along the seed rows
+        low, nxt = None, np.arange(n)
+        while not np.array_equal(low, nxt):
+            low = nxt
+            nxt = np.minimum(low, low[rows[seeds]].min(axis=0, initial=n))
+        lost = np.flatnonzero(~np.isin(low, low[seeds]))
+        if len(lost):
+            raise SigmaCheckError(f"point {lost[0]} is not reached from the seeds")
+        rows.flags.writeable = False
+        self.rows = rows
+        self.reps = np.flatnonzero(low == np.arange(n))
+
+
+def sigma_permutations(census: IsingCensus,
+                       algebra: GriessAlgebra | None = None) -> SigmaTable:
+    """One involution per census point, as a checked SigmaTable.
+
+    Entry (i, j) of its rows is the image of point j under the involution
+    of point i: fixed when the points are orthogonal, and the third point of
+    their line when the inner product is 1/32.  Direct sums act blockwise.
+    Each sigma_x is an algebra automorphism, so sigma_{sigma_x(y)} = sigma_x
+    sigma_y sigma_x: only seed rows (the smallest unknown index) take Griess
+    products, and conjugation by the seeds closes the rest.  A product
+    outside the census or failing the norm check, and a failed SigmaTable
+    check, raise SigmaCheckError.
+    """
+    rows, seeds = _sigma_rows(census, algebra)
+    return SigmaTable(rows, census.gram, seeds)
+
+
+def _sigma_rows(census: IsingCensus, algebra: GriessAlgebra | None):
+    """The rows of `sigma_permutations` and the seeds they were derived from."""
     n = len(census)
     table = np.tile(np.arange(n, dtype=np.int32), (n, 1))
+    seeds: list[int] = []
     if census.blocks is not None:
         for offset, part in census.blocks:
             k = len(part)
-            table[offset:offset + k, offset:offset + k] = \
-                sigma_permutations(part) + offset
-        return table
+            rows, part_seeds = _sigma_rows(part, None)
+            table[offset:offset + k, offset:offset + k] = rows + offset
+            seeds.extend(s + offset for s in part_seeds)
+        return table, seeds
     if census.elements is None:
         raise TranspoError("sigma permutations need realized census points")
     algebra = algebra or census.algebra
     partners = census.gram == GRAM_32ND
     known = np.zeros(n, dtype=bool)
-    seeds: list[int] = []
     while not known.all():
         s = int(np.argmin(known))
         for j in np.flatnonzero(partners[s]):
@@ -101,8 +147,9 @@ def sigma_permutations(census: IsingCensus,
             except CensusError as exc:
                 raise SigmaCheckError(
                     f"census not closed: image of ({s},{j}) is missing") from exc
-        if (census.gram[np.ix_(table[s], table[s])] != census.gram).any():
-            raise SigmaCheckError(f"sigma of point {s} does not preserve the Gram")
+            except GriessError as exc:
+                raise SigmaCheckError(
+                    f"sigma image of ({s},{j}) failed: {exc}") from exc
         known[s] = True
         seeds.append(s)
         frontier = np.flatnonzero(known)
@@ -117,21 +164,7 @@ def sigma_permutations(census: IsingCensus,
                 known[z] = True
                 fresh_rows.append(z)
             frontier = np.concatenate(fresh_rows)
-    if (partners.any(axis=1).all()
-            and len({row.tobytes() for row in table}) != n):
-        raise SigmaCheckError("sigma map is not injective on this census")
-    bad = np.flatnonzero((np.take_along_axis(table, table, axis=1)
-                          != np.arange(n)).any(axis=1))
-    if len(bad):
-        raise SigmaCheckError(f"sigma of point {bad[0]} is not an involution")
-    for x in range(n):
-        sx = table[x]
-        bad = np.flatnonzero((table[sx] != sx[table[:, sx]]).any(axis=1))
-        if len(bad):
-            raise SigmaCheckError(
-                f"two derivations of row {sx[bad[0]]} disagree "
-                f"(point {bad[0]} conjugated by point {x})")
-    return table
+    return table, seeds
 
 
 # ---------------------------------------------------------------------------
@@ -248,41 +281,34 @@ def group_order(perms) -> int:
     return PermutationGroup(perms, len(perms[0])).order
 
 
-def brute_force_order(perms, limit: int = 2 * 10 ** 6) -> int:
-    """Closure order by breadth-first multiplication (small groups only)."""
-    perms = [np.asarray(p, dtype=np.int32) for p in perms]
-    seen = {identity_perm(len(perms[0])).tobytes()}
-    frontier = [identity_perm(len(perms[0]))]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in perms:
-                q = mul(g, p)
-                k = q.tobytes()
-                if k not in seen:
-                    if len(seen) >= limit:
-                        raise TranspoError("closure exceeded limit")
-                    seen.add(k)
-                    nxt.append(q)
-        frontier = nxt
-    return len(seen)
-
-
 # ---------------------------------------------------------------------------
 # 3-transposition structure
 
-def is_3transposition(sigmas: np.ndarray) -> tuple[bool, tuple[int, int] | None]:
-    """Check that all pairwise products of the involution rows have order <= 3."""
-    k, n = sigmas.shape
-    ident = np.arange(n, dtype=sigmas.dtype)
-    for i in range(k):
-        r = sigmas[i][sigmas]            # rows: sigma_i after sigma_j
+def _rows_and_reps(sigmas: SigmaTable | np.ndarray):
+    """The rows of `sigmas` and the points a check visits: one per orbit for
+    a SigmaTable (see there why that suffices), every row of a plain array."""
+    if isinstance(sigmas, SigmaTable):
+        return sigmas.rows, sigmas.reps
+    return sigmas, np.arange(len(sigmas))
+
+
+def is_3transposition(sigmas: SigmaTable | np.ndarray
+                      ) -> tuple[bool, tuple[int, int] | None]:
+    """Check that all pairwise products of the involution rows have order <= 3.
+
+    The witness is the first failing pair (i, j) in row-major order: orbits
+    fail whole, and each orbit's representative is its smallest point.
+    """
+    rows, reps = _rows_and_reps(sigmas)
+    ident = np.arange(rows.shape[1], dtype=rows.dtype)
+    for i in reps:
+        r = rows[i][rows]                # rows: sigma_i after sigma_j
         r2 = np.take_along_axis(r, r, axis=1)
         r3 = np.take_along_axis(r, r2, axis=1)
         ok = ((r == ident).all(axis=1) | (r2 == ident).all(axis=1)
               | (r3 == ident).all(axis=1))
         if not ok.all():
-            return False, (i, int(np.nonzero(~ok)[0][0]))
+            return False, (int(i), int(np.nonzero(~ok)[0][0]))
     return True, None
 
 
@@ -292,100 +318,85 @@ class FischerSpace:
     lines: tuple[tuple[int, int, int], ...]
 
 
-def fischer_space(census: IsingCensus, sigmas: np.ndarray) -> FischerSpace:
+def fischer_space(census: IsingCensus, sigmas: SigmaTable | np.ndarray) -> FischerSpace:
     """Lines {x, y, sigma_x(y)} over all non-commuting point pairs."""
     ok, witness = is_3transposition(sigmas)
     if not ok:
         raise TranspoError(f"not a 3-transposition set, witness {witness}")
-    lines = set()
-    for i, j in np.argwhere(np.triu(census.gram == GRAM_32ND, k=1)):
-        k = int(sigmas[i, j])
-        lines.add(tuple(sorted((int(i), int(j), k))))
-    return FischerSpace(len(census), tuple(sorted(lines)))
+    rows = _rows_and_reps(sigmas)[0]
+    i, j = np.nonzero(np.triu(census.gram == GRAM_32ND, k=1))
+    # each line comes from up to three pairs; sorted, its copies are adjacent
+    # (np.unique would import numpy.ma, 15 ms of a CLI run)
+    lines = np.sort(np.stack([i, j, rows[i, j]], axis=1), axis=1)
+    lines = lines[np.lexsort(lines.T[::-1])]
+    first = np.ones(len(lines), dtype=bool)
+    first[1:] = (lines[1:] != lines[:-1]).any(axis=1)
+    return FischerSpace(len(census), tuple(map(tuple, lines[first].tolist())))
 
 
-def is_symplectic_type(space: FischerSpace, sigmas: np.ndarray) -> bool:
+def _incidences(space: FischerSpace) -> np.ndarray:
+    """Rows (x, a, b): one per point x of a line {x, a, b}."""
+    lines = np.array(space.lines, dtype=np.int32).reshape(-1, 3)
+    return np.concatenate([lines, lines[:, [1, 0, 2]], lines[:, [2, 0, 1]]])
+
+
+def is_symplectic_type(space: FischerSpace, sigmas: SigmaTable | np.ndarray) -> bool:
     """Every pair of intersecting lines generates exactly six points.
 
-    Vectorized over all intersecting line pairs: the four cross images are
-    computed at once, the candidate sixth point is identified, and closure of
-    the six-point set is verified exactly.  A nine-point plane (or any other
-    size) fails.
+    For each point x that `sigmas` asks to visit, vectorized over the pairs
+    of lines {x, a, b}, {x, c, d} through x: the four cross images are
+    computed at once, the candidate sixth point is identified, and closure
+    of the six-point set is verified exactly.  A nine-point plane (or any
+    other size) fails.
     """
-    by_point: dict[int, list[tuple[int, int]]] = {}
-    for (a, b, c) in space.lines:
-        by_point.setdefault(a, []).append((b, c))
-        by_point.setdefault(b, []).append((a, c))
-        by_point.setdefault(c, []).append((a, b))
-    X, A, B, C, D = [], [], [], [], []
-    for x, rest in by_point.items():
-        for s in range(len(rest)):
-            for t in range(s + 1, len(rest)):
-                X.append(x)
-                A.append(rest[s][0]); B.append(rest[s][1])
-                C.append(rest[t][0]); D.append(rest[t][1])
-    if not X:
-        return True
-    X = np.array(X, dtype=np.int32); A = np.array(A, dtype=np.int32)
-    B = np.array(B, dtype=np.int32); C = np.array(C, dtype=np.int32)
-    D = np.array(D, dtype=np.int32)
-    for lo in range(0, len(X), 250000):
-        sl = slice(lo, lo + 250000)
-        x, a, b, c, d = X[sl], A[sl], B[sl], C[sl], D[sl]
-        cross = np.stack([sigmas[a, c], sigmas[a, d],
-                          sigmas[b, c], sigmas[b, d]], axis=1)
-        known = np.stack([x, a, b, c, d], axis=1)
+    rows, reps = _rows_and_reps(sigmas)
+    inc = _incidences(space)
+    for x in reps:
+        rest = inc[inc[:, 0] == x, 1:]
+        s, t = np.triu_indices(len(rest), k=1)
+        known = np.column_stack([np.full(len(s), x, dtype=inc.dtype),
+                                 rest[s], rest[t]])
+        a, b, c, d = known[:, 1:].T
+        cross = np.stack([rows[a, c], rows[a, d], rows[b, c], rows[b, d]], axis=1)
         is_old = (cross[:, :, None] == known[:, None, :]).any(axis=2)
         new_vals = np.where(is_old, -1, cross)
-        zmax = new_vals.max(axis=1)
+        zmax = new_vals.max(axis=1, initial=-1)
         # every new value must agree (single sixth point) and exist
         bad_multi = ((new_vals >= 0) & (new_vals != zmax[:, None])).any(axis=1)
-        no_new = zmax < 0
-        if bad_multi.any() or no_new.any():
+        if bad_multi.any() or (zmax < 0).any():
             return False
-        six = np.concatenate([known, zmax[:, None]], axis=1)
-        for i in range(6):
-            for j in range(6):
-                img = sigmas[six[:, i], six[:, j]]
-                inside = (img[:, None] == six).any(axis=1)
-                if not inside.all():
-                    return False
+        six = np.column_stack([known, zmax])
+        img = rows[six[:, :, None], six[:, None, :]]
+        if not (img[..., None] == six[:, None, None, :]).any(axis=3).all():
+            return False
     return True
 
 
 def check_fischer_hypotheses(space: FischerSpace, census: IsingCensus,
-                             sigmas: np.ndarray) -> dict:
+                             sigmas: SigmaTable | np.ndarray) -> dict:
     """The two partial-linear-space conditions used for automorphism rigidity.
 
     (1) any two distinct points have a common orthogonal point;
     (2) for collinear x, y the common-perp-of-perps is exactly the line.
+    Both are checked on the pairs (x, y) whose x `sigmas` asks to visit.
     """
+    reps = _rows_and_reps(sigmas)[1]
     n = space.npoints
-    orth = (census.gram == GRAM_ZERO)
-    common = orth.astype(np.int32) @ orth.astype(np.int32)
-    off = ~np.eye(n, dtype=bool)
-    cond1 = bool((common[off] > 0).all())
-    # bitset rows: orthogonality with self counted as compatible
-    bits = []
-    for i in range(n):
-        row = 0
-        for j in np.nonzero(orth[i])[0]:
-            row |= 1 << int(j)
-        row |= 1 << i
-        bits.append(row)
+    orth = census.gram == GRAM_ZERO
+    cond1 = bool(((orth[reps] @ orth) | (np.arange(n) == reps[:, None])).all())
+    # orthogonality with self counted as compatible
+    clash = ~(orth | np.eye(n, dtype=bool))
+    inc = _incidences(space)
     cond2 = True
-    fullmask = (1 << n) - 1
-    for (a, b, c) in space.lines:
-        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-            members = np.nonzero(orth[x] & orth[y])[0]
-            perp = fullmask
-            for w in members:
-                perp &= bits[int(w)]
-            got = {i for i in range(n) if (perp >> i) & 1}
-            if got != {x, y, z}:
-                cond2 = False
-                break
-        if not cond2:
+    for x in reps:
+        rest = inc[inc[:, 0] == x, 1:]
+        y, z = np.concatenate([rest, rest[:, ::-1]]).T
+        perp = ~((orth[x] & orth[y]) @ clash)
+        line = np.zeros_like(perp)
+        k = np.arange(len(y))
+        line[k, x] = line[k, y] = line[k, z] = True
+        if not (perp == line).all():
+            cond2 = False
             break
     return {"common_perp_nonempty": cond1, "perp_of_perp_is_line": cond2}
 

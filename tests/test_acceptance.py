@@ -143,19 +143,19 @@ def test_criterion_07_group_orders():
     checks = []
     orders = {}
     for spec, expect in (("me8", SP8_ORDER), ("me6", 51840), ("me7", 1451520)):
-        o = tp.group_order(list(registry.sigma_table(spec)))
+        o = tp.group_order(list(registry.sigma_table(spec).rows))
         orders[spec] = o
         checks.append(o == expect)
-    o496 = tp.group_order(list(registry.sigma_table("lattice:E8")))
+    o496 = tp.group_order(list(registry.sigma_table("lattice:E8").rows))
     orders["full496"] = o496
     checks.append(o496 == 2 * OMEGA_10_PLUS)
-    ouc = tp.group_order(list(registry.sigma_table("uc")))
+    ouc = tp.group_order(list(registry.sigma_table("uc").rows))
     orders["uc"] = ouc
     checks.append(ouc == 2 * OMEGA_8_MINUS)
     # rank-n chains: the involution group follows the permutation table of
     # the reflection group; rank one acts trivially on its single point
     for n in range(1, 6):
-        o = tp.group_order(list(registry.sigma_table(f"ma{n}")))
+        o = tp.group_order(list(registry.sigma_table(f"ma{n}").rows))
         orders[f"ma{n}"] = o
         checks.append(o == (1 if n == 1 else math.factorial(n + 1)))
     dt = time.monotonic() - t0
@@ -181,8 +181,8 @@ def test_criterion_08_transposition_and_inductive():
     emb = rootlat.sublattice_embedding("A1_E7_in_E8")
     phiwt = alg.phi_twist(np.array(emb.alpha0, dtype=np.int64), wt)
     x, y = full.element_index(wt), full.element_index(phiwt)
-    ind = tp.inductive_structure(full, table, x, y)
-    ouc = tp.group_order(list(registry.sigma_table("uc")))
+    ind = tp.inductive_structure(full, table.rows, x, y)
+    ouc = tp.group_order(list(registry.sigma_table("uc").rows))
     ok = ok and len(ind["d2_points"]) == 136 and ind["d2_order"] == ouc
     _line(8, ok, f"all sigma-sets of 3-transposition symplectic type; "
                  f"two-level commuting set: 136 points, order {ind['d2_order']}")
@@ -190,7 +190,7 @@ def test_criterion_08_transposition_and_inductive():
 
 def test_criterion_09_hamming_frames():
     c = registry.census("hamming24")
-    table = registry.sigma_table("hamming24")
+    table = registry.sigma_table("hamming24").rows
     frames = tp.enumerate_frames(c)
     ok = len(frames) == 3
     for a in range(3):
@@ -237,7 +237,7 @@ def test_criterion_12_headline_summaries():
     for n in (2, 3):
         c = registry.census(f"lattice:A{n}")
         ok = ok and len(c) == len(registry.lattice(f"A{n}").roots)
-    ok = ok and tp.group_order(list(registry.sigma_table("me8"))) == SP8_ORDER
+    ok = ok and tp.group_order(list(registry.sigma_table("me8").rows)) == SP8_ORDER
     ok = ok and len(registry.census("md4")) == 12
     documented = [
         "idempotent criterion stands in for simplicity of the generated "

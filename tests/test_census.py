@@ -47,7 +47,7 @@ def test_lattice_census_direct_sum():
 
 
 def test_direct_sum_sigma_blockwise():
-    table = registry.sigma_table("lattice:A2+A2")
+    table = registry.sigma_table("lattice:A2+A2").rows
     c = registry.census("lattice:A2+A2")
     n = len(c)
     for i in range(6):
@@ -127,7 +127,7 @@ def test_hamming_model_structure():
 def test_hamming_model_combinatorial_sigma_rules():
     hm = cz.hamming_model()
     from voacensus import transpo
-    table = transpo.sigma_permutations(hm)
+    table = transpo.sigma_permutations(hm).rows
     # sigma of a frame point sends the block label through a coordinate flip
     emb = hm.embeddings[0]
     sub_words = set(emb.words)

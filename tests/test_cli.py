@@ -7,6 +7,7 @@ import pytest
 
 from voacensus import cli, gf2code, registry, transpo
 from voacensus.census import IsingCensus
+from voacensus.griess import GriessAlgebra, GriessError
 
 RUN = [sys.executable, "-m", "voacensus.cli"]
 
@@ -195,6 +196,19 @@ def test_failed_sigma_check_exits_1(monkeypatch):
     # an unknown spec keeps the cached tables of real censuses out of play
     monkeypatch.setattr(registry, "census", lambda spec: swapped)
     assert cli.main(["group", "--census", "swapped"]) == 1
+
+
+def test_failed_sigma_image_exits_1(monkeypatch):
+    fresh = registry.census("ma3").subcensus(range(6), "fresh")
+
+    def refuse(self, e, f):
+        raise GriessError("sigma image is not a central-charge-1/2 candidate")
+
+    monkeypatch.setattr(GriessAlgebra, "sigma_image", refuse)
+    with pytest.raises(transpo.SigmaCheckError, match="candidate"):
+        transpo.sigma_permutations(fresh)
+    monkeypatch.setattr(registry, "census", lambda spec: fresh)
+    assert cli.main(["group", "--census", "refused-image"]) == 1
 
 
 def test_tsv_format():

@@ -187,6 +187,20 @@ def test_norm_counts_known_thetas():
     assert counts7[Fraction(2)] == 126
 
 
+def test_norm_counts_zero_vector_counted_once_for_any_lattice_shift():
+    a2 = rl.build_lattice("A2")
+    expect = {Fraction(0): 1, Fraction(2): 6}
+    assert rl.norm_counts(a2, 2) == expect
+    assert rl.norm_counts(a2, 2, np.zeros(3, dtype=np.int64)) == expect
+    assert rl.norm_counts(a2, 2, np.array([1, -1, 0])) == expect
+    # a coset without the zero vector, and a bound below every norm
+    assert rl.norm_counts(a2, 2, np.array([Fraction(1, 2), Fraction(-1, 2), 0],
+                                          dtype=object)) == \
+        {Fraction(1, 2): 2, Fraction(3, 2): 2}
+    assert rl.norm_counts(a2, -1) == {}
+    assert rl.norm_counts(a2, -1, np.zeros(3, dtype=np.int64)) == {}
+
+
 def test_norm_counts_shifted_coset():
     emb = rl.sublattice_embedding("A7_in_E7_with_xi")
     sub = np.array([np.asarray(r) for r in emb.sub_roots])

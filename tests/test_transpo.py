@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from voacensus import census as cz, registry, transpo as tp
-from voacensus.census import GRAM_32ND
+from voacensus.census import GRAM_32ND, GRAM_QUARTER, GRAM_ZERO
+
+import transpo_oracle as oracle
 
 
 def test_perm_utilities():
     p = np.array([1, 2, 0, 4, 3], dtype=np.int32)
-    assert tp.perm_order(p) == 6
+    assert oracle.perm_order(p) == 6
     assert (tp.mul(p, tp.inv(p)) == tp.identity_perm(5)).all()
     q = tp.identity_perm(5)
     assert (tp.mul(p, q) == p).all() and (tp.mul(q, p) == p).all()
@@ -20,14 +22,14 @@ def test_perm_utilities():
     ("lattice:A2", 24), ("hamming24", 384), ("md4", 96), ("me6", 51840),
 ])
 def test_chain_matches_brute_force(spec, order):
-    table = registry.sigma_table(spec)
+    table = registry.sigma_table(spec).rows
     chain = tp.group_order(list(table))
-    brute = tp.brute_force_order(list(table))
+    brute = oracle.brute_force_order(list(table))
     assert chain == brute == order
 
 
 def test_membership():
-    table = registry.sigma_table("ma3")
+    table = registry.sigma_table("ma3").rows
     G = tp.PermutationGroup(list(table), table.shape[1])
     assert G.order == 24
     elem = tp.mul(table[0], tp.mul(table[1], table[2]))
@@ -73,19 +75,103 @@ def _product_table(c):
     "hamming24", "lattice:E8", "code:rm24", "lattice:A2+A2",
 ])
 def test_closure_table_matches_product_oracle(spec):
-    table = registry.sigma_table(spec)
+    table = registry.sigma_table(spec).rows
     assert table.dtype == np.int32
     assert np.array_equal(table, _product_table(registry.census(spec)))
+    # the seed-only check in SigmaTable implies it at every row
+    assert oracle.consistency_failure(table) is None
 
 
 def test_closure_table_matches_product_oracle_hamming_model():
     hm = cz.hamming_model()
-    assert np.array_equal(tp.sigma_permutations(hm), _product_table(hm))
+    assert np.array_equal(tp.sigma_permutations(hm).rows, _product_table(hm))
+
+
+@pytest.mark.parametrize("spec,orbits", [
+    ("ma1", 1), ("ma2", 1), ("ma3", 1), ("ma4", 1), ("ma5", 1), ("md4", 1),
+    ("me6", 1), ("me7", 1), ("me8", 1), ("uc", 1), ("hamming24", 1),
+    ("lattice:E8", 1), ("code:rm24", 1), ("lattice:A2+A2", 2),
+])
+def test_orbit_reduced_checks_match_full_scans(spec, orbits):
+    c = registry.census(spec)
+    table = registry.sigma_table(spec)
+    rows = table.rows
+    assert len(table.reps) == orbits
+    assert tp.is_3transposition(table) == oracle.is_3transposition(rows)
+    space = tp.fischer_space(c, table)
+    assert space.lines == oracle.fischer_lines(c, rows)
+    symplectic = oracle.is_symplectic_type(space, rows)
+    hypotheses = oracle.check_fischer_hypotheses(space, c, rows)
+    # the reduced scans, and below 496 points (about 10 s there) the same
+    # code visiting every point
+    for sigmas in (table, rows) if len(c) < 496 else (table,):
+        assert tp.is_symplectic_type(space, sigmas) == symplectic
+        assert tp.check_fischer_hypotheses(space, c, sigmas) == hypotheses
+
+
+def _quandle_sum(first, second):
+    """Direct sum of two reflection tables, with a Gram each row preserves."""
+    n = len(first) + len(second)
+    rows = np.tile(np.arange(n, dtype=np.int32), (n, 1))
+    gram = np.full((n, n), GRAM_ZERO, dtype=np.int8)
+    offset = 0
+    for part in (first, second):
+        k = len(part)
+        rows[offset:offset + k, offset:offset + k] = np.asarray(part) + offset
+        gram[offset:offset + k, offset:offset + k] = GRAM_32ND
+        offset += k
+    np.fill_diagonal(gram, GRAM_QUARTER)
+    return rows, gram
+
+
+# reflections of a triangle (products of order 3) and of a pentagon
+# (order 5): x -> 2x - y on Z/3 and Z/5
+TRIANGLE = [[(2 * x - y) % 3 for y in range(3)] for x in range(3)]
+PENTAGON = [[(2 * x - y) % 5 for y in range(5)] for x in range(5)]
+
+
+@pytest.mark.parametrize("first,second,witness", [
+    (TRIANGLE, PENTAGON, (3, 4)), (PENTAGON, TRIANGLE, (0, 1)),
+    (PENTAGON, PENTAGON, (0, 1)),
+])
+def test_failing_table_reports_full_scan_witness(first, second, witness):
+    rows, gram = _quandle_sum(first, second)
+    table = tp.SigmaTable(rows, gram, range(len(rows)))
+    assert len(table.reps) == 2
+    assert tp.is_3transposition(table) == (False, witness)
+    assert oracle.is_3transposition(rows) == (False, witness)
+    with pytest.raises(tp.TranspoError, match=str(witness)):
+        tp.fischer_space(cz.IsingCensus([None] * len(rows), None, gram, "t"), table)
+
+
+def test_sigma_table_refuses_unchecked_rows():
+    rows, gram = _quandle_sum(TRIANGLE, PENTAGON)
+    # seeds 0 and 1 do not reach the pentagon: its orbit would go unchecked
+    with pytest.raises(tp.SigmaCheckError, match="point 3 is not reached"):
+        tp.SigmaTable(rows.copy(), gram, seeds=[0, 1])
+    assert len(tp.SigmaTable(rows.copy(), gram, seeds=[0, 1, 3, 4]).reps) == 2
+    # involutions that preserve the Gram but are not closed under conjugation
+    bad = np.array([[0, 2, 1], [2, 1, 0], [0, 1, 2]], dtype=np.int32)
+    g3 = np.full((3, 3), GRAM_32ND, dtype=np.int8)
+    np.fill_diagonal(g3, GRAM_QUARTER)
+    with pytest.raises(tp.SigmaCheckError, match="derivations"):
+        tp.SigmaTable(bad, g3, range(3))
+    # one orbit whose point 0 passes and point 1 fails: the checked table is
+    # refused, and the plain array is scanned at every row
+    mixed = np.array([range(5)] + PENTAGON[1:], dtype=np.int32)
+    g5 = np.full((5, 5), GRAM_32ND, dtype=np.int8)
+    np.fill_diagonal(g5, GRAM_QUARTER)
+    with pytest.raises(tp.SigmaCheckError, match="derivations"):
+        tp.SigmaTable(mixed.copy(), g5, range(5))
+    assert tp.is_3transposition(mixed) == (False, (1, 2))
+    table = tp.SigmaTable(rows, gram, range(len(rows)))
+    with pytest.raises(ValueError):
+        table.rows[0, 0] = 1
 
 
 def test_sigma_involutions_and_gram_preserved():
     c = registry.census("me6")
-    table = registry.sigma_table("me6")
+    table = registry.sigma_table("me6").rows
     n = len(c)
     ident = tp.identity_perm(n)
     for i in range(n):
@@ -96,7 +182,7 @@ def test_sigma_involutions_and_gram_preserved():
 
 def test_sigma_fixes_orthogonal_partners():
     c = registry.census("me7")
-    table = registry.sigma_table("me7")
+    table = registry.sigma_table("me7").rows
     orth = np.argwhere(c.gram == 0)
     for i, j in orth[:200]:
         assert table[i, j] == j
@@ -105,7 +191,7 @@ def test_sigma_fixes_orthogonal_partners():
 def test_conjugation_consistency():
     # sigma of a transported point equals the transported involution
     c = registry.census("me6")
-    table = registry.sigma_table("me6")
+    table = registry.sigma_table("me6").rows
     rng = random.Random(23)
     n = len(c)
     for _ in range(100):
@@ -126,7 +212,7 @@ def test_is_3transposition_counterexample():
     r2 = np.array([1, 0, 4, 3, 2], dtype=np.int32)
     ok, witness = tp.is_3transposition(np.stack([r1, r2]))
     assert not ok and witness is not None
-    assert tp.perm_order(tp.mul(r1, r2)) == 5
+    assert oracle.perm_order(tp.mul(r1, r2)) == 5
 
 
 def test_fischer_space_small():
@@ -189,7 +275,7 @@ def test_fischer_hypotheses_large_spaces():
 
 def test_inductive_structure_requires_noncommuting():
     c = registry.census("me6")
-    table = registry.sigma_table("me6")
+    table = registry.sigma_table("me6").rows
     i, j = map(int, np.argwhere(c.gram == 0)[1])
     with pytest.raises(tp.TranspoError):
         tp.inductive_structure(c, table, i, j)
@@ -197,7 +283,7 @@ def test_inductive_structure_requires_noncommuting():
 
 def test_frames_and_conjugation_hamming():
     c = registry.census("hamming24")
-    table = registry.sigma_table("hamming24")
+    table = registry.sigma_table("hamming24").rows
     frames = tp.enumerate_frames(c)
     assert len(frames) == 3
     for fa in frames:
@@ -212,7 +298,7 @@ def test_frames_and_conjugation_hamming():
 
 def test_single_sigma_swaps_other_two_frames():
     c = registry.census("hamming24")
-    table = registry.sigma_table("hamming24")
+    table = registry.sigma_table("hamming24").rows
     frames = [frozenset(f) for f in tp.enumerate_frames(c)]
     for a in range(3):
         others = [f for k, f in enumerate(frames) if k != a]
@@ -223,7 +309,7 @@ def test_single_sigma_swaps_other_two_frames():
 
 def test_rm24_standard_frame_conjugates_to_hamming_frame():
     c = registry.census("code:rm24")
-    table = registry.sigma_table("code:rm24")
+    table = registry.sigma_table("code:rm24").rows
     standard = tuple(range(16))
     assert tp.is_frame(c, standard)
     # a mixed frame: one full block of sixteen points is itself a frame of
@@ -245,7 +331,7 @@ def test_rm24_standard_frame_conjugates_to_hamming_frame():
 def test_frame_validation():
     c = registry.census("hamming24")
     with pytest.raises(tp.TranspoError):
-        tp.frame_conjugator(c, registry.sigma_table("hamming24"),
+        tp.frame_conjugator(c, registry.sigma_table("hamming24").rows,
                             tuple(range(8)), tuple(range(1, 9)))
 
 
