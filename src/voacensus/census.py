@@ -27,6 +27,10 @@ class CensusError(ValueError):
     pass
 
 
+class CensusCheckError(CensusError):
+    """A computed census failed one of its mathematical invariants."""
+
+
 class UnrealizedGramError(CensusError):
     """Raised when cross-block Gram data is requested without a realization."""
 
@@ -161,11 +165,11 @@ def gram_from_elements(elements: list[GriessElement]) -> np.ndarray:
     gram[num * 4 == dd] = GRAM_QUARTER
     if (gram < 0).any():
         i, j = map(int, np.argwhere(gram < 0)[0])
-        raise CensusError(
+        raise CensusCheckError(
             f"inner product of points {i},{j} is {Fraction(int(num[i, j]), int(dd[i, j]))},"
             " outside {0, 1/32, 1/4}")
     if not (np.diag(gram) == GRAM_QUARTER).all():
-        raise CensusError("a census point does not have norm 1/4")
+        raise CensusCheckError("a census point does not have norm 1/4")
     return gram
 
 
@@ -258,42 +262,43 @@ def code_census(code: BinaryCode, realize: str | None = None) -> IsingCensus:
         block_cosets.append(reps)
         for rep in reps:
             points.append(IsingPoint("hamming", (ei, rep)))
-    if realize is not None:
-        elements, algebra = _realize_code_census(code, embeddings, block_cosets,
-                                                 points, realize)
-        gram = gram_from_elements(elements)
-        return IsingCensus(points, elements, gram, f"code:{realize}",
-                           frame_size=code.length, algebra=algebra,
-                           embeddings=embeddings)
-    gram = _combinatorial_gram(code, embeddings, block_cosets, points)
-    return IsingCensus(points, None, gram, "code:unrealized",
-                       frame_size=code.length, embeddings=embeddings)
+    gram = _combinatorial_gram(code, embeddings, block_cosets)
+    if realize is None:
+        return IsingCensus(points, None, gram, "code:unrealized",
+                           frame_size=code.length, embeddings=embeddings)
+    base, index = _realize_code_census(code, embeddings, block_cosets, realize)
+    realized = base.gram[np.ix_(index, index)]
+    bad = np.argwhere((gram != GRAM_UNKNOWN) & (gram != realized))
+    if len(bad):
+        i, j = map(int, bad[0])
+        raise CensusCheckError(
+            f"realized Gram entry ({i},{j}) differs from the code's")
+    return IsingCensus(points, [base.elements[k] for k in index], realized,
+                       f"code:{realize}", frame_size=code.length,
+                       algebra=base.algebra, embeddings=embeddings)
 
 
-def _combinatorial_gram(code, embeddings, block_cosets, points) -> np.ndarray:
-    """Gram entries defined without a realization; cross-block pairs unknown."""
-    n = len(points)
-    gram = np.full((n, n), GRAM_UNKNOWN, dtype=np.int8)
-    np.fill_diagonal(gram, GRAM_QUARTER)
+def _combinatorial_gram(code, embeddings, block_cosets) -> np.ndarray:
+    """Gram entries defined without a realization; cross-block pairs unknown.
+
+    A block point meets the frame points on its support at 1/32 and two
+    points of one block meet at 1/32 iff their labels differ by an odd
+    number of support coordinates (the codes GRAM_ZERO, GRAM_32ND are 0, 1).
+    """
     L = code.length
+    n = L + 16 * len(embeddings)
+    gram = np.full((n, n), GRAM_UNKNOWN, dtype=np.int8)
     gram[:L, :L] = GRAM_ZERO
-    np.fill_diagonal(gram[:L, :L], GRAM_QUARTER)
-    offset = L
-    for emb, reps in zip(embeddings, block_cosets):
-        support_bits = 0
-        for i in emb.support:
-            support_bits |= 1 << i
-        for a, rep in enumerate(reps):
-            for i in range(L):
-                c = GRAM_32ND if i in emb.support else GRAM_ZERO
-                gram[offset + a, i] = c
-                gram[i, offset + a] = c
-            for b in range(a + 1, 16):
-                par = gf2code.weight((rep ^ reps[b]) & support_bits) & 1
-                c = GRAM_32ND if par else GRAM_ZERO
-                gram[offset + a, offset + b] = c
-                gram[offset + b, offset + a] = c
-        offset += 16
+    for b, (emb, reps) in enumerate(zip(embeddings, block_cosets)):
+        block = slice(L + 16 * b, L + 16 * b + 16)
+        on_support = np.zeros(L, dtype=np.int8)
+        on_support[list(emb.support)] = GRAM_32ND
+        gram[block, :L] = on_support
+        gram[:L, block] = on_support[:, None]
+        mask = sum(1 << i for i in emb.support)
+        gram[block, block] = [[gf2code.weight((r ^ t) & mask) & 1 for t in reps]
+                              for r in reps]
+    np.fill_diagonal(gram, GRAM_QUARTER)
     return gram
 
 
@@ -308,91 +313,91 @@ def paired_model(code: BinaryCode) -> str | None:
     return None
 
 
-def _realize_code_census(code, embeddings, block_cosets, points, model_tag):
+def _realize_code_census(code, embeddings, block_cosets, model_tag):
     """Match census labels with idempotents of the paired lattice algebra.
 
     Frame slot 2i / 2i+1 maps to the minus / plus vector over the i-th
     coordinate axis root.  Each embedding block is matched by its Gram row
     against the frame realizations, anchored and translated by the
-    involutions of in-support frame points.
+    involutions of in-support frame points.  Returns the lattice census and
+    the index in it of every code census point.
     """
     lattice = rootlat.build_lattice(model_tag)
     if code.length != 2 * lattice.ambient:
         raise CensusError(f"code length {code.length} does not pair with {model_tag}")
-    algebra = GriessAlgebra(lattice)
-    base = lattice_census(lattice, algebra)
-    axis_pairs = []
+    base = lattice_census(lattice)
+    index = []
     for i in range(lattice.ambient):
         v = np.zeros(lattice.ambient, dtype=np.int64)
         v[i] = 2
-        axis_pairs.append(lattice.pair_of(v))
-    frame_elems: list[GriessElement] = []
-    for i in range(lattice.ambient):
-        frame_elems.append(algebra.w_vector(axis_pairs[i], -1).element)
-        frame_elems.append(algebra.w_vector(axis_pairs[i], 1).element)
-    elements: list[GriessElement | None] = list(frame_elems)
-    elements += [None] * (len(points) - len(frame_elems))
-    used = {e.key() for e in frame_elems}
-    # inner products of every lattice census point against the frame slots
-    rows = [tuple(e.inner(f) for f in frame_elems) for e in base.elements]
-    offset = code.length
+        pair = lattice.pair_of(v)
+        index += [pair, lattice.npairs + pair]   # its wminus and wplus points
+    frame_elems = [base.elements[k] for k in index]
+    rows = base.gram[:, index]
+    free = np.ones(len(base), dtype=bool)
+    free[index] = False
     for emb, reps in zip(embeddings, block_cosets):
-        desired = tuple(Fraction(1, 32) if j in emb.support else Fraction(0)
-                        for j in range(code.length))
-        cands = [e for e, row in zip(base.elements, rows)
-                 if row == desired and e.key() not in used]
+        desired = np.full(code.length, GRAM_ZERO, dtype=np.int8)
+        desired[list(emb.support)] = GRAM_32ND
+        cands = [base.elements[k]
+                 for k in np.flatnonzero(free & (rows == desired).all(axis=1))]
         if len(cands) != 16:
-            raise CensusError(
+            raise CensusCheckError(
                 f"embedding matching found {len(cands)} candidates, expected 16")
         anchor = min(cands, key=lambda e: e.key())
-        placed = _translate_block(algebra, frame_elems, emb, reps, anchor, cands)
-        for a, rep in enumerate(reps):
-            elements[offset + a] = placed[rep]
-            used.add(placed[rep].key())
-        offset += 16
-    if any(e is None for e in elements):
-        raise CensusError("realization left unplaced points")
-    return elements, algebra
+        placed = _translate_block(base.algebra, frame_elems, emb, reps, anchor,
+                                  cands)
+        block = [base.element_index(placed[rep]) for rep in reps]
+        free[block] = False
+        index += block
+    return base, index
 
 
 def _translate_block(algebra, frame_elems, emb, reps, anchor, cands):
     """Label the 16 block candidates by cosets via frame-involution translations.
 
-    The flip group on the support acts simply transitively on the block:
-    starting from an anchor labeled by the minimal-weight coset, each
-    single-coordinate involution translates the label.  Revisits are checked
-    for consistency, which verifies that subcode translations act trivially.
+    Flipping coordinate i of a label is σ_i, the involution of frame point i.
+    The frame points are mutually orthogonal, so σ_i fixes frame point j and
+    σ_i σ_j σ_i = σ_j: the σ's commute, and a word w on the support acts by
+    the product of its σ's.  The words fixing the anchor form a subgroup K.
+
+    Starting from the anchor, labelled by the minimal-weight coset, each new
+    coset is placed once, by one σ from the placed coset it is reached from,
+    walking breadth-first over the support coordinates: 15 products.  Each
+    subcode generator, applied coordinate by coordinate, must also return
+    the anchor (4 products for a weight-4 generator).  If they do, the
+    subcode lies in K, so w(anchor) depends only on the coset of w and every
+    edge (coset c, coordinate i) has σ_i(point of c) = point of c + e_i,
+    which is what a check of all 8 x 16 edges would verify; conversely that
+    check passing makes each generator walk return to the anchor.  The 16
+    placed points must be distinct candidates, so K is exactly the subcode
+    and the labels are a bijection onto the block.
     """
     support = list(emb.support)
-    cand_keys = {e.key() for e in cands}
-    sub_words = set(emb.words)
-    zero_rep = min(reps, key=lambda w: (gf2code.weight(w), w))
-    placed = {zero_rep: anchor}
-    frontier = [zero_rep]
-    while frontier:
-        cur = frontier.pop()
+    mask = sum(1 << i for i in support)
+    label = {r ^ w: r for r in reps for w in emb.words}   # word -> coset rep
+    if len(reps) != 16 or len(label) != 256 or any(x & ~mask for x in label):
+        raise CensusCheckError("block labels are not the 16 cosets of the subcode")
+    for g in emb.subcode_generators:
+        point = anchor
         for i in support:
-            target_rep = _rep_of(cur ^ (1 << i), sub_words, reps)
-            img = algebra.sigma_image(frame_elems[i], placed[cur])
-            if img.key() not in cand_keys:
-                raise CensusError("translated block point left the candidate set")
-            if target_rep in placed:
-                if placed[target_rep] != img:
-                    raise CensusError("inconsistent block translation")
-                continue
-            placed[target_rep] = img
-            frontier.append(target_rep)
-    if len(placed) != 16:
-        raise CensusError("block translation did not reach all 16 cosets")
+            if (g >> i) & 1:
+                point = algebra.sigma_image(frame_elems[i], point)
+        if point != anchor:
+            raise CensusCheckError("a subcode word moves the block anchor")
+    zero = min(reps, key=lambda w: (gf2code.weight(w), w))
+    placed = {zero: anchor}
+    order = [zero]
+    for cur in order:  # the list grows while it is walked: breadth-first
+        for i in support:
+            target = label[cur ^ (1 << i)]
+            if target not in placed:
+                placed[target] = algebra.sigma_image(frame_elems[i], placed[cur])
+                order.append(target)
+    keys = {e.key() for e in placed.values()}
+    if len(keys) != 16 or not keys <= {e.key() for e in cands}:
+        raise CensusCheckError("block translation did not place 16 distinct candidates")
     return placed
-
-
-def _rep_of(word, sub_words, reps):
-    coset = {word ^ w for w in sub_words}
-    for r in reps:
-        if r in coset:
-            return r
-    raise CensusError("coset representative lookup failed")
 
 
 # ---------------------------------------------------------------------------

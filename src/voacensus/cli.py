@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, registry, transpo
 from . import qchar
-from .census import UnrealizedGramError
+from .census import CensusCheckError, UnrealizedGramError
 from .griess import verify_orthogonal_split, verify_twist_chain
 from .rootlat import sublattice_embedding
 
@@ -304,8 +304,10 @@ def main(argv=None) -> int:
     except (registry.RegistryError, UnrealizedGramError, ValueError) as exc:
         report = {"tool": f"voacensus {__version__}", "ok": False,
                   "error": str(exc)}
-        # a failed sigma-table check is a check failure, not a usage error
-        code = 1 if isinstance(exc, transpo.SigmaCheckError) else 2
+        # a failed sigma-table or census check is a check failure, not a
+        # usage error
+        checks = (transpo.SigmaCheckError, CensusCheckError)
+        code = 1 if isinstance(exc, checks) else 2
     try:
         _emit(report, args.format, args.output)
         sys.stdout.flush()

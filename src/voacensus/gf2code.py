@@ -116,10 +116,6 @@ class BinaryCode:
         return min(weight(w) for w in self.words() if w)
 
 
-def span(length: int, rows: list[int]) -> BinaryCode:
-    return BinaryCode.from_rows(length, rows)
-
-
 def dual(code: BinaryCode) -> BinaryCode:
     """The orthogonal complement {v : <v,c> = 0 for all c in code}."""
     n = code.length
@@ -137,7 +133,7 @@ def dual(code: BinaryCode) -> BinaryCode:
 
 def hamming8_code() -> BinaryCode:
     gens = ["11111111", "11110000", "11001100", "10101010"]
-    return span(8, [word_from_str(g) for g in gens])
+    return BinaryCode.from_rows(8, [word_from_str(g) for g in gens])
 
 
 def reed_muller_code(r: int, m: int) -> BinaryCode:
@@ -153,7 +149,7 @@ def reed_muller_code(r: int, m: int) -> BinaryCode:
                 if all((x >> i) & 1 for i in subset):
                     w |= 1 << x
             rows.append(w)
-    return span(n, rows)
+    return BinaryCode.from_rows(n, rows)
 
 
 def cn_code(n: int) -> BinaryCode:
@@ -165,7 +161,7 @@ def cn_code(n: int) -> BinaryCode:
     for i in range(n):
         w |= 0b0011 << (4 * i)
     rows.append(w)
-    return span(4 * n, rows)
+    return BinaryCode.from_rows(4 * n, rows)
 
 
 def gamma_word(length: int) -> int:
@@ -195,7 +191,7 @@ def named_code(name: str, *params: int) -> BinaryCode:
         (n,) = params
         if n < 1:
             raise CodeError("full(n) requires n >= 1")
-        return span(n, [1 << i for i in range(n)])
+        return BinaryCode.from_rows(n, [1 << i for i in range(n)])
     raise CodeError(f"unknown code name {name!r}")
 
 
@@ -219,7 +215,7 @@ def d_construction(code: BinaryCode, level: int) -> BinaryCode:
 def structure_code_dplus(n: int) -> BinaryCode:
     """The length-4n code realizing the census of the rank-2n even frame lattice."""
     base = cn_code(n)
-    return dual(span(4 * n, list(base.generators) + [gamma_word(4 * n)]))
+    return dual(BinaryCode.from_rows(4 * n, [*base.generators, gamma_word(4 * n)]))
 
 
 def frame_pair_code(m: int) -> BinaryCode:
@@ -228,7 +224,7 @@ def frame_pair_code(m: int) -> BinaryCode:
         raise CodeError("frame pair code needs even length")
     rows = [0b11 << (2 * i) for i in range(m // 2)]
     rows.append(gamma_word(m))
-    return span(m, rows)
+    return BinaryCode.from_rows(m, rows)
 
 
 HAMMING_ENUMERATOR = (1, 0, 0, 0, 14, 0, 0, 0, 1)
@@ -254,64 +250,47 @@ class HammingEmbedding:
 
 
 def _subcode_on_support(code: BinaryCode, mask: int) -> BinaryCode:
-    """Subcode of words supported inside `mask`, as a code of the same length."""
-    rows = list(code.generators)
-    out = mask ^ ((1 << code.length) - 1)
-    # eliminate on the outside coordinates first, then collect rows clean there
-    kept: list[int] = []
-    pivots: list[int] = []
-    for r in rows:
-        for piv, p in zip(pivots, kept):
-            if (r >> piv) & 1:
-                r ^= p
-        if r & out:
-            v = r & out
-            piv = (v & -v).bit_length() - 1
-            pivots.append(piv)
-            kept.append(r)
-    clean = []
-    for r in code.generators:
-        for piv, p in zip(pivots, kept):
-            if (r >> piv) & 1:
-                r ^= p
-        if r and not (r & out):
-            clean.append(r)
-    return BinaryCode.from_rows(code.length, clean)
+    """Subcode of words supported inside `mask`, as a code of the same length.
+
+    Each generator r becomes (r outside `mask`) | (r << n): RREF pivots on the
+    low bits first, so its rows with no low bits span exactly the words that
+    vanish outside `mask`, and their high halves are already in RREF.
+    """
+    n = code.length
+    low = ((1 << n) - 1) & ~mask
+    rows = rref([(r & low) | (r << n) for r in code.generators])
+    return BinaryCode(n, tuple(r >> n for r in rows if not r & low))
 
 
 def hamming_embeddings(code: BinaryCode) -> list[HammingEmbedding]:
     """Every 4-dimensional subcode with the [8,4,4] weight enumerator.
 
     Candidate supports are supports of weight-8 codewords; on each support the
-    4-dimensional subcodes through the all-ones word are enumerated and
-    deduplicated as subspaces.  Deterministic order: by sorted support, then
-    by the sorted tuple of the 16 codewords.
+    4-dimensional subcodes through the all-ones word are enumerated from trios
+    of weight-4 words, closed by XOR into their 16 words and deduplicated as
+    subspaces before a generator matrix is built, once per embedding.
+    Deterministic order: by sorted support, then by the sorted tuple of the
+    16 codewords.
     """
-    found: dict[tuple[int, ...], HammingEmbedding] = {}
-    seen_supports: set[int] = set()
+    found: list[HammingEmbedding] = []
     for w in code.words():
-        if weight(w) != 8 or w in seen_supports:
+        if weight(w) != 8:
             continue
-        seen_supports.add(w)
-        sub = _subcode_on_support(code, w)
-        wt4 = [x for x in sub.words() if weight(x) == 4]
-        if len(wt4) < 3 or w not in sub:
-            continue
+        wt4 = [x for x in _subcode_on_support(code, w).words() if weight(x) == 4]
+        seen: set[frozenset[int]] = set()
         for trio in combinations(wt4, 3):
-            cand = BinaryCode.from_rows(code.length, [w, *trio])
-            if cand.rank != 4:
+            words = [0, w]
+            for g in trio:
+                words += [x ^ g for x in words]
+            key = frozenset(words)
+            if len(key) != 16 or key in seen:
                 continue
-            key = tuple(sorted(cand.words()))
-            if key in found:
-                continue
-            counts = [0] * 9
-            for x in key:
-                counts[weight(x)] += 1
-            if tuple(counts) != HAMMING_ENUMERATOR:
-                continue
-            support = tuple(i for i in range(code.length) if (w >> i) & 1)
-            found[key] = HammingEmbedding(code, cand.generators, support)
-    return sorted(found.values(), key=lambda e: (e.support, e.words))
+            seen.add(key)
+            # 0 and w aside, a Hamming-type subcode holds only weight-4 words
+            if all(weight(x) == 4 for x in key if x not in (0, w)):
+                support = tuple(i for i in range(code.length) if (w >> i) & 1)
+                found.append(HammingEmbedding(code, rref([w, *trio]), support))
+    return sorted(found, key=lambda e: (e.support, e.words))
 
 
 def parse_code_text(text: str) -> BinaryCode:

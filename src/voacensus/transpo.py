@@ -421,7 +421,8 @@ def inductive_structure(census: IsingCensus, sigmas: np.ndarray,
         "d1_points": [int(i) for i in d1],
         "d2_points": d2_points,
         "d1_order": group_order([sigmas[int(i)] for i in d1]),
-        "d2_order": group_order([sigmas[int(i)] for i in d2_points]),
+        # no involutions generate the trivial group
+        "d2_order": group_order([sigmas[i] for i in d2_points]) if d2_points else 1,
     }
 
 

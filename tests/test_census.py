@@ -3,10 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import census_oracle as oracle
 from voacensus import census as cz
 from voacensus import gf2code as gc
 from voacensus import registry, rootlat
 from voacensus.census import GRAM_32ND, GRAM_QUARTER, GRAM_ZERO
+from voacensus.griess import GriessAlgebra
 
 
 def test_code_census_counts():
@@ -204,6 +206,83 @@ def test_combinatorial_gram_matches_realization():
     real = registry.census("code:rm24")
     mask = raw.gram != cz.GRAM_UNKNOWN
     assert (raw.gram[mask] == real.gram[mask]).all()
+
+
+def _realize_recording_blocks(monkeypatch, tag):
+    """Realize code `tag` afresh; returns the census and, per block, the
+    arguments of its translation, the placed points and the products used."""
+    translate, sigma = cz._translate_block, GriessAlgebra.sigma_image
+    products = [0]
+    blocks = []
+
+    def counting_sigma(self, e, f):
+        products[0] += 1
+        return sigma(self, e, f)
+
+    def record(*args):
+        before = products[0]
+        placed = translate(*args)
+        blocks.append((args, placed, products[0] - before))
+        return placed
+
+    monkeypatch.setattr(GriessAlgebra, "sigma_image", counting_sigma)
+    monkeypatch.setattr(cz, "_translate_block", record)
+    code = registry.code(tag)
+    census = cz.code_census(code, realize=cz.paired_model(code))
+    monkeypatch.undo()
+    return census, blocks
+
+
+@pytest.mark.parametrize("tag", ["hamming8", "rm24", "dcode4", "dcode6", "dcode8"])
+def test_tree_translation_matches_all_edges_oracle(monkeypatch, tag):
+    census, blocks = _realize_recording_blocks(monkeypatch, tag)
+    assert len(blocks) == len(census.embeddings)
+    for args, placed, products in blocks:
+        # 15 tree edges and 4 weight-4 generators walked in 4 steps each
+        assert products == 15 + 4 * 4
+        want = oracle.translate_block_all_edges(*args)
+        assert {r: e.key() for r, e in placed.items()} == \
+            {r: e.key() for r, e in want.items()}
+
+
+def test_translate_block_rejects_corrupted_input(monkeypatch):
+    _, blocks = _realize_recording_blocks(monkeypatch, "hamming8")
+    (alg, frame, emb, reps, anchor, cands), placed, _ = blocks[0]
+    # an anchor outside the block: a frame point every sigma fixes
+    with pytest.raises(cz.CensusCheckError, match="distinct candidates"):
+        cz._translate_block(alg, frame, emb, reps, frame[emb.support[0]], cands)
+    # two labels in one coset, so another coset has none
+    bad = list(reps)
+    bad[1] = reps[2] ^ emb.words[1]
+    with pytest.raises(cz.CensusCheckError, match="16 cosets"):
+        cz._translate_block(alg, frame, emb, bad, anchor, cands)
+    # labels by another [8,4,4] subcode: swap two support coordinates
+    i, j = emb.support[0], emb.support[1]
+    swapped = [g ^ ((1 << i) | (1 << j)) if ((g >> i) ^ (g >> j)) & 1 else g
+               for g in emb.subcode_generators]
+    other = gc.HammingEmbedding(emb.parent, gc.rref(swapped), emb.support)
+    assert set(other.words) != set(emb.words)
+    with pytest.raises(cz.CensusCheckError):
+        cz._translate_block(alg, frame, other, cz._coset_reps(other), anchor, cands)
+    # labels 0 and a weight-1 coset exchanged: only the Gram comparison sees it
+    zero, odd = reps[0], next(r for r in reps if gc.weight(r) == 1)
+
+    def exchange(*args):
+        out = dict(placed)
+        out[zero], out[odd] = placed[odd], placed[zero]
+        return out
+
+    monkeypatch.setattr(cz, "_translate_block", exchange)
+    code = registry.code("hamming8")
+    with pytest.raises(cz.CensusCheckError, match="Gram"):
+        cz.code_census(code, realize=cz.paired_model(code))
+
+
+def test_gram_law_violation_is_check_error():
+    c = registry.census("lattice:A2")
+    i, j = map(int, np.argwhere(c.gram == GRAM_ZERO)[0])
+    with pytest.raises(cz.CensusCheckError, match="outside"):
+        cz.gram_from_elements([c.elements[i] + c.elements[j]])
 
 
 def test_census_json():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from voacensus import cli, gf2code, registry, transpo
+from voacensus import census, cli, gf2code, registry, transpo
 from voacensus.census import IsingCensus
 from voacensus.griess import GriessAlgebra, GriessError
 
@@ -209,6 +209,34 @@ def test_failed_sigma_image_exits_1(monkeypatch):
         transpo.sigma_permutations(fresh)
     monkeypatch.setattr(registry, "census", lambda spec: fresh)
     assert cli.main(["group", "--census", "refused-image"]) == 1
+
+
+def test_failed_census_check_exits_1(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "h8.txt"
+    path.write_text(gf2code.format_code_text(registry.code("hamming8")))
+    translate = census._translate_block
+
+    def frame_anchor(algebra, frame_elems, emb, reps, anchor, cands):
+        return translate(algebra, frame_elems, emb, reps,
+                         frame_elems[emb.support[0]], cands)
+
+    # a file spec keeps the cached censuses of catalog codes out of play
+    monkeypatch.setattr(census, "_translate_block", frame_anchor)
+    assert cli.main(["census", "code", f"file:{path}"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False and "distinct candidates" in data["error"]
+
+
+@pytest.mark.parametrize(
+    "spec", [*registry.CENSUS_ALIASES, "lattice:A2", "lattice:D4"])
+def test_group_inductive_on_every_alias(spec, capsys):
+    code = cli.main(["group", "--census", spec, "--inductive"])
+    data = json.loads(capsys.readouterr().out)
+    assert code in (0, 1), data
+    inductive = data["results"].get("inductive")
+    if inductive is not None and inductive["d2_point_count"] == 0:
+        # no involutions generate the trivial group
+        assert inductive["d2_order"] == "1"
 
 
 def test_tsv_format():

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import census_oracle as oracle
 from voacensus import gf2code as gc
+from voacensus import registry
 
 
 def test_hamming8_weight_enumerator():
@@ -134,6 +136,33 @@ def test_words_closed_under_addition(code):
     for a in sample:
         for b in sample:
             assert a ^ b in words
+
+
+@pytest.mark.parametrize("tag", registry.CODE_TAGS)
+def test_hamming_embeddings_match_trio_oracle(tag):
+    code = registry.code(tag)
+    assert gc.hamming_embeddings(code) == oracle.hamming_embeddings_by_trio(code)
+
+
+@st.composite
+def code_with_hamming_block(draw):
+    """A code holding the [8,4,4] code on 8 of its n coordinates, plus rows."""
+    n = draw(st.integers(min_value=8, max_value=12))
+    place = draw(st.permutations(range(n)))[:8]
+    rows = [sum(1 << place[k] for k in range(8) if (g >> k) & 1)
+            for g in gc.named_code("hamming8").generators]
+    rows += draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                          max_size=4))
+    return gc.BinaryCode.from_rows(n, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_code(), code_with_hamming_block()), st.data())
+def test_embeddings_and_support_subcode_match_oracle(code, data):
+    assert gc.hamming_embeddings(code) == oracle.hamming_embeddings_by_trio(code)
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << code.length) - 1))
+    assert gc._subcode_on_support(code, mask) == \
+        oracle._subcode_on_support(code, mask)
 
 
 def test_enumeration_guard():
