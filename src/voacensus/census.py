@@ -218,25 +218,20 @@ def commutant_filter(census: IsingCensus,
 def _coset_reps(embedding: HammingEmbedding) -> list[int]:
     """The 16 cosets of the embedded subcode on its support.
 
-    Representatives have minimal weight on the support, ties broken by
-    numeric value; returned sorted.
+    One pass over the 256 support words: each word not yet labelled labels
+    its whole coset.  Representatives have minimal weight on the support,
+    ties broken by numeric value; returned sorted.
     """
-    support_bits = 0
+    words = [0]
     for i in embedding.support:
-        support_bits |= 1 << i
-    sub_words = embedding.words
-    seen: set[int] = set()
+        words += [w | 1 << i for w in words]
+    labelled: set[int] = set()
     reps = []
-    support = list(embedding.support)
-    for dense in range(256):
-        word = 0
-        for k, i in enumerate(support):
-            if (dense >> k) & 1:
-                word |= 1 << i
-        coset = frozenset(word ^ w for w in sub_words)
-        if coset in seen:
+    for word in words:
+        if word in labelled:
             continue
-        seen.add(coset)
+        coset = [word ^ w for w in embedding.words]
+        labelled.update(coset)
         reps.append(min(coset, key=lambda w: (gf2code.weight(w), w)))
     if len(reps) != 16:
         raise CensusError(f"embedding has {len(reps)} cosets, expected 16")
@@ -411,12 +406,3 @@ def sigma_type_check(code: BinaryCode, embedding: HammingEmbedding) -> bool:
     for i in embedding.support:
         support_bits |= 1 << i
     return all(gf2code.weight(w & support_bits) % 2 == 0 for w in code.words())
-
-
-# ---------------------------------------------------------------------------
-# the 24-point model of the [8,4,4] code
-
-def hamming_model() -> IsingCensus:
-    """The 24-point census of the [8,4,4] code, realized in its paired lattice."""
-    code = gf2code.hamming8_code()
-    return code_census(code, realize=paired_model(code))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, registry, transpo
 from . import qchar
-from .census import CensusCheckError, UnrealizedGramError
+from .census import CensusCheckError
 from .griess import verify_orthogonal_split, verify_twist_chain
 from .rootlat import sublattice_embedding
 
@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     try:
         report = run(args)
         code = 0 if report["ok"] else 1
-    except (registry.RegistryError, UnrealizedGramError, ValueError) as exc:
+    except (registry.RegistryError, ValueError) as exc:
         report = {"tool": f"voacensus {__version__}", "ok": False,
                   "error": str(exc)}
         # a failed sigma-table or census check is a check failure, not a

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals, built on one elimination routine.
 
-`rref` is the only Gauss-Jordan elimination in the package.  Kernels,
-inverses and left solves read their answers off its output, and the reduced
-row echelon form is unique, so every basis they return is canonical.
+`rref` is the only Gauss-Jordan elimination in the package.  Kernels and
+inverses read their answers off one call to it each, and the reduced row
+echelon form is unique, so every basis they return is canonical.  Exact
+coordinates over a lattice or quadratic basis are read off a Gram inverse
+(see `rootlat.RootLattice.coords` and `griess.GriessAlgebra.expand`).
 Entries may be Python ints, Fractions or numpy integers; numpy integers are
 turned into Python ints first, because Fraction(np.int64(x)) keeps the
 fixed-width type and its arithmetic would wrap silently.
@@ -52,58 +54,35 @@ def rref(rows, ncols=None) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def kernel(rows) -> list[list[Fraction]]:
-    """Basis of {x : rows @ x = 0}, one vector per free column of the RREF."""
-    red, pivots = rref(rows)
-    ncols = len(rows[0])
+    """Reduced row echelon basis of {x : rows @ x = 0}, from one elimination.
+
+    The columns are eliminated in reverse order, so a column is a pivot
+    exactly when it is independent of the columns to its right.  Each free
+    column f is then a combination of pivot columns right of f: the vector
+    read off for f has its first nonzero, 1, at f and 0 at every other free
+    column.  Listed by f, these vectors are the kernel's unique RREF.
+    """
+    n = len(rows[0])
+    red, pivots = rref([row[::-1] for row in rows])
+    pivots = [n - 1 - p for p in pivots]
     out = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        vec = [Fraction(0)] * ncols
+    for free in sorted(set(range(n)) - set(pivots)):
+        vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
         for row, c in zip(red, pivots):
-            vec[c] = -row[free]
+            vec[c] = -row[n - 1 - free]
         out.append(vec)
     return out
-
-
-def _with_identity(mat) -> list[list]:
-    n = len(mat)
-    return [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)]
 
 
 def inverse(mat) -> tuple[np.ndarray, int]:
     """Inverse of a square integer matrix as (integer numerator, denominator)."""
     n = len(mat)
-    red, pivots = rref(_with_identity(mat), n)
+    red, pivots = rref([[*row, *(int(i == j) for j in range(n))]
+                        for i, row in enumerate(mat)], n)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
     entries = [row[n:] for row in red]
     den = lcm(*(x.denominator for row in entries for x in row))
     num = np.array([[int(x * den) for x in row] for row in entries], dtype=np.int64)
     return num, den
-
-
-class LeftSolver:
-    """Exact solutions x of A x = b for a fixed full-column-rank matrix A.
-
-    Eliminating [A | I] gives a left inverse of A in the pivot rows and a
-    basis of the left null space of A in the rows after them.
-    """
-
-    def __init__(self, a):
-        n = len(a[0])
-        red, pivots = rref(_with_identity(a), n)
-        if len(pivots) != n:
-            raise ValueError("matrix is not of full column rank")
-        self._lift = [row[n:] for row in red[:n]]
-        self._null = [row[n:] for row in red[n:]]
-
-    def solve(self, b) -> list[Fraction] | None:
-        """The unique x with A x = b, or None when b is off the column span."""
-        b = [_exact(x) for x in b]
-        if any(_dot(row, b) for row in self._null):
-            return None
-        return [_dot(row, b) for row in self._lift]
-
-
-def _dot(row, vec) -> Fraction:
-    return sum((x * y for x, y in zip(row, vec) if y), Fraction(0))

@@ -25,7 +25,7 @@ from math import lcm
 
 import numpy as np
 
-from .exact import LeftSolver, inverse, kernel, rref
+from .exact import inverse, kernel
 from .rootlat import Mod2Class, RootLattice, _hnf_basis
 
 DIM_GUARD = 512
@@ -153,9 +153,7 @@ class GriessAlgebra:
         self.product_gain = (4 * s2 * m + 2 * s2 * s2 * self.npairs * pmax ** 2
                              + 4 * m * m * pmax ** 2 + s2 * s2 * (len(tp) + 1))
         self.inner_gain = 2 * m * m + 2 * s2 * s2 * self.npairs
-        self.omega = self._build_omega(lattice.basis)
-        self._sym_solver = None
-        self._commutant_cache: dict[tuple, list[list[Fraction]]] = {}
+        self.omega = self._build_omega(lattice.basis, lattice.gram_inverse)
 
     def __repr__(self) -> str:
         return f"GriessAlgebra({self.lattice.name}, dim={self.dimension})"
@@ -177,9 +175,10 @@ class GriessAlgebra:
         xv[p] = 1
         return GriessElement(self, np.zeros((self.m, self.m), dtype=np.int64), xv, 1)
 
-    def _build_omega(self, basis: np.ndarray) -> GriessElement:
-        # omega = (s2/2) * projection onto the span of `basis`, as an exact matrix
-        num, den = inverse(basis @ basis.T)
+    def _build_omega(self, basis: np.ndarray, gram_inverse) -> GriessElement:
+        # omega = (s2/2) * projection onto the span of `basis`, as an exact
+        # matrix; `gram_inverse` is inverse(basis @ basis.T)
+        num, den = gram_inverse
         proj_num = basis.T @ num @ basis  # projection * den
         return GriessElement(self, (self.s2 * proj_num).astype(np.int64),
                              np.zeros(self.npairs, dtype=np.int64), 2 * den)
@@ -204,34 +203,33 @@ class GriessAlgebra:
         xv[list(pair_indices)] = 1
         return GriessElement(self, np.zeros((self.m, self.m), dtype=np.int64), xv, 1)
 
+    def _conformal_pair(self, omega: GriessElement, pair_ids, rank: int,
+                        h: int) -> tuple[ConformalVector, ConformalVector]:
+        """(s, wtilde) = ((h omega - P)/(h+2), (2 omega + P)/(h+2)), P the pair sum."""
+        pair_sum = self._sum_pairs(pair_ids)
+        s = Fraction(h, h + 2) * omega - Fraction(1, h + 2) * pair_sum
+        wt = Fraction(2, h + 2) * omega + Fraction(1, h + 2) * pair_sum
+        return (ConformalVector(s, Fraction(rank * h, h + 2)),
+                ConformalVector(wt, Fraction(2 * rank, h + 2)))
+
     def conformal_wtilde(self) -> ConformalVector:
         """(2/(h+2)) omega + (1/(h+2)) * sum of all pair vectors."""
-        h = self.lattice.coxeter_number
-        e = Fraction(2, h + 2) * self.omega + \
-            Fraction(1, h + 2) * self._sum_pairs(range(self.npairs))
-        ell = self.lattice.rank
-        return ConformalVector(e, Fraction(2 * ell, h + 2))
+        return self._conformal_pair(self.omega, range(self.npairs), self.lattice.rank,
+                                    self.lattice.coxeter_number)[1]
 
     def conformal_s(self) -> ConformalVector:
-        h = self.lattice.coxeter_number
-        e = Fraction(h, h + 2) * self.omega - \
-            Fraction(1, h + 2) * self._sum_pairs(range(self.npairs))
-        ell = self.lattice.rank
-        return ConformalVector(e, Fraction(ell * h, h + 2))
+        """(h/(h+2)) omega - (1/(h+2)) * sum of all pair vectors."""
+        return self._conformal_pair(self.omega, range(self.npairs), self.lattice.rank,
+                                    self.lattice.coxeter_number)[0]
 
     def sublattice_conformal_pair(self, sub_roots) -> tuple[ConformalVector, ConformalVector]:
         """(s, wtilde) of an embedded indecomposable root sublattice."""
         sub = np.array([np.asarray(r, dtype=np.int64) for r in sub_roots])
         sub_basis = _hnf_basis(sub)
-        rank = len(sub_basis)
-        h = len(sub) // rank
-        omega_sub = self._build_omega(sub_basis)
+        omega_sub = self._build_omega(sub_basis, inverse(sub_basis @ sub_basis.T))
         pair_ids = sorted({self.lattice.pair_of(r) for r in sub})
-        pair_sum = self._sum_pairs(pair_ids)
-        s = Fraction(h, h + 2) * omega_sub - Fraction(1, h + 2) * pair_sum
-        wt = Fraction(2, h + 2) * omega_sub + Fraction(1, h + 2) * pair_sum
-        return (ConformalVector(s, Fraction(rank * h, h + 2)),
-                ConformalVector(wt, Fraction(2 * rank, h + 2)))
+        return self._conformal_pair(omega_sub, pair_ids, len(sub_basis),
+                                    len(sub) // len(sub_basis))
 
     # -- products and forms ---------------------------------------------------
     def product(self, a: GriessElement, b: GriessElement) -> GriessElement:
@@ -305,43 +303,32 @@ class GriessAlgebra:
             labels.append("pair:" + ",".join(map(str, self.pairs[p].tolist())))
         return labels
 
-    def _solver(self):
-        """Expansion of symmetric matrices over the quadratic basis b_i b_j."""
-        if self._sym_solver is not None:
-            return self._sym_solver
-        basis = self.lattice.basis
-        ell = self.lattice.rank
-        cols = []
-        labels = []
-        for i in range(ell):
-            for j in range(i, ell):
-                mat = np.outer(basis[i], basis[j]) + np.outer(basis[j], basis[i])
-                cols.append(mat[np.triu_indices(self.m)])
-                labels.append((i, j))
-        A = [[Fraction(int(c[k]), 2) for c in cols]
-             for k in range(len(cols[0]))]
-        self._sym_solver = (LeftSolver(A), labels)
-        return self._sym_solver
-
     def expand(self, v: GriessElement) -> list[Fraction]:
-        solver, _ = self._solver()
-        target = v.cart[np.triu_indices(self.m)]
-        quad_coords = solver.solve([Fraction(int(x), v.den) for x in target])
-        if quad_coords is None:
+        """Exact coordinates of v over the labeled basis (quadratics then pairs).
+
+        With B the lattice basis and G = B B^T, the quadratic part
+        C = cart/den is B^T S B for S = G^-1 B C B^T G^-1.  Basis element
+        (i, j) is (b_i b_j^T + b_j b_i^T)/2, so its coordinate is S_ii on the
+        diagonal and 2 S_ij for i < j.  C lies in the span exactly when
+        B^T S B rebuilds it.  The products are taken on Python ints.
+        """
+        num, gden = self.lattice.gram_inverse
+        basis = self.lattice.basis.astype(object)
+        lift = num.astype(object) @ basis           # gden * G^-1 B
+        cart = v.cart.astype(object)
+        s = lift @ cart @ lift.T                    # gden^2 * den * S
+        if (basis.T @ s @ basis != gden * gden * cart).any():
             raise GriessError("quadratic part lies outside the root span")
-        return quad_coords + [Fraction(int(x), v.den) for x in v.xv]
+        ell, scale = self.lattice.rank, gden * gden * v.den
+        quad = [Fraction(s[i, j] if i == j else 2 * s[i, j], scale)
+                for i in range(ell) for j in range(i, ell)]
+        return quad + [Fraction(int(x), v.den) for x in v.xv]
 
     # -- kernels -------------------------------------------------------------------
     def commutant_weight2(self, u: GriessElement) -> list[list[Fraction]]:
         """Reduced echelon basis of ker(v -> u * v) over the labeled basis."""
-        ck = u.key()
-        if ck in self._commutant_cache:
-            return self._commutant_cache[ck]
-        basis_elems = self._basis_elements()
-        cols = [self.expand(self.product(u, b)) for b in basis_elems]
-        kern = rref(kernel(list(zip(*cols))))[0]
-        self._commutant_cache[ck] = kern
-        return kern
+        cols = [self.expand(self.product(u, b)) for b in self._basis_elements()]
+        return kernel(list(zip(*cols)))
 
     def _basis_elements(self) -> list[GriessElement]:
         basis = self.lattice.basis

@@ -17,7 +17,7 @@ from math import isqrt, lcm
 import numpy as np
 
 from . import gf2code
-from .exact import LeftSolver, rref
+from .exact import inverse, rref
 
 
 class LatticeError(ValueError):
@@ -107,7 +107,8 @@ class RootLattice:
         self.basis = _hnf_basis(self.roots)
         if len(self.basis) != rank:
             raise LatticeError(f"{name}: roots span rank {len(self.basis)} != {rank}")
-        self._basis_solver = LeftSolver(self.basis.T)
+        # (numerator, denominator) of the inverse Gram matrix of the basis
+        self.gram_inverse = inverse(self.basis @ self.basis.T)
         self._mod2 = None
 
     def __repr__(self) -> str:
@@ -146,11 +147,24 @@ class RootLattice:
         return v - (num // self.scale_sq) * alpha
 
     def coords(self, v) -> tuple[Fraction, ...]:
-        """Coordinates of v in the lattice basis (exact)."""
-        coeffs = self._basis_solver.solve(v)
-        if coeffs is None:
+        """Coordinates of v in the lattice basis B (exact).
+
+        They are c = G^-1 B v for the Gram matrix G = B B^T, and v is in the
+        span exactly when c B rebuilds it.  Entries may be floats; they are
+        read exactly, and all products are taken on Python ints.
+        """
+        v = [Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
+             for x in v]
+        if len(v) != self.ambient:
             raise LatticeError("vector not in the lattice span")
-        return tuple(coeffs)
+        scale = lcm(*(x.denominator for x in v))
+        vec = np.array([int(x * scale) for x in v], dtype=object)
+        num, den = self.gram_inverse
+        basis = self.basis.astype(object)
+        c = num.astype(object) @ (basis @ vec)
+        if (c @ basis != den * vec).any():
+            raise LatticeError("vector not in the lattice span")
+        return tuple(Fraction(x, den * scale) for x in c)
 
     def __contains__(self, v) -> bool:
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import GRAM_32ND, GRAM_ZERO, CensusError, IsingCensus
-from .griess import GriessAlgebra, GriessError
+from .griess import GriessError
 
 
 class TranspoError(ValueError):
@@ -104,8 +104,7 @@ class SigmaTable:
         self.reps = np.flatnonzero(low == np.arange(n))
 
 
-def sigma_permutations(census: IsingCensus,
-                       algebra: GriessAlgebra | None = None) -> SigmaTable:
+def sigma_permutations(census: IsingCensus) -> SigmaTable:
     """One involution per census point, as a checked SigmaTable.
 
     Entry (i, j) of its rows is the image of point j under the involution
@@ -117,11 +116,11 @@ def sigma_permutations(census: IsingCensus,
     outside the census or failing the norm check, and a failed SigmaTable
     check, raise SigmaCheckError.
     """
-    rows, seeds = _sigma_rows(census, algebra)
+    rows, seeds = _sigma_rows(census)
     return SigmaTable(rows, census.gram, seeds)
 
 
-def _sigma_rows(census: IsingCensus, algebra: GriessAlgebra | None):
+def _sigma_rows(census: IsingCensus):
     """The rows of `sigma_permutations` and the seeds they were derived from."""
     n = len(census)
     table = np.tile(np.arange(n, dtype=np.int32), (n, 1))
@@ -129,13 +128,13 @@ def _sigma_rows(census: IsingCensus, algebra: GriessAlgebra | None):
     if census.blocks is not None:
         for offset, part in census.blocks:
             k = len(part)
-            rows, part_seeds = _sigma_rows(part, None)
+            rows, part_seeds = _sigma_rows(part)
             table[offset:offset + k, offset:offset + k] = rows + offset
             seeds.extend(s + offset for s in part_seeds)
         return table, seeds
     if census.elements is None:
         raise TranspoError("sigma permutations need realized census points")
-    algebra = algebra or census.algebra
+    algebra = census.algebra
     partners = census.gram == GRAM_32ND
     known = np.zeros(n, dtype=bool)
     while not known.all():

@@ -117,7 +117,7 @@ def test_sigma_type_check_cases():
 
 
 def test_hamming_model_structure():
-    hm = cz.hamming_model()
+    hm = registry.census("hamming24")
     assert len(hm) == 24
     assert hm.counts_by_kind() == {"frame": 8, "hamming": 16}
     orth = (hm.gram == GRAM_ZERO).sum(axis=1)
@@ -127,7 +127,7 @@ def test_hamming_model_structure():
 
 
 def test_hamming_model_combinatorial_sigma_rules():
-    hm = cz.hamming_model()
+    hm = registry.census("hamming24")
     from voacensus import transpo
     table = transpo.sigma_permutations(hm).rows
     # sigma of a frame point sends the block label through a coordinate flip

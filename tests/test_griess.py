@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voacensus import exact
 from voacensus import rootlat as rl
 from voacensus.census import CensusError, gram_from_elements
 from voacensus.griess import (INT_GUARD, GriessElement, GriessError,
                               verify_orthogonal_split, verify_twist_chain)
 from voacensus.registry import algebra
+
+CATALOG = ([f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(2, 13)] +
+           ["E6", "E7", "E8", "E8H", "D4C", "D6C", "D8C"])
 
 
 def test_dimensions():
@@ -226,17 +230,54 @@ def test_orthogonal_split_report():
 
 
 def test_element_json_roundtrip():
-    alg = algebra("A2")
+    for tag in CATALOG:
+        alg = algebra(tag)
+        wt = alg.conformal_wtilde().element
+        w = alg.w_vector(0, 1).element
+        for elem in (wt, alg.conformal_s().element, wt * w, w * w - wt):
+            data = elem.to_json()
+            assert len(data["coords"]) == alg.dimension
+            assert len(data["basis"]) == alg.dimension
+            coords = [Fraction(c) for c in data["coords"]]
+            rebuilt = alg.zero()
+            for coeff, b in zip(coords, alg._basis_elements()):
+                if coeff:
+                    rebuilt = rebuilt + coeff * b
+            assert rebuilt == elem
+    # A3 lives in the sum-zero hyperplane of Z^4: a quadratic with a factor
+    # off that hyperplane has no coordinates
+    alg = algebra("A3")
+    with pytest.raises(GriessError, match="outside the root span"):
+        alg.expand(_diagonal_element(alg, 1))
+    off = alg.from_quadratic(np.ones(4, dtype=np.int64), alg.lattice.basis[0])
+    with pytest.raises(GriessError, match="outside the root span"):
+        (off + alg.conformal_wtilde().element).to_json()
+
+
+@pytest.mark.parametrize("tag", CATALOG)
+def test_sublattice_pair_on_all_roots_is_the_full_pair(tag):
+    alg = algebra(tag)
+    s, wt = alg.sublattice_conformal_pair(alg.lattice.roots)
+    assert s == alg.conformal_s()
+    assert wt == alg.conformal_wtilde()
+
+
+def test_commutant_runs_one_elimination(monkeypatch):
+    alg = algebra("E6")
     wt = alg.conformal_wtilde().element
-    data = wt.to_json()
-    assert len(data["coords"]) == alg.dimension
-    assert len(data["basis"]) == alg.dimension
-    coords = [Fraction(c) for c in data["coords"]]
-    rebuilt = alg.zero()
-    for coeff, elem in zip(coords, alg._basis_elements()):
-        if coeff:
-            rebuilt = rebuilt + coeff * elem
-    assert rebuilt == wt
+    calls, real_rref = [], exact.rref
+
+    def counting_rref(*args):
+        calls.append(args)
+        return real_rref(*args)
+
+    monkeypatch.setattr(exact, "rref", counting_rref)
+    kern = alg.commutant_weight2(wt)
+    assert len(calls) == 1
+    assert len(kern) == 36
+    # a second call eliminates again: no cache outside the registry
+    alg.commutant_weight2(wt)
+    assert len(calls) == 2
 
 
 def _diagonal_element(alg, x):

@@ -3,9 +3,11 @@ from math import isqrt
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voacensus import registry
 from voacensus import rootlat as rl
 from voacensus.exact import inverse
 
@@ -128,6 +130,28 @@ def test_coords_are_exact_on_non_lattice_vectors():
     with pytest.raises(rl.LatticeError):
         lat.coords(np.array([1, 0, 0]))
     assert np.array([1, 0, 0]) not in lat
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CATALOG), st.data())
+def test_coords_against_sympy_rank(tag, data):
+    lat = registry.lattice(tag)
+    n, m = lat.rank, lat.ambient
+    # in the span: rational coordinates come back exactly
+    x = data.draw(st.lists(st.fractions(-5, 5, max_denominator=4),
+                           min_size=n, max_size=n))
+    v = [sum(c * int(b[k]) for c, b in zip(x, lat.basis)) for k in range(m)]
+    assert lat.coords(v) == tuple(x)
+    # an integer vector: coordinates iff sympy puts it in the row span
+    b = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+    basis = sympy.Matrix(lat.basis.tolist())
+    if basis.col_join(sympy.Matrix([b])).rank() == n:
+        coeffs = lat.coords(np.array(b, dtype=np.int64))
+        assert [sum(c * int(r[k]) for c, r in zip(coeffs, lat.basis))
+                for k in range(m)] == b
+    else:
+        with pytest.raises(rl.LatticeError, match="not in the lattice span"):
+            lat.coords(np.array(b, dtype=np.int64))
 
 
 def test_sublattice_embedding_a1_e7():

@@ -83,7 +83,7 @@ def test_closure_table_matches_product_oracle(spec):
 
 
 def test_closure_table_matches_product_oracle_hamming_model():
-    hm = cz.hamming_model()
+    hm = registry.census("hamming24")
     assert np.array_equal(tp.sigma_permutations(hm).rows, _product_table(hm))
 
 
