@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, registry, transpo
 from . import qchar
-from .census import CensusCheckError
+from .census import GRAM_32ND, CensusCheckError
 from .griess import verify_orthogonal_split, verify_twist_chain
 from .rootlat import sublattice_embedding
 
@@ -148,9 +148,9 @@ def run(args) -> dict:
             res["symplectic_type"] = transpo.is_symplectic_type(space, table)
         res["is_3transposition"] = ok3
         if args.inductive and ok3:
-            pair = _noncommuting_pair(c, table)
+            pair = _noncommuting_pair(c)
             if pair is not None:
-                ind = transpo.inductive_structure(c, table.rows, *pair)
+                ind = transpo.inductive_structure(table.rows, *pair)
                 res["inductive"] = {
                     "d1_order": str(ind["d1_order"]),
                     "d2_order": str(ind["d2_order"]),
@@ -222,8 +222,7 @@ def run(args) -> dict:
     return report
 
 
-def _noncommuting_pair(c, table):
-    from .census import GRAM_32ND
+def _noncommuting_pair(c):
     idx = np.argwhere(np.triu(c.gram == GRAM_32ND, k=1))
     if len(idx) == 0:
         return None

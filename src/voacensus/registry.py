@@ -96,7 +96,7 @@ def lattice_census(spec: str) -> census_mod.IsingCensus:
     if len(tags) == 1:
         tag = tags[0]
         return census_mod.lattice_census(lattice(tag), algebra(tag))
-    parts = [census_mod.lattice_census(lattice(t), algebra(t)) for t in tags]
+    parts = [lattice_census(t) for t in tags]
     return _direct_sum_census(parts, spec)
 
 

@@ -109,7 +109,6 @@ class RootLattice:
             raise LatticeError(f"{name}: roots span rank {len(self.basis)} != {rank}")
         # (numerator, denominator) of the inverse Gram matrix of the basis
         self.gram_inverse = inverse(self.basis @ self.basis.T)
-        self._mod2 = None
 
     def __repr__(self) -> str:
         return f"RootLattice({self.name})"
@@ -174,8 +173,6 @@ class RootLattice:
 
     def mod2_classes(self) -> list[Mod2Class]:
         """The 2^rank cosets of 2L, classified by minimal-norm vectors."""
-        if self._mod2 is not None:
-            return self._mod2
         buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         for coeffs, norm in _enumerate_short(_basis_gram(self), Fraction(4)):
             key = tuple(c % 2 for c in coeffs)
@@ -204,7 +201,6 @@ class RootLattice:
             classes.append(Mod2Class(key, kind, max(mins), mins))
         if len(classes) != 1 << self.rank:
             raise LatticeError(f"found {len(classes)} cosets, expected {1 << self.rank}")
-        self._mod2 = classes
         return classes
 
     def class_of(self, v) -> Mod2Class:

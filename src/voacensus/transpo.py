@@ -1,13 +1,13 @@
 """Involutions of a census as permutations, and exact group machinery.
 
 Permutations are numpy int32 arrays mapping index -> image.  The group
-engine is a deterministic incremental stabilizer-chain construction: base
-points are chosen smallest-first, generators are sifted before insertion,
-and all Schreier generators are processed, so the resulting order is exact.
+engine is a deterministic Schreier-Sims stabilizer chain; `PermutationGroup`
+states the invariant that makes its order exact for every generating set.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,106 +170,99 @@ def _sigma_rows(census: IsingCensus):
 # stabilizer chains
 
 class PermutationGroup:
-    """Deterministic stabilizer chain with exact order and membership test.
+    """Stabilizer chain with exact order and membership test (Schreier-Sims).
 
-    Incremental construction: every input generator is sifted first, and an
-    insertion extends the level's orbit in place, so each Schreier generator
-    is formed and sifted once per (generator, orbit point) pair.
+    Level k holds a base point b_k, generators, and for each point x of the
+    orbit of b_k under the group H_k they generate a word u_x in them with
+    u_x(b_k) = x, and its inverse.  Each permutation on the stack carries a
+    start level i and is sifted from level i when it comes off; a residue
+    that fails at level j becomes a generator of levels i..j (j is a new
+    level, based at the residue's first moved point, when it is past the
+    last).  Input generators start at 0; a Schreier generator u_y^-1 h u_x
+    of level l (h a generator there, y = h(x)) starts at l + 1.
+
+    Invariant: H_{k+1} lies in H_k, and level k's generators fix b_0..b_{k-1}.
+    A Schreier generator of level l lies in H_l and fixes b_0..b_l; sifting
+    multiplies it by transversal words of H_{l+1}, H_{l+2}, ..., so its
+    residue does too and also fixes the base points it passed.  Giving the
+    residue to levels l+1..j keeps both parts, and so does giving an input
+    generator's residue to levels 0..j.
+
+    Why the order is exact: once the stack is empty, every Schreier generator
+    of level k has sifted to the identity from level k + 1, so it is a
+    product of transversal words of H_{k+1}, ... (transversals only grow).
+    By induction from the last level down, where H_{k+1} is trivial, every
+    element of H_{k+1} sifts to the identity, and
+
+        Stab_{H_k}(b_k) = <Schreier generators of level k>   (Schreier's lemma)
+                       <= H_{k+1} <= Stab_{H_k}(b_k)          (the invariant),
+
+    so every g in H_k is u_{g(b_k)} times an element of H_{k+1} and
+    |H_k| = |orbit of b_k| |H_{k+1}|.  Every input generator was given to
+    level 0 or sifted to the identity, so H_0 is the group generated.
     """
 
     def __init__(self, generators, degree: int):
-        self.degree = degree
         self.base: list[int] = []
         self._ident = identity_perm(degree)
-        self._levels: list[dict] = []
-        for g in generators:
-            self.extend(np.asarray(g, dtype=np.int32))
+        self._gens: list[list[np.ndarray]] = []
+        self._trans: list[dict[int, np.ndarray]] = []
+        self._trans_inv: list[dict[int, np.ndarray]] = []
+        # an input generator's Schreier generators come off before the next
+        todo = [(np.asarray(g, dtype=np.int32), 0) for g in reversed(generators)]
+        while todo:
+            p, start = todo.pop()
+            res, j = self.sift(p, start)
+            if j == len(self.base):
+                if (res == self._ident).all():
+                    continue
+                b = int(np.argmax(res != self._ident))
+                self.base.append(b)
+                self._gens.append([])
+                self._trans.append({b: self._ident})
+                self._trans_inv.append({b: self._ident})
+            for k in range(start, j + 1):
+                todo.extend((s, k + 1) for s in self._add_generator(k, res))
 
-    # -- chain plumbing ---------------------------------------------------
-    def _new_level(self, b: int):
-        self._levels.append({
-            "base": b, "gens": [],
-            "transversal": {b: self._ident},
-            "transversal_inv": {b: self._ident},
-        })
-        self.base.append(b)
+    def _add_generator(self, k: int, g: np.ndarray) -> list[np.ndarray]:
+        """Give g to level k, close its orbit; the non-identity Schreier
+        generators met on the way."""
+        gens, trans, trans_inv = self._gens[k], self._trans[k], self._trans_inv[k]
+        gens.append(g)
+        schreier = []
+        pairs = [(g, x) for x in trans]
+        for h, x in pairs:              # grows as new points are reached
+            y = int(h[x])
+            hu = mul(h, trans[x])
+            if y in trans:
+                s = mul(trans_inv[y], hu)
+                if (s != self._ident).any():
+                    schreier.append(s)
+            else:
+                trans[y] = hu
+                trans_inv[y] = inv(hu)
+                pairs.extend((h2, y) for h2 in gens)
+        return schreier
 
     def sift(self, p: np.ndarray, start: int = 0) -> tuple[np.ndarray, int]:
-        """Reduce p through the chain; returns (residue, failing level)."""
-        for lv in range(start, len(self._levels)):
-            level = self._levels[lv]
-            b = level["base"]
-            x = int(p[b])
-            if x == b:
-                continue
-            uinv = level["transversal_inv"].get(x)
-            if uinv is None:
-                return p, lv
-            p = mul(uinv, p)
-        return p, len(self._levels)
+        """Reduce p through levels start, start + 1, ...; returns (residue,
+        failing level), the level being len(base) when p passes them all."""
+        for k in range(start, len(self.base)):
+            x = int(p[self.base[k]])
+            if x != self.base[k]:
+                uinv = self._trans_inv[k].get(x)
+                if uinv is None:
+                    return p, k
+                p = mul(uinv, p)
+        return p, len(self.base)
 
     def __contains__(self, p) -> bool:
         res, _ = self.sift(np.asarray(p, dtype=np.int32))
         return bool((res == self._ident).all())
 
-    def extend(self, g: np.ndarray):
-        res, lv = self.sift(g)
-        if (res == self._ident).all():
-            return
-        todo = [(lv, res)]
-        while todo:
-            lv, p = todo.pop()
-            res, lv2 = self.sift(p, start=lv)
-            if (res == self._ident).all():
-                continue
-            lv = lv2
-            if lv == len(self._levels):
-                moved = np.nonzero(res != self._ident)[0]
-                self._new_level(int(moved[0]))
-            for s_lv, s in self._insert(lv, res):
-                todo.append((s_lv, s))
-
-    def _insert(self, lv: int, g: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        """Add g to level lv, grow the orbit, return unsifted Schreier residues."""
-        level = self._levels[lv]
-        trans = level["transversal"]
-        trans_inv = level["transversal_inv"]
-        level["gens"].append(g)
-        pending: list[tuple[int, np.ndarray]] = []
-        new_points: list[int] = []
-
-        def step(h: np.ndarray, x: int):
-            y = int(h[x])
-            u = trans[x]
-            if y not in trans:
-                v = mul(h, u)
-                trans[y] = v
-                trans_inv[y] = inv(v)
-                new_points.append(y)
-            else:
-                s = mul(trans_inv[y], mul(h, u))
-                if (s != self._ident).any():
-                    res, lv2 = self.sift(s, start=lv + 1)
-                    if (res != self._ident).any():
-                        pending.append((lv2, res))
-
-        # the new generator over the existing orbit, then closure on new points
-        for x in list(trans):
-            step(g, x)
-        i = 0
-        while i < len(new_points):
-            x = new_points[i]
-            i += 1
-            for h in level["gens"]:
-                step(h, x)
-        return pending
-
     @property
     def order(self) -> int:
-        out = 1
-        for level in self._levels:
-            out *= len(level["transversal"])
-        return out
+        return math.prod(len(t) for t in self._trans)
 
 
 def group_order(perms) -> int:
@@ -400,10 +393,8 @@ def check_fischer_hypotheses(space: FischerSpace, census: IsingCensus,
     return {"common_perp_nonempty": cond1, "perp_of_perp_is_line": cond2}
 
 
-def inductive_structure(census: IsingCensus, sigmas: np.ndarray,
-                        x: int, y: int) -> dict:
+def inductive_structure(sigmas: np.ndarray, x: int, y: int) -> dict:
     """Commuting-set orders relative to one and two fixed involutions."""
-    n = len(census)
     if np.array_equal(mul(sigmas[x], sigmas[y]), mul(sigmas[y], sigmas[x])):
         raise TranspoError("x and y must be non-commuting")
     sx, sy = sigmas[x], sigmas[y]

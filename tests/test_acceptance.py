@@ -181,7 +181,7 @@ def test_criterion_08_transposition_and_inductive():
     emb = rootlat.sublattice_embedding("A1_E7_in_E8")
     phiwt = alg.phi_twist(np.array(emb.alpha0, dtype=np.int64), wt)
     x, y = full.element_index(wt), full.element_index(phiwt)
-    ind = tp.inductive_structure(full, table.rows, x, y)
+    ind = tp.inductive_structure(table.rows, x, y)
     ouc = tp.group_order(list(registry.sigma_table("uc").rows))
     ok = ok and len(ind["d2_points"]) == 136 and ind["d2_order"] == ouc
     _line(8, ok, f"all sigma-sets of 3-transposition symplectic type; "

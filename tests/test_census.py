@@ -170,6 +170,7 @@ def test_standard_e8_model_isomorphic_census():
     src = registry.census("lattice:E8")
     dst = registry.census("lattice:E8H")
     alg = dst.algebra
+    reps = {c.key: c.representative for c in e8.mod2_classes()}
     mapping = []
     for pt, el in zip(src.points, src.elements):
         if pt.kind in ("wminus", "wplus"):
@@ -179,10 +180,8 @@ def test_standard_e8_model_isomorphic_census():
             mapping.append(dst.element_index(alg.w_vector(
                 e8h.pair_of(vec), sign).element))
         else:
-            cl = e8.mod2_classes()[0]
-            rep = next(c.representative for c in e8.mod2_classes()
-                       if c.key == pt.data[0])
-            img = rootlat._apply_fraction_map(T, np.array(rep, dtype=np.int64))
+            img = rootlat._apply_fraction_map(
+                T, np.array(reps[pt.data[0]], dtype=np.int64))
             vec = np.array([int(x) for x in img], dtype=np.int64)
             wt = alg.conformal_wtilde().element
             mapping.append(dst.element_index(alg.phi_twist(vec, wt)))

@@ -1,9 +1,15 @@
 import random
+from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
 
-from voacensus import census as cz, registry, transpo as tp
+from voacensus import census as cz, cli, registry, transpo as tp
 from voacensus.census import GRAM_32ND, GRAM_QUARTER, GRAM_ZERO
 
 import transpo_oracle as oracle
@@ -37,6 +43,64 @@ def test_membership():
     odd = np.array([1, 0] + list(range(2, 6)), dtype=np.int32)
     assert (odd in G) == (tuple(odd) in
                           {tuple(p) for p in _closure(list(table))})
+
+
+@pytest.mark.parametrize("gens,order", [
+    ([[1, 0, 2, 3], [1, 2, 3, 0]], 24),              # S4 from (0 1), (0 1 2 3)
+    ([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], 120),        # S5, both orders
+    ([[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]], 120),
+])
+def test_symmetric_groups_from_two_generators(gens, order):
+    assert tp.group_order(gens) == order
+    G = tp.PermutationGroup([np.array(g, dtype=np.int32) for g in gens], len(gens[0]))
+    assert G.order == order
+    assert np.array([1, 0] + list(range(2, len(gens[0]))), dtype=np.int32) in G
+
+
+@st.composite
+def generating_sets(draw):
+    """(generators, a random permutation, a random word in the generators)."""
+    n = draw(st.integers(2, 10))
+    perm = st.permutations(range(n))
+    gens = draw(st.lists(perm, min_size=1, max_size=4))
+    word = draw(st.lists(st.integers(0, len(gens) - 1), max_size=8))
+    return gens, draw(perm), word
+
+
+@settings(max_examples=300, deadline=None)
+@given(generating_sets())
+def test_chain_matches_sympy(case):
+    gens, other, word = case
+    n = len(gens[0])
+    G = tp.PermutationGroup([np.array(g, dtype=np.int32) for g in gens], n)
+    S = SympyGroup([Permutation(g) for g in gens])
+    assert G.order == tp.group_order(gens) == S.order()
+    assert (np.array(other, dtype=np.int32) in G) == S.contains(Permutation(other))
+    w = tp.identity_perm(n)
+    for k in word:
+        w = tp.mul(np.array(gens[k], dtype=np.int32), w)
+    assert (w in G) and S.contains(Permutation(w.tolist()))
+
+
+def _sympy_order(rows) -> int:
+    return SympyGroup([Permutation(r.tolist()) for r in rows]).order() if len(rows) else 1
+
+
+# every catalog census below 200 points with a sigma-table (sympy needs
+# about 30 s for each 496-point census)
+@pytest.mark.parametrize("spec", [
+    "ma1", "ma2", "ma3", "ma4", "ma5", "md4", "me6", "me7", "uc", "hamming24",
+    "code:dcode4", "code:dcode6", "code:dcode8", "lattice:A2+A2",
+])
+def test_catalog_orders_match_sympy(spec):
+    c = registry.census(spec)
+    rows = registry.sigma_table(spec).rows
+    assert tp.group_order(list(rows)) == _sympy_order(rows)
+    pair = cli._noncommuting_pair(c)
+    if pair is not None:
+        ind = tp.inductive_structure(rows, *pair)
+        assert ind["d1_order"] == _sympy_order(rows[ind["d1_points"]])
+        assert ind["d2_order"] == _sympy_order(rows[ind["d2_points"]])
 
 
 def _closure(gens):
@@ -278,7 +342,7 @@ def test_inductive_structure_requires_noncommuting():
     table = registry.sigma_table("me6").rows
     i, j = map(int, np.argwhere(c.gram == 0)[1])
     with pytest.raises(tp.TranspoError):
-        tp.inductive_structure(c, table, i, j)
+        tp.inductive_structure(table, i, j)
 
 
 def test_frames_and_conjugation_hamming():
@@ -326,6 +390,38 @@ def test_rm24_standard_frame_conjugates_to_hamming_frame():
     assert target != standard
     word = tp.frame_conjugator(c, table, standard, target)
     assert tp.apply_word(table, word, standard) == frozenset(target)
+
+
+def _clique_frames(c, pool):
+    """Cliques of exactly frame_size points of the orthogonality graph on
+    `pool` that pass is_frame (networkx lists cliques by size)."""
+    orth = c.gram == GRAM_ZERO
+    graph = nx.Graph()
+    graph.add_nodes_from(pool)
+    graph.add_edges_from((a, b) for a, b in combinations(pool, 2) if orth[a, b])
+    out = []
+    for clique in nx.enumerate_all_cliques(graph):
+        if len(clique) > c.frame_size:
+            break
+        if len(clique) == c.frame_size and tp.is_frame(c, clique):
+            out.append(tuple(sorted(clique)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("spec", [
+    "hamming24", "code:dcode4", "lattice:D4", "lattice:A2+A2", "code:rm24",
+])
+def test_frames_match_networkx_cliques(spec):
+    c = registry.census(spec)
+    if spec == "code:rm24":
+        # the mixed pool of test_rm24_standard_frame_conjugates_to_hamming_frame
+        support = set(c.embeddings[0].support)
+        pool = [i for i, p in enumerate(c.points)
+                if p.kind == "hamming" and p.data[0] == 0]
+        pool += [i for i in range(16) if i not in support]
+        assert tp.enumerate_frames(c, within=pool) == _clique_frames(c, pool)
+    else:
+        assert tp.enumerate_frames(c) == _clique_frames(c, list(range(len(c))))
 
 
 def test_frame_validation():
