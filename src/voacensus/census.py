@@ -238,12 +238,12 @@ def _coset_reps(embedding: HammingEmbedding) -> list[int]:
     return sorted(reps)
 
 
-def code_census(code: BinaryCode, realize: str | None = None) -> IsingCensus:
+def code_census(code: BinaryCode, realize: IsingCensus | None = None) -> IsingCensus:
     """Frame points plus 16 points per Hamming-type embedding.
 
-    `realize` names a paired lattice model (see `paired_model`) used to
-    attach exact algebra elements; without it, cross-embedding Gram entries
-    are marked unrealized.
+    `realize` is the lattice census of a paired model (see `paired_model`)
+    whose elements are attached to the points; without it, cross-embedding
+    Gram entries are marked unrealized.
     """
     if code.rank == 0:
         raise CensusError("census of the zero code is empty of structure")
@@ -269,7 +269,7 @@ def code_census(code: BinaryCode, realize: str | None = None) -> IsingCensus:
         raise CensusCheckError(
             f"realized Gram entry ({i},{j}) differs from the code's")
     return IsingCensus(points, [base.elements[k] for k in index], realized,
-                       f"code:{realize}", frame_size=code.length,
+                       f"code:{base.algebra.lattice.name}", frame_size=code.length,
                        algebra=base.algebra, embeddings=embeddings)
 
 
@@ -308,19 +308,18 @@ def paired_model(code: BinaryCode) -> str | None:
     return None
 
 
-def _realize_code_census(code, embeddings, block_cosets, model_tag):
-    """Match census labels with idempotents of the paired lattice algebra.
+def _realize_code_census(code, embeddings, block_cosets, base):
+    """Match census labels with idempotents of the paired lattice census `base`.
 
     Frame slot 2i / 2i+1 maps to the minus / plus vector over the i-th
     coordinate axis root.  Each embedding block is matched by its Gram row
     against the frame realizations, anchored and translated by the
-    involutions of in-support frame points.  Returns the lattice census and
-    the index in it of every code census point.
+    involutions of in-support frame points.  Returns `base` and the index in
+    it of every code census point.
     """
-    lattice = rootlat.build_lattice(model_tag)
+    lattice = base.algebra.lattice
     if code.length != 2 * lattice.ambient:
-        raise CensusError(f"code length {code.length} does not pair with {model_tag}")
-    base = lattice_census(lattice)
+        raise CensusError(f"code length {code.length} does not pair with {lattice.name}")
     index = []
     for i in range(lattice.ambient):
         v = np.zeros(lattice.ambient, dtype=np.int64)

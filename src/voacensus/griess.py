@@ -26,7 +26,7 @@ from math import lcm
 import numpy as np
 
 from .exact import inverse, kernel
-from .rootlat import Mod2Class, RootLattice, _hnf_basis
+from .rootlat import LatticeError, Mod2Class, RootLattice, _hnf_basis
 
 DIM_GUARD = 512
 INT_GUARD = 1 << 62
@@ -34,6 +34,14 @@ INT_GUARD = 1 << 62
 
 class GriessError(ValueError):
     pass
+
+
+class SigmaImageError(GriessError):
+    """A sigma image failed a check; `row` indexes the first bad partner."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
 def _guard(bound: int) -> None:
@@ -142,10 +150,22 @@ class GriessAlgebra:
         # ordered pair-products landing on another pair: (p, q) -> r
         dots = (P @ P.T) // s2
         tp, tq = np.nonzero(np.abs(dots) == 1)
-        targets = np.empty(len(tp), dtype=np.int64)
-        for k, (p, q) in enumerate(zip(tp.tolist(), tq.tolist())):
-            v = P[p] - dots[p, q] * P[q]
-            targets[k] = lattice.pair_of(v)
+        # the root p - <p,q> q, signed as `pair_of` signs it (first nonzero
+        # entry positive); 512 rows at a time, since whole-table temporaries
+        # (6,720 x 8 on E8) raised the peak RSS of a rank-8 job
+        index = lattice.pair_index
+        targets = []
+        for lo in range(0, len(tp), 512):
+            p, q = tp[lo:lo + 512], tq[lo:lo + 512]
+            v = P[p] - dots[p, q][:, None] * P[q]
+            lead = v[np.arange(len(v)), np.argmax(v != 0, axis=1)]
+            signed = v * np.where(lead < 0, -1, 1)[:, None]
+            targets += [index.get(tuple(t), -1) for t in signed.tolist()]
+        targets = np.array(targets, dtype=np.int64)
+        if (targets < 0).any():
+            k = int(np.argmax(targets < 0))
+            v = P[tp[k]] - dots[tp[k], tq[k]] * P[tq[k]]
+            raise LatticeError(f"{v} is not a root of {lattice.name}")
         self._tp, self._tq, self._tr = tp, tq, targets
         self._pair_outer = np.einsum("pi,pj->pij", P, P)
         # |integer| of a product / inner numerator <= gain * a.mag * b.mag
@@ -280,17 +300,71 @@ class GriessAlgebra:
     # -- sigma rule -------------------------------------------------------------
     def sigma_image(self, e: GriessElement, f: GriessElement) -> GriessElement:
         """Involution attached to e, applied to f (both norm-1/4 idempotents)."""
-        if e == f:
+        if e == f or self.inner(e, f) == 0:
             return f
-        ip = self.inner(e, f)
-        if ip == 0:
-            return f
-        if ip != Fraction(1, 32):
-            raise GriessError(f"inner product {ip} admits no involution rule")
-        g = e + f - 4 * (e * f)
-        if 2 * self.inner(g, g) != Fraction(1, 2):
-            raise GriessError("sigma image is not a central-charge-1/2 candidate")
-        return g
+        return self.sigma_images(e, [f])[0]
+
+    def sigma_images(self, e: GriessElement, fs) -> list[GriessElement]:
+        """sigma_e(f) = e + f - 4 e f for every f in `fs`, each at <e,f> = 1/32.
+
+        The partners are stacked (carts B, pair vectors X) and the numerators
+        of all products e f are taken at once over the common denominator
+        e.den f.den s2^2; the pair-pair term is X @ M for the matrix
+        M[q, r] = s2^2 sum of a[p] over the pair products (p, q) -> r.  Each
+        image is normalised by GriessElement.  A failed check raises
+        SigmaImageError naming the first bad row, before the arithmetic it
+        guards: the int64 bound, 32 <e,f> = 1, and <g,g> = 1/4.
+
+        The bound.  With mu = e.mag f.mag, every integer is at most gain mu:
+        the inner numerator 2 tr(AB) + 2 s2^2 a.X by inner_gain mu; each
+        product numerator, and the intermediate sums that build it, by
+        product_gain mu (as in `product`); the image numerators
+        e f.den s2^2 + f e.den s2^2 - 4 (e f) and their denominator
+        e.den f.den s2^2 by (2 s2^2 + 4 product_gain) mu.  The norm check
+        on a normalised image g is bounded by inner_gain g.mag^2.
+        """
+        if not fs:
+            return []
+        s2, m, npairs = self.s2, self.m, self.npairs
+        s4 = s2 * s2
+        gain = self.inner_gain + 2 * s4 + 4 * self.product_gain
+        for row, f in enumerate(fs):
+            if gain * e.mag * f.mag >= INT_GUARD:
+                raise SigmaImageError(
+                    row, "operands too large for exact int64 arithmetic")
+        A, a = e.cart, e.xv
+        B = np.stack([f.cart for f in fs])
+        X = np.stack([f.xv for f in fs])
+        fden = np.array([f.den for f in fs], dtype=np.int64)
+        ip = 2 * np.einsum("ij,kji->k", A, B) + 2 * s4 * (X @ a)
+        for row, (num, den) in enumerate(zip(ip.tolist(), fden.tolist())):
+            if 32 * num != s4 * e.den * den:
+                raise SigmaImageError(
+                    row, f"inner product {Fraction(num, s4 * e.den * den)} "
+                         "admits no involution rule")
+        outer = self._pair_outer.reshape(npairs, m * m)
+        cart = (2 * s2 * (A @ B + B @ A)
+                + 2 * s4 * ((a * X) @ outer).reshape(-1, m, m))
+        pair_pair = np.zeros((npairs, npairs), dtype=np.int64)
+        np.add.at(pair_pair, (self._tq, self._tr), s4 * a[self._tp])
+        xv = (2 * (outer @ A.ravel()) * X + 2 * (B.reshape(-1, m * m) @ outer.T) * a
+              + X @ pair_pair)
+        g_cart = A * (s4 * fden)[:, None, None] + B * (s4 * e.den) - 4 * cart
+        g_xv = a * (s4 * fden)[:, None] + X * (s4 * e.den) - 4 * xv
+        images = [GriessElement(self, gc, gx, s4 * e.den * den)
+                  for gc, gx, den in zip(g_cart, g_xv, fden.tolist())]
+        for row, g in enumerate(images):
+            if self.inner_gain * g.mag * g.mag >= INT_GUARD:
+                raise SigmaImageError(
+                    row, "operands too large for exact int64 arithmetic")
+        G = np.stack([g.cart for g in images])
+        Y = np.stack([g.xv for g in images])
+        norm = 2 * np.einsum("kij,kji->k", G, G) + 2 * s4 * np.einsum("kp,kp->k", Y, Y)
+        for row, (num, g) in enumerate(zip(norm.tolist(), images)):
+            if 4 * num != s4 * g.den * g.den:
+                raise SigmaImageError(
+                    row, "sigma image is not a central-charge-1/2 candidate")
+        return images
 
     # -- basis bookkeeping --------------------------------------------------------
     def basis_labels(self) -> list[str]:

@@ -131,8 +131,11 @@ def commutant_census(spec: str, constraints: str) -> census_mod.IsingCensus:
 
 @lru_cache(maxsize=None)
 def code_census(tag: str) -> census_mod.IsingCensus:
+    """Census of a code, realized in its paired model's lattice census."""
     c = code(tag)
-    return census_mod.code_census(c, realize=census_mod.paired_model(c))
+    model = census_mod.paired_model(c)
+    return census_mod.code_census(
+        c, realize=None if model is None else lattice_census(model))
 
 
 CENSUS_ALIASES = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import GRAM_32ND, GRAM_ZERO, CensusError, IsingCensus
-from .griess import GriessError
+from .griess import SigmaImageError
 
 
 class TranspoError(ValueError):
@@ -139,16 +139,19 @@ def _sigma_rows(census: IsingCensus):
     known = np.zeros(n, dtype=bool)
     while not known.all():
         s = int(np.argmin(known))
-        for j in np.flatnonzero(partners[s]):
+        js = np.flatnonzero(partners[s])
+        try:
+            images = algebra.sigma_images(census.elements[s],
+                                          [census.elements[j] for j in js])
+        except SigmaImageError as exc:
+            raise SigmaCheckError(
+                f"sigma image of ({s},{js[exc.row]}) failed: {exc}") from exc
+        for j, image in zip(js, images):
             try:
-                table[s, j] = census.element_index(algebra.sigma_image(
-                    census.elements[s], census.elements[j]))
+                table[s, j] = census.element_index(image)
             except CensusError as exc:
                 raise SigmaCheckError(
                     f"census not closed: image of ({s},{j}) is missing") from exc
-            except GriessError as exc:
-                raise SigmaCheckError(
-                    f"sigma image of ({s},{j}) failed: {exc}") from exc
         known[s] = True
         seeds.append(s)
         frontier = np.flatnonzero(known)

@@ -4,7 +4,8 @@
 placed each coset once along a tree: it applies every support involution to
 every placed point and checks each revisit.  `hamming_embeddings_by_trio`
 builds a code, one GF(2) elimination, for every trio of weight-4 words, with
-its own elimination onto the support.  Both are kept as they were.
+its own elimination onto the support.  Both are kept as they were; the
+translations take their sigma images from the product oracle.
 """
 
 from itertools import combinations
@@ -12,6 +13,8 @@ from itertools import combinations
 from voacensus import gf2code
 from voacensus.census import CensusError
 from voacensus.gf2code import BinaryCode, HammingEmbedding, weight
+
+from transpo_oracle import product_sigma_image
 
 
 def translate_block_all_edges(algebra, frame_elems, emb, reps, anchor, cands):
@@ -26,7 +29,7 @@ def translate_block_all_edges(algebra, frame_elems, emb, reps, anchor, cands):
         cur = frontier.pop()
         for i in support:
             target_rep = _rep_of(cur ^ (1 << i), sub_words, reps)
-            img = algebra.sigma_image(frame_elems[i], placed[cur])
+            img = product_sigma_image(algebra, frame_elems[i], placed[cur])
             if img.key() not in cand_keys:
                 raise CensusError("translated block point left the candidate set")
             if target_rep in placed:

@@ -39,7 +39,8 @@ def test_criterion_01_code_census_counts():
         cases.append((f"dcode{2 * n}", gc.structure_code_dplus(n), expect))
     for tag, code, expect in cases:
         t0 = time.monotonic()
-        got = len(cz.code_census(code, realize=cz.paired_model(code)))
+        model = registry.lattice_census(cz.paired_model(code))
+        got = len(cz.code_census(code, realize=model))
         dt = time.monotonic() - t0
         timings.append(dt)
         results.append(got == expect)

@@ -1,9 +1,12 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import census_oracle as oracle
+import transpo_oracle
 from voacensus import census as cz
 from voacensus import gf2code as gc
 from voacensus import registry, rootlat
@@ -96,7 +99,7 @@ def test_census_closed_under_sigma():
     c = registry.census("me6")
     alg = c.algebra
     for i, j in np.argwhere(np.triu(c.gram == GRAM_32ND, k=1))[:60]:
-        g = alg.sigma_image(c.elements[i], c.elements[j])
+        g = transpo_oracle.product_sigma_image(alg, c.elements[i], c.elements[j])
         c.element_index(g)  # raises if missing
 
 
@@ -207,6 +210,28 @@ def test_combinatorial_gram_matches_realization():
     assert (raw.gram[mask] == real.gram[mask]).all()
 
 
+# counts lattice censuses built in a fresh process that asks for a code
+# census and then for its paired model's lattice census
+_COUNT_LATTICE_CENSUSES = """
+from collections import Counter
+from voacensus import census, registry
+calls, build = Counter(), census.lattice_census
+def counting(lattice, algebra=None):
+    calls[lattice.name] += 1
+    return build(lattice, algebra)
+census.lattice_census = counting
+registry.census("code:rm24")
+registry.census("lattice:E8H")
+print(calls["E8H"])
+"""
+
+
+def test_paired_model_census_built_once_per_process():
+    out = subprocess.run([sys.executable, "-c", _COUNT_LATTICE_CENSUSES],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["1"]
+
+
 def _realize_recording_blocks(monkeypatch, tag):
     """Realize code `tag` afresh; returns the census and, per block, the
     arguments of its translation, the placed points and the products used."""
@@ -227,7 +252,8 @@ def _realize_recording_blocks(monkeypatch, tag):
     monkeypatch.setattr(GriessAlgebra, "sigma_image", counting_sigma)
     monkeypatch.setattr(cz, "_translate_block", record)
     code = registry.code(tag)
-    census = cz.code_census(code, realize=cz.paired_model(code))
+    model = registry.lattice_census(cz.paired_model(code))
+    census = cz.code_census(code, realize=model)
     monkeypatch.undo()
     return census, blocks
 
@@ -273,8 +299,9 @@ def test_translate_block_rejects_corrupted_input(monkeypatch):
 
     monkeypatch.setattr(cz, "_translate_block", exchange)
     code = registry.code("hamming8")
+    model = registry.lattice_census(cz.paired_model(code))
     with pytest.raises(cz.CensusCheckError, match="Gram"):
-        cz.code_census(code, realize=cz.paired_model(code))
+        cz.code_census(code, realize=model)
 
 
 def test_gram_law_violation_is_check_error():

@@ -4,11 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from voacensus import census, cli, gf2code, registry, transpo
 from voacensus.census import IsingCensus
-from voacensus.griess import GriessAlgebra, GriessError
+from voacensus.griess import GriessAlgebra, SigmaImageError
 
 RUN = [sys.executable, "-m", "voacensus.cli"]
 # exit code and JSON minus wall_time_s of griess product/commutant reports on
@@ -194,8 +195,15 @@ def test_failed_sigma_check_exits_1(monkeypatch):
     elems[0], elems[1] = elems[1], elems[0]
     swapped = IsingCensus(good.points, elems, good.gram, "swapped",
                           algebra=good.algebra)
-    with pytest.raises(transpo.SigmaCheckError, match="Gram"):
+    # the Gram codes 1/32 for a pair whose elements are orthogonal
+    with pytest.raises(transpo.SigmaCheckError,
+                       match="inner product 0 admits no involution rule"):
         transpo.sigma_permutations(swapped)
+    # true rows against the Gram with points 0 and 1 exchanged
+    swap = [1, 0] + list(range(2, len(good)))
+    with pytest.raises(transpo.SigmaCheckError, match="Gram"):
+        transpo.SigmaTable(registry.sigma_table("ma3").rows.copy(),
+                           good.gram[np.ix_(swap, swap)], range(len(good)))
     dropped = good.subcensus(range(1, len(good)), "dropped")
     with pytest.raises(transpo.SigmaCheckError, match="not closed"):
         transpo.sigma_permutations(dropped)
@@ -206,12 +214,15 @@ def test_failed_sigma_check_exits_1(monkeypatch):
 
 def test_failed_sigma_image_exits_1(monkeypatch):
     fresh = registry.census("ma3").subcensus(range(6), "fresh")
+    last = np.flatnonzero(fresh.gram[0] == census.GRAM_32ND)[-1]
 
-    def refuse(self, e, f):
-        raise GriessError("sigma image is not a central-charge-1/2 candidate")
+    def refuse(self, e, fs):
+        raise SigmaImageError(len(fs) - 1,
+                              "sigma image is not a central-charge-1/2 candidate")
 
-    monkeypatch.setattr(GriessAlgebra, "sigma_image", refuse)
-    with pytest.raises(transpo.SigmaCheckError, match="candidate"):
+    monkeypatch.setattr(GriessAlgebra, "sigma_images", refuse)
+    with pytest.raises(transpo.SigmaCheckError,
+                       match=rf"sigma image of \(0,{last}\) failed: .*candidate"):
         transpo.sigma_permutations(fresh)
     monkeypatch.setattr(registry, "census", lambda spec: fresh)
     assert cli.main(["group", "--census", "refused-image"]) == 1

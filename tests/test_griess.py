@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voacensus import exact
+from voacensus import exact, registry
 from voacensus import rootlat as rl
-from voacensus.census import CensusError, gram_from_elements
-from voacensus.griess import (INT_GUARD, GriessElement, GriessError,
+from voacensus.census import GRAM_32ND, GRAM_ZERO, CensusError, gram_from_elements
+from voacensus.griess import (INT_GUARD, GriessElement, GriessError, SigmaImageError,
                               verify_orthogonal_split, verify_twist_chain)
 from voacensus.registry import algebra
+
+import transpo_oracle
 
 CATALOG = ([f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(2, 13)] +
            ["E6", "E7", "E8", "E8H", "D4C", "D6C", "D8C"])
@@ -199,6 +201,55 @@ def test_sigma_twist_chain_image():
     phiwt = alg.phi_twist(a0, wt)
     wplus = alg.w_vector(alg.lattice.pair_of(a0), 1).element
     assert alg.sigma_image(wt, phiwt) == wplus
+
+
+def _point_with_partners():
+    """e8full point 0, its 1/32 partners and the points orthogonal to it."""
+    c = registry.census("e8full")
+    row = c.gram[0]
+    return (c.algebra, c.elements[0],
+            [c.elements[j] for j in np.flatnonzero(row == GRAM_32ND)],
+            [c.elements[j] for j in np.flatnonzero(row == GRAM_ZERO)])
+
+
+def test_sigma_images_refuse_bad_rows():
+    alg, e, partners, orthogonal = _point_with_partners()
+    f, h = partners[:2]
+    assert [g.key() for g in alg.sigma_images(e, [f, h])] == \
+        [transpo_oracle.product_sigma_image(alg, e, x).key() for x in (f, h)]
+    assert alg.sigma_images(e, []) == []
+    # a 0 pair in the batch is not taken for a fixed point
+    with pytest.raises(SigmaImageError,
+                       match="inner product 0 admits no involution rule") as exc:
+        alg.sigma_images(e, [f, orthogonal[0], h])
+    assert exc.value.row == 1
+    # f + z meets e at 1/32, but with z orthogonal to e, f and sigma_e(f)
+    # its image sigma_e(f) + z has norm 1/2
+    image = transpo_oracle.product_sigma_image(alg, e, f)
+    z = next(z for z in orthogonal if z.inner(f) == 0 and z.inner(image) == 0)
+    with pytest.raises(SigmaImageError, match="central-charge-1/2 candidate") as exc:
+        alg.sigma_images(e, [h, f + z])
+    assert exc.value.row == 1
+    # entries near 2^40 with <e, f> = 1/32 still: refused, not wrapped, and
+    # before any arithmetic, so also behind a 0 pair
+    big = f + Fraction(1, 2 ** 40) * orthogonal[0]
+    assert big.inner(e) == Fraction(1, 32) and big.mag >= 2 ** 40
+    for batch in ([f, big], [orthogonal[0], big]):
+        with pytest.raises(SigmaImageError, match="too large") as exc:
+            alg.sigma_images(e, batch)
+        assert exc.value.row == 1
+    with pytest.raises(GriessError, match="too large"):
+        alg.sigma_image(e, big)
+
+
+def test_pair_targets_match_pair_of():
+    for tag in CATALOG:
+        alg = algebra(tag)
+        lat, P = alg.lattice, alg.pairs
+        dots = (P @ P.T) // lat.scale_sq
+        want = [lat.pair_of(P[p] - dots[p, q] * P[q])
+                for p, q in zip(alg._tp.tolist(), alg._tq.tolist())]
+        assert alg._tr.tolist() == want, tag
 
 
 @pytest.mark.parametrize("tag,dim", [("A2", 3), ("A3", 6), ("D4", 12),

@@ -1,16 +1,36 @@
 """Full-scan references for the transpo checks, used only by the tests.
 
-Each function visits every point (or every row) of a plain permutation
+Each scan visits every point (or every row) of a plain permutation
 table, with no use of orbits.  They are the scans `transpo` ran before it
 checked one point per orbit of a checked SigmaTable, kept as they were.
+`product_sigma_image` is the one-pair sigma rule through
+`GriessAlgebra.product` and `inner`, as `griess` computed it before its rows
+were stacked.
 """
 
+from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
 from voacensus import transpo as tp
 from voacensus.census import GRAM_32ND, GRAM_ZERO
+from voacensus.griess import GriessError
+
+
+def product_sigma_image(alg, e, f):
+    """sigma_e(f) = e + f - 4 e f from one Griess product, with its checks."""
+    if e == f:
+        return f
+    ip = alg.inner(e, f)
+    if ip == 0:
+        return f
+    if ip != Fraction(1, 32):
+        raise GriessError(f"inner product {ip} admits no involution rule")
+    g = e + f - 4 * alg.product(e, f)
+    if 2 * alg.inner(g, g) != Fraction(1, 2):
+        raise GriessError("sigma image is not a central-charge-1/2 candidate")
+    return g
 
 
 def perm_order(p: np.ndarray) -> int:
