@@ -3,9 +3,3 @@ vertex algebras, the 3-transposition groups their involutions generate, and
 the q-series characters of the associated commutant algebras."""
 
 __version__ = "0.1.0"
-
-from .gf2code import BinaryCode, HammingEmbedding, named_code  # noqa: F401
-from .rootlat import RootLattice, build_lattice, sublattice_embedding  # noqa: F401
-from .griess import ConformalVector, GriessAlgebra, GriessElement  # noqa: F401
-from .census import IsingCensus, IsingPoint, code_census, lattice_census  # noqa: F401
-from .qchar import QSeries, minimal_character, verify_decompositions  # noqa: F401

@@ -2,8 +2,12 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.  Big
 integers are always serialized as decimal strings.  VOA_CUTOFF overrides the
-default character cutoff.  A --seed option is accepted and ignored: nothing
-on the result path is randomized.
+default character cutoff; --cutoff and VOA_CUTOFF above MAX_CUTOFF are
+rejected before any series is built.  A --seed option is accepted and
+ignored: nothing on the result path is randomized.
+
+Each command imports only the modules it uses: `code` and the `characters
+show` forms other than vfull and vplus run without numpy.
 """
 
 from __future__ import annotations
@@ -14,13 +18,7 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import __version__, registry, transpo
-from . import qchar
-from .census import GRAM_32ND, CensusCheckError
-from .griess import verify_orthogonal_split, verify_twist_chain
-from .rootlat import sublattice_embedding
+from . import __version__, registry
 
 
 _SERIES_HELP = ("minimal:m:r:s | vplus:TAG | vfull:TAG | w:l:j:k | man:N:2s | "
@@ -28,6 +26,9 @@ _SERIES_HELP = ("minimal:m:r:s | vplus:TAG | vfull:TAG | w:l:j:k | man:N:2s | "
 # fields after the kind, per series kind
 _SERIES_FIELDS = {form.split(":")[0]: form.count(":")
                   for form in _SERIES_HELP.split(" | ")}
+# the largest character cutoff accepted: bigger ones exhaust memory or time
+# in the coefficient lists and alternating sums
+MAX_CUTOFF = 10_000
 
 
 def _default_cutoff() -> int:
@@ -127,6 +128,7 @@ def run(args) -> dict:
             report["results"]["frames"] = counts.get("frame", 0)
             report["results"]["hamming_points"] = counts.get("hamming", 0)
     elif args.command == "group":
+        from . import transpo
         spec = args.censusspec
         if args.orthogonal_to:
             spec = f"commutant:{spec}:{args.orthogonal_to}"
@@ -158,6 +160,9 @@ def run(args) -> dict:
                 }
         report["results"] = res
     elif args.command == "fischer":
+        import numpy as np
+
+        from . import transpo
         c = registry.census(args.censusspec)
         table = registry.sigma_table(args.censusspec)
         space = transpo.fischer_space(c, table)
@@ -195,6 +200,8 @@ def run(args) -> dict:
             kern = alg.commutant_weight2(_element(tag, args.vector))
             report["results"] = {"dimension": len(kern)}
         else:  # verify
+            from .griess import verify_orthogonal_split, verify_twist_chain
+            from .rootlat import sublattice_embedding
             if args.which == "twist-chain":
                 emb = sublattice_embedding("A1_E7_in_E8")
                 rep = verify_twist_chain(registry.algebra("E8"), emb.alpha0)
@@ -210,7 +217,11 @@ def run(args) -> dict:
         cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
         if cutoff < 0:
             raise registry.RegistryError(f"cutoff {cutoff} is negative")
+        if cutoff > MAX_CUTOFF:
+            raise registry.RegistryError(
+                f"cutoff {cutoff} is above the ceiling {MAX_CUTOFF}")
         if args.ccommand == "verify":
+            from . import qchar
             checks = qchar.verify_decompositions(cutoff)
             report["results"] = {"cutoff": cutoff, "checks": checks,
                                  "failures": [c["identity"] for c in checks
@@ -223,6 +234,9 @@ def run(args) -> dict:
 
 
 def _noncommuting_pair(c):
+    import numpy as np
+
+    from .census import GRAM_32ND
     idx = np.argwhere(np.triu(c.gram == GRAM_32ND, k=1))
     if len(idx) == 0:
         return None
@@ -230,6 +244,7 @@ def _noncommuting_pair(c):
 
 
 def _show_series(spec: str, cutoff: int) -> dict:
+    from . import qchar
     kind, *parts = spec.split(":")
     if len(parts) != _SERIES_FIELDS.get(kind):
         raise registry.RegistryError(
@@ -284,6 +299,7 @@ def _emit(report: dict, fmt: str, output) -> None:
 
 
 def _json_default(obj):
+    import numpy as np
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, (np.integer,)):
@@ -305,7 +321,9 @@ def main(argv=None) -> int:
                   "error": str(exc)}
         # a failed sigma-table or census check is a check failure, not a
         # usage error
-        checks = (transpo.SigmaCheckError, CensusCheckError)
+        from .census import CensusCheckError
+        from .transpo import SigmaCheckError
+        checks = (SigmaCheckError, CensusCheckError)
         code = 1 if isinstance(exc, checks) else 2
     try:
         _emit(report, args.format, args.output)

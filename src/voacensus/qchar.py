@@ -1,20 +1,27 @@
 """Exact truncated q-series characters: graded dimensions and branching checks.
 
-A QSeries is a sparse map from exact rational exponents to integer
-coefficients, with an inclusive validity bound: coefficients at exponents
-<= cutoff are correct, larger exponents are unknown.  No floating point
-appears anywhere.
+A QSeries lives on an integer grid: coefficient i sits at exponent
+base + i/den, with `base` a Fraction, `den` an int and the coefficients one
+tuple of Python ints.  Each series has an inclusive validity bound:
+coefficients at exponents <= cutoff are correct, larger exponents are
+unknown.  No floating point appears anywhere.
+
+Only the lattice characters (`vfull`, `vplus`, the rank-7 coset) need
+numpy, `registry` and `rootlat`; they import them when called, so the
+minimal, affine, branching and tower characters run without numpy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from . import registry, rootlat
+    from . import rootlat
 
 
 class QSeriesError(ValueError):
@@ -22,14 +29,65 @@ class QSeriesError(ValueError):
 
 
 class QSeries:
-    """Sparse exact power series in q with rational exponents."""
+    """Exact power series in q with rational exponents, on an integer grid.
 
-    __slots__ = ("coeffs", "cutoff")
+    Coefficient i of `coeffs` sits at exponent base + i/den.  The form is
+    canonical after every operation: the first and last coefficients are
+    nonzero, none lies past the cutoff, and den is coprime to the indices
+    of the nonzero coefficients.  So a series ends at its last nonzero
+    coefficient, not at its cutoff, and the lcm of its exponents'
+    denominators is lcm(base.denominator, den).  The zero series has base
+    0, den 1 and no coefficients.
+    """
 
-    def __init__(self, coeffs: dict, cutoff):
+    __slots__ = ("base", "den", "coeffs", "cutoff")
+
+    def __init__(self, terms: dict, cutoff):
+        """The series of an exponent -> coefficient map."""
         cut = Fraction(cutoff)
-        self.coeffs = {Fraction(e): int(c) for e, c in coeffs.items()
-                       if c != 0 and Fraction(e) <= cut}
+        terms = {e: c for e, c in ((Fraction(e), int(c)) for e, c in terms.items())
+                 if c and e <= cut}
+        base = min(terms, default=Fraction(0))
+        den = lcm(*[(e - base).denominator for e in terms])
+        coeffs = [0] * (int((max(terms, default=base) - base) * den) + 1)
+        for e, c in terms.items():
+            coeffs[int((e - base) * den)] = c
+        self._assign(base, den, coeffs, cut)
+
+    @classmethod
+    def grid(cls, base, den: int, coeffs, cutoff) -> "QSeries":
+        """The series with coefficient coeffs[i] at exponent base + i/den."""
+        series = cls.__new__(cls)
+        series._assign(Fraction(base), den, coeffs, Fraction(cutoff))
+        return series
+
+    def _assign(self, base: Fraction, den: int, coeffs, cut: Fraction) -> None:
+        """Store the canonical form: trim to the cutoff, strip zeros at both
+        ends, then coarsen the grid by the gcd of the nonzero indices."""
+        hi = min(len(coeffs), (cut - base) * den // 1 + 1) if base <= cut else 0
+        while hi and not coeffs[hi - 1]:
+            hi -= 1
+        lo = 0
+        while lo < hi and not coeffs[lo]:
+            lo += 1
+        if lo == hi:
+            base, den, coeffs = Fraction(0), 1, ()
+        else:
+            coeffs = tuple(coeffs[lo:hi])
+            if lo:
+                base += Fraction(lo, den)
+            step = den
+            for i, c in enumerate(coeffs):
+                if step == 1:
+                    break
+                if c and i % step:
+                    step = gcd(step, i)
+            if step > 1:
+                coeffs = coeffs[::step]
+                den //= step
+        self.base = base
+        self.den = den
+        self.coeffs = coeffs
         self.cutoff = cut
 
     # -- inspection ---------------------------------------------------------
@@ -37,10 +95,13 @@ class QSeries:
         e = Fraction(expo)
         if e > self.cutoff:
             raise QSeriesError(f"exponent {e} beyond validity bound {self.cutoff}")
-        return self.coeffs.get(e, 0)
+        i = (e - self.base) * self.den
+        if i.denominator != 1 or not 0 <= i < len(self.coeffs):
+            return 0
+        return self.coeffs[int(i)]
 
     def min_exponent(self) -> Fraction:
-        return min(self.coeffs) if self.coeffs else Fraction(0)
+        return self.base
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -48,72 +109,92 @@ class QSeries:
     @property
     def denom(self) -> int:
         """Exponent granularity: lcm of exponent denominators."""
-        if not self.coeffs:
-            return 1
-        return lcm(*[e.denominator for e in self.coeffs])
+        return lcm(self.base.denominator, self.den) if self.coeffs else 1
 
     def items(self):
-        return sorted(self.coeffs.items())
+        return [(self.base + Fraction(i, self.den), c)
+                for i, c in enumerate(self.coeffs) if c]
 
     def nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coeffs.values())
+        return all(c >= 0 for c in self.coeffs)
 
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, other: "QSeries") -> "QSeries":
         cut = min(self.cutoff, other.cutoff)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return QSeries(out, cut)
+        if not (self.coeffs and other.coeffs):
+            s = self if self.coeffs else other
+            return QSeries.grid(s.base, s.den, s.coeffs, cut)
+        base = min(self.base, other.base)
+        den = lcm(self.den, other.den, (self.base - other.base).denominator)
+        # (coefficients, offset, stride) of each summand on the common grid
+        spans = [(s.coeffs, int((s.base - base) * den), den // s.den)
+                 for s in (self, other)]
+        out = [0] * max(off + step * len(c) for c, off, step in spans)
+        for c, off, step in spans:
+            end = off + step * len(c)
+            out[off:end:step] = [o + x for o, x in zip(out[off:end:step], c)]
+        return QSeries.grid(base, den, out, cut)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-1) * other
 
     def __rmul__(self, scalar: int) -> "QSeries":
-        return QSeries({e: scalar * c for e, c in self.coeffs.items()}, self.cutoff)
+        return QSeries.grid(self.base, self.den, [scalar * c for c in self.coeffs],
+                            self.cutoff)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        if self.is_zero() or other.is_zero():
-            return QSeries({}, min(self.cutoff + other.min_exponent(),
-                                   other.cutoff + self.min_exponent()))
-        cut = min(self.cutoff + other.min_exponent(),
-                  other.cutoff + self.min_exponent())
-        out: dict[Fraction, int] = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                e = ea + eb
-                if e <= cut:
-                    out[e] = out.get(e, 0) + ca * cb
-        return QSeries(out, cut)
+        """Truncated convolution on the common grid of the two factors."""
+        # a zero factor enters the bound with base 0, its min_exponent
+        cut = min(self.cutoff + other.base, other.cutoff + self.base)
+        base = self.base + other.base
+        if not self.coeffs or not other.coeffs or base > cut:
+            return QSeries.grid(0, 1, (), cut)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        # the list ends at the cutoff or at the product's last term
+        top = min((cut - base) * den // 1,
+                  sa * (len(self.coeffs) - 1) + sb * (len(other.coeffs) - 1))
+        out = [0] * (top + 1)
+        right = other.coeffs
+        for i, ca in enumerate(self.coeffs):
+            k = i * sa
+            if k > top:
+                break
+            if ca:
+                n = min(len(right), (top - k) // sb + 1)
+                end = k + sb * n
+                out[k:end:sb] = [o + ca * cb for o, cb in zip(out[k:end:sb], right)]
+        return QSeries.grid(base, den, out, cut)
 
     def shift(self, delta) -> "QSeries":
         d = Fraction(delta)
-        return QSeries({e + d: c for e, c in self.coeffs.items()}, self.cutoff + d)
+        return QSeries.grid(self.base + d, self.den, self.coeffs, self.cutoff + d)
 
     def truncate(self, cutoff) -> "QSeries":
-        return QSeries(self.coeffs, min(self.cutoff, Fraction(cutoff)))
+        return QSeries.grid(self.base, self.den, self.coeffs,
+                            min(self.cutoff, Fraction(cutoff)))
 
     # -- comparison --------------------------------------------------------------
     def first_mismatch(self, other: "QSeries"):
-        """The smallest exponent (within both bounds) where the series differ."""
-        bound = min(self.cutoff, other.cutoff)
-        expos = {e for e in self.coeffs if e <= bound}
-        expos |= {e for e in other.coeffs if e <= bound}
-        for e in sorted(expos):
-            if self.coeffs.get(e, 0) != other.coeffs.get(e, 0):
-                return e
-        return None
+        """The smallest exponent (within both bounds) where the series differ.
+
+        The difference is valid through the smaller bound and starts at its
+        first nonzero coefficient.
+        """
+        diff = self - other
+        return diff.base if diff.coeffs else None
 
     def agrees_with(self, other: "QSeries") -> bool:
         return self.first_mismatch(other) is None
 
     def __repr__(self) -> str:
-        terms = ", ".join(f"{c}*q^{e}" for e, c in self.items()[:6])
-        return f"QSeries({terms}{', ...' if len(self.coeffs) > 6 else ''}; <= {self.cutoff})"
+        items = self.items()
+        terms = ", ".join(f"{c}*q^{e}" for e, c in items[:6])
+        return f"QSeries({terms}{', ...' if len(items) > 6 else ''}; <= {self.cutoff})"
 
 
 def one(cutoff) -> QSeries:
-    return QSeries({Fraction(0): 1}, cutoff)
+    return QSeries.grid(0, 1, (1,), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +223,7 @@ def _product_power(ell: int, cutoff: int, step: int) -> QSeries:
             else:           # divide by 1 - q^n, bottom coefficient first
                 for m in range(n, N + 1):
                     p[m] += p[m - n]
-    return QSeries({Fraction(n): p[n] for n in range(N + 1)}, N)
+    return QSeries.grid(0, 1, p, N)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +251,8 @@ def unitary_central_charge(m: int) -> Fraction:
 
 
 def unitary_weight(m: int, r: int, s: int) -> Fraction:
+    if m < 0:
+        raise QSeriesError(f"degree {m} is negative")
     if not (1 <= r <= m + 1 and 1 <= s <= m + 2):
         raise QSeriesError(f"(r,s)=({r},{s}) outside the degree-{m} table")
     return Fraction((r * (m + 3) - s * (m + 2)) ** 2 - 1, 4 * (m + 2) * (m + 3))
@@ -187,14 +270,14 @@ def minimal_character(m: int, r: int, s: int, upto: int) -> QSeries:
     depth = int(upto - h) if upto >= h else -1
     if depth < 0:
         return QSeries({}, Fraction(upto))
-    terms: dict[Fraction, int] = {}
+    # every exponent is a nonnegative integer: (r, s) lies inside the table
+    numer = [0] * (depth + 1)
     for e, c in _alternating_terms(
             lambda k: ((p * pp * k * k + k * (r * pp - s * p), 1),
                        (p * pp * k * k + k * (r * pp + s * p) + r * s, -1)),
             depth):
-        terms[Fraction(e)] = terms.get(Fraction(e), 0) + c
-    numer = QSeries(terms, depth)
-    series = numer * euler_power(-1, depth)
+        numer[e] += c
+    series = QSeries.grid(0, 1, numer, depth) * euler_power(-1, depth)
     return series.shift(h).truncate(upto)
 
 
@@ -203,28 +286,31 @@ def minimal_character(m: int, r: int, s: int, upto: int) -> QSeries:
 
 def vfull_character(tag: str, upto: int) -> QSeries:
     """Graded dimension of the doubled-lattice vertex algebra."""
+    from . import registry
     return _lattice_character(registry.lattice(tag), upto)
 
 
 def _lattice_character(lat: rootlat.RootLattice, upto: int,
                        shift: np.ndarray | None = None) -> QSeries:
     """Theta series of shift + lat over the rank-fold Euler product."""
+    from . import rootlat
     theta = QSeries(rootlat.norm_counts(lat, upto, shift), upto)
     return (theta * euler_power(-lat.rank, upto)).truncate(upto)
 
 
 def vplus_character(tag: str, upto: int) -> QSeries:
     """Graded dimension of the involution-fixed subalgebra."""
+    from . import registry
     lat = registry.lattice(tag)
     untwisted = vfull_character(tag, upto)
     twisted = twisted_inverse_power(lat.rank, upto)
     both = untwisted + twisted
-    return QSeries({e: c // 2 if c % 2 == 0 else _odd_fail(e)
-                    for e, c in both.coeffs.items()}, both.cutoff)
-
-
-def _odd_fail(e):
-    raise QSeriesError(f"odd combined multiplicity at exponent {e}")
+    for i, c in enumerate(both.coeffs):
+        if c % 2:
+            raise QSeriesError("odd combined multiplicity at exponent "
+                               f"{both.base + Fraction(i, both.den)}")
+    return QSeries.grid(both.base, both.den, [c // 2 for c in both.coeffs],
+                        both.cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +327,12 @@ class TwoVarSeries:
 
     def z_slice(self, k: int) -> QSeries:
         """Depth series of the z^k component (offset none, integer grid)."""
-        out = {Fraction(n): sl.get(k, 0) for n, sl in enumerate(self.slices)}
-        return QSeries(out, len(self.slices) - 1)
+        return QSeries.grid(0, 1, [sl.get(k, 0) for sl in self.slices],
+                            len(self.slices) - 1)
 
     def specialize_z1(self) -> QSeries:
-        out = {self.h + n: sum(sl.values()) for n, sl in enumerate(self.slices)}
-        return QSeries(out, self.h + len(self.slices) - 1)
+        return QSeries.grid(self.h, 1, [sum(sl.values()) for sl in self.slices],
+                            self.h + len(self.slices) - 1)
 
     def z_symmetric(self) -> bool:
         return all(sl.get(z, 0) == sl.get(-z, 0)
@@ -573,6 +659,9 @@ def verify_decompositions(depth: int = 8) -> list[dict]:
 
 def _coset_a7_character(upto: int) -> QSeries:
     """Graded dimension of the xi-shifted rank-7 lattice coset module."""
+    import numpy as np
+
+    from . import rootlat
     emb = rootlat.sublattice_embedding("A7_in_E7_with_xi")
     # the sublattice as its own enumeration problem: A7 with shift xi
     a7 = rootlat.RootLattice("A7@E7", "A", 7, 8, emb.ambient.scale_sq,

@@ -2,17 +2,22 @@
 
 The CLI and the test suite resolve every object through this module, so the
 same cached instances back both.  All constructions are deterministic.
+Codes need only `gf2code`; numpy and the lattice, Griess and census modules
+are imported by the functions that use them, so resolving a code or the
+`RegistryError` class loads no numpy.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import gf2code
 
-from . import census as census_mod
-from . import gf2code, rootlat
-from .griess import GriessAlgebra, GriessElement
+if TYPE_CHECKING:
+    from . import census as census_mod
+    from . import rootlat
+    from .griess import GriessAlgebra, GriessElement
 
 
 class RegistryError(ValueError):
@@ -58,6 +63,7 @@ def lattice_tags(spec: str) -> list[str]:
 
 @lru_cache(maxsize=None)
 def lattice(tag: str) -> rootlat.RootLattice:
+    from . import rootlat
     try:
         return rootlat.build_lattice(tag)
     except rootlat.LatticeError as exc:
@@ -66,16 +72,19 @@ def lattice(tag: str) -> rootlat.RootLattice:
 
 @lru_cache(maxsize=None)
 def algebra(tag: str) -> GriessAlgebra:
+    from .griess import GriessAlgebra
     return GriessAlgebra(lattice(tag))
 
 
 @lru_cache(maxsize=None)
 def alpha0() -> tuple:
+    from . import rootlat
     return rootlat.sublattice_embedding("A1_E7_in_E8").alpha0
 
 
 def constraint_element(alg: GriessAlgebra, name: str) -> GriessElement:
     """Constraint vectors for commutant filters: wtilde | s | phi:alpha0."""
+    import numpy as np
     name = name.strip().lower()
     if name == "wtilde":
         return alg.conformal_wtilde().element
@@ -90,6 +99,7 @@ def constraint_element(alg: GriessAlgebra, name: str) -> GriessElement:
 @lru_cache(maxsize=None)
 def lattice_census(spec: str) -> census_mod.IsingCensus:
     """Census of a lattice spec; direct sums are concatenated blockwise."""
+    from . import census as census_mod
     tags = lattice_tags(spec)
     if not tags:
         raise RegistryError("empty lattice spec")
@@ -101,6 +111,9 @@ def lattice_census(spec: str) -> census_mod.IsingCensus:
 
 
 def _direct_sum_census(parts, spec: str) -> census_mod.IsingCensus:
+    import numpy as np
+
+    from . import census as census_mod
     points = []
     total = sum(len(p) for p in parts)
     gram = np.zeros((total, total), dtype=np.int8)
@@ -119,6 +132,7 @@ def _direct_sum_census(parts, spec: str) -> census_mod.IsingCensus:
 @lru_cache(maxsize=None)
 def commutant_census(spec: str, constraints: str) -> census_mod.IsingCensus:
     """Filter the lattice census of `spec` by comma-separated constraints."""
+    from . import census as census_mod
     tags = lattice_tags(spec)
     if len(tags) != 1:
         raise RegistryError("commutant filters need an indecomposable lattice")
@@ -132,6 +146,7 @@ def commutant_census(spec: str, constraints: str) -> census_mod.IsingCensus:
 @lru_cache(maxsize=None)
 def code_census(tag: str) -> census_mod.IsingCensus:
     """Census of a code, realized in its paired model's lattice census."""
+    from . import census as census_mod
     c = code(tag)
     model = census_mod.paired_model(c)
     return census_mod.code_census(

@@ -180,6 +180,50 @@ def test_bad_character_input_is_usage_error(args, cutoff_env):
     assert data["ok"] is False and data["error"]
 
 
+@pytest.mark.parametrize("cutoff", [cli.MAX_CUTOFF + 1, 10 ** 12])
+@pytest.mark.parametrize("obj", ["minimal:1:1:1", "w:2:0:0"])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_cutoff_above_ceiling_is_usage_error(cutoff, obj, via_env):
+    env = {k: v for k, v in os.environ.items() if k != "VOA_CUTOFF"}
+    args = ["characters", "show", obj]
+    if via_env:
+        env["VOA_CUTOFF"] = str(cutoff)
+    else:
+        args += ["--cutoff", str(cutoff)]
+    proc = subprocess.run(RUN + args, capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    data = json.loads(proc.stdout)
+    assert data["ok"] is False and "ceiling" in data["error"]
+
+
+def test_negative_degree_is_usage_error():
+    code, data = invoke_json(["characters", "show", "minimal:-1:1:1"])
+    assert code == 2
+    assert data["error"] == "degree -1 is negative"
+
+
+def test_numpy_free_commands():
+    # a fresh interpreter: numpy stays unloaded where no array is needed
+    script = """
+import contextlib, io, sys
+from voacensus import cli
+assert "numpy" not in sys.modules, "import"
+for argv in (["characters", "show", "man:6:4"],
+             ["characters", "show", "minimal:2:1:3"],
+             ["characters", "show", "w:4:1:3"],
+             ["characters", "show", "affine:2:1"],
+             ["code", "rm24"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_empty_lattice_tag_is_usage_error():
     proc = subprocess.run(RUN + ["griess", "build", ""],
                           capture_output=True, text=True)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qseries_oracle
 from voacensus import qchar as qc
 from verma_oracle import irreducible_dims
 
@@ -93,6 +94,79 @@ def test_qseries_ring_axioms(a, b, c):
     lhs = a * (b + c)
     rhs = a * b + a * c
     assert lhs.truncate(min(lhs.cutoff, rhs.cutoff)).agrees_with(rhs)
+
+
+def _fraction(num_lo, num_hi, den_hi=12):
+    return st.builds(Fraction, st.integers(num_lo, num_hi), st.integers(1, den_hi))
+
+
+@st.composite
+def grid_terms(draw):
+    """Terms on a random grid base + i/den; base denominators run 1..12.
+
+    Coefficients may be 0 and the index list may be empty, so zero series
+    come up, and the cutoff may fall below the base.
+    """
+    base = draw(_fraction(-24, 24))
+    den = draw(st.integers(1, 6))
+    indices = draw(st.lists(st.integers(0, 12), max_size=6))
+    terms = {base + Fraction(i, den): draw(st.integers(-3, 3)) for i in indices}
+    return base, den, terms, base + draw(_fraction(-4, 16, 6))
+
+
+def _pair(drawn):
+    """The same series as a grid QSeries, built both ways, and as the oracle."""
+    base, den, terms, cutoff = drawn
+    grid = [terms.get(base + Fraction(i, den), 0) for i in range(13)]
+    new = qc.QSeries(terms, cutoff)
+    _assert_same(qc.QSeries.grid(base, den, grid, cutoff), new)
+    return new, qseries_oracle.QSeries(terms, cutoff)
+
+
+def _assert_same(new, old):
+    assert new.items() == old.items()
+    assert (new.cutoff, new.denom, new.min_exponent(), new.is_zero()) == \
+        (old.cutoff, old.denom, old.min_exponent(), old.is_zero())
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_terms(), grid_terms(), _fraction(-12, 12), _fraction(-6, 12),
+       _fraction(-24, 36))
+def test_grid_qseries_matches_dict_oracle(x, y, delta, below, probe):
+    (a, a_old), (b, b_old) = _pair(x), _pair(y)
+    _assert_same(a + b, a_old + b_old)
+    _assert_same(a - b, a_old - b_old)
+    _assert_same(a * b, a_old * b_old)
+    _assert_same(b * a, b_old * a_old)
+    _assert_same(a - a, a_old - a_old)
+    _assert_same(a.shift(delta), a_old.shift(delta))
+    # a truncation point anywhere, including below the minimum exponent
+    cut = a.min_exponent() + below
+    _assert_same(a.truncate(cut), a_old.truncate(cut))
+    assert a.first_mismatch(b) == a_old.first_mismatch(b_old)
+    assert b.first_mismatch(a) == b_old.first_mismatch(a_old)
+    assert a.first_mismatch(a.truncate(cut)) == \
+        a_old.first_mismatch(a_old.truncate(cut))
+    for e in [*a_old.coeffs, probe, a.min_exponent() + probe]:
+        if e <= a.cutoff:
+            assert a.coefficient(e) == a_old.coefficient(e)
+        else:
+            with pytest.raises(qc.QSeriesError):
+                a.coefficient(e)
+
+
+def test_grid_form_is_canonical():
+    # a list ends at its last nonzero coefficient, never at the cutoff
+    big = qc.one(10 ** 12)
+    assert (big.base, big.den, big.coeffs) == (0, 1, (1,))
+    assert (big * big).coeffs == (1,)
+    # zeros at both ends go, and the grid coarsens to the nonzero indices
+    s = qc.QSeries.grid(Fraction(1, 3), 6, [0, 0, 5, 0, 0, 0, 7, 0, 0], 3)
+    assert (s.base, s.den, s.coeffs) == (Fraction(2, 3), 3, (5, 0, 7))
+    assert s.items() == [(Fraction(2, 3), 5), (Fraction(4, 3), 7)]
+    assert s.denom == 3
+    # the tuple shares the cached series immutably
+    assert isinstance(qc.minimal_character(2, 1, 1, 6).coeffs, tuple)
 
 
 def test_euler_products_invert():
@@ -224,7 +298,7 @@ def test_man_character_chain_sum_matches_tuple_oracle():
     for N, twos, upto in cases:
         got = qc.man_character(N, twos, upto)
         want = _man_by_tuples(N, twos, upto)
-        assert (got.coeffs, got.cutoff) == (want.coeffs, want.cutoff), \
+        assert (got.items(), got.cutoff) == (want.items(), want.cutoff), \
             (N, twos, upto)
     # chains that meet a zero factor set these bounds
     assert qc.man_character(6, 4, 2).cutoff == Fraction(12, 7)
