@@ -121,14 +121,6 @@ class IsingCensus:
         except KeyError:
             raise CensusError("element is not a census point") from None
 
-    def subcensus(self, indices: list[int], source: str) -> "IsingCensus":
-        idx = list(indices)
-        elems = None if self.elements is None else [self.elements[i] for i in idx]
-        gram = self.gram[np.ix_(idx, idx)].copy()
-        return IsingCensus([self.points[i] for i in idx], elems, gram, source,
-                           frame_size=self.frame_size, algebra=self.algebra,
-                           embeddings=self.embeddings)
-
     def to_json(self, include_gram: bool = True) -> dict:
         out = {
             "source": self.source,
@@ -176,14 +168,12 @@ def gram_from_elements(elements: list[GriessElement]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # lattice censuses
 
-def lattice_census(lattice: rootlat.RootLattice,
-                   algebra: GriessAlgebra | None = None) -> IsingCensus:
-    """All norm-1/4 idempotents of the degree-2 algebra of an ADE lattice.
+def _lattice_points(lattice: rootlat.RootLattice, algebra: GriessAlgebra):
+    """The labeled points of a lattice census and their elements, in order.
 
     For every root pair both frame vectors; for rank-8 E-type lattices also
     the 2^8 twists of wtilde, labeled by cosets mod 2.
     """
-    algebra = algebra or GriessAlgebra(lattice)
     points: list[IsingPoint] = []
     elements: list[GriessElement] = []
     for p in range(lattice.npairs):
@@ -197,19 +187,45 @@ def lattice_census(lattice: rootlat.RootLattice,
         for cl in lattice.mod2_classes():
             points.append(IsingPoint("twist", (cl.key, cl.kind)))
             elements.append(algebra.phi_twist(cl.representative, wt))
-    gram = gram_from_elements(elements)
-    return IsingCensus(points, elements, gram, f"lattice:{lattice.name}",
-                       frame_size=2 * lattice.rank, algebra=algebra)
+    return points, elements
 
 
-def commutant_filter(census: IsingCensus,
+def lattice_census(lattice: rootlat.RootLattice,
+                   algebra: GriessAlgebra | None = None) -> IsingCensus:
+    """All norm-1/4 idempotents of the degree-2 algebra of an ADE lattice."""
+    algebra = algebra or GriessAlgebra(lattice)
+    points, elements = _lattice_points(lattice, algebra)
+    return IsingCensus(points, elements, gram_from_elements(elements),
+                       f"lattice:{lattice.name}", frame_size=2 * lattice.rank,
+                       algebra=algebra)
+
+
+def commutant_filter(lattice: rootlat.RootLattice, algebra: GriessAlgebra,
                      constraints: list[GriessElement], source: str) -> IsingCensus:
-    """Sub-census of points orthogonal to every constraint vector."""
-    if census.elements is None:
-        raise CensusError("commutant filter needs realized census points")
-    keep = [i for i, e in enumerate(census.elements)
-            if all(e.inner(c) == 0 for c in constraints)]
-    return census.subcensus(keep, source)
+    """Census of the lattice census points orthogonal to every constraint.
+
+    The points are filtered before any Gram is taken: <e, c> is 0 exactly
+    when its numerator 2 tr(A_e A_c) + 2 s2^2 x_e . x_c is, one stacked
+    product per constraint over all points, under one int64 bound
+    inner_gain * mag * c.mag checked first.  Each Gram entry depends only on
+    its two elements, so the Gram of the kept points is the lattice
+    census's Gram restricted to them (README: "How a commutant census is
+    built").
+    """
+    points, elements = _lattice_points(lattice, algebra)
+    mag = max(e.mag for e in elements) * max((c.mag for c in constraints), default=0)
+    if algebra.inner_gain * mag >= INT_GUARD:
+        raise CensusError("constraints too large for an exact int64 inner product")
+    s4 = algebra.s2 * algebra.s2
+    carts = np.stack([e.cart.ravel() for e in elements])
+    xvs = np.stack([e.xv for e in elements])
+    keep = np.ones(len(elements), dtype=bool)
+    for c in constraints:
+        keep &= 2 * (carts @ c.cart.T.ravel()) + 2 * s4 * (xvs @ c.xv) == 0
+    idx = np.flatnonzero(keep).tolist()
+    kept = [elements[i] for i in idx]
+    return IsingCensus([points[i] for i in idx], kept, gram_from_elements(kept),
+                       source, frame_size=2 * lattice.rank, algebra=algebra)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,36 @@ class GriessElement:
         if self.mag >= INT_GUARD:
             raise GriessError("integer overflow guard tripped")
 
+    @classmethod
+    def from_rows(cls, alg: "GriessAlgebra", carts: np.ndarray, xvs: np.ndarray,
+                  dens: np.ndarray) -> list["GriessElement"]:
+        """The elements carts[k], xvs[k] over dens[k] > 0, normalised row-wise.
+
+        The constructor's canonical form in a few array operations: each
+        row divided by the gcd of its integers and its denominator, and its
+        `mag` checked against INT_GUARD.  A row past the guard raises
+        SigmaImageError (a GriessError) naming the first one.
+        """
+        if (dens <= 0).any():
+            raise GriessError("row denominators must be positive")
+        k = len(dens)
+        g = np.gcd(np.gcd(np.gcd.reduce(carts.reshape(k, alg.m * alg.m), axis=1),
+                          np.gcd.reduce(xvs, axis=1)), dens)
+        carts = carts // g[:, None, None]
+        xvs = xvs // g[:, None]
+        dens = dens // g
+        mags = np.maximum(np.maximum(np.abs(carts).max(axis=(1, 2), initial=0),
+                                     np.abs(xvs).max(axis=1, initial=0)), dens)
+        out = []
+        for row, (cart, xv, den, mag) in enumerate(
+                zip(carts, xvs, dens.tolist(), mags.tolist())):
+            if mag >= INT_GUARD:
+                raise SigmaImageError(row, "integer overflow guard tripped")
+            el = cls.__new__(cls)
+            el.alg, el.cart, el.xv, el.den, el.mag = alg, cart, xv, den, mag
+            out.append(el)
+        return out
+
     # -- linear structure ---------------------------------------------------
     def __add__(self, other: "GriessElement") -> "GriessElement":
         d = lcm(self.den, other.den)
@@ -351,8 +381,7 @@ class GriessAlgebra:
               + X @ pair_pair)
         g_cart = A * (s4 * fden)[:, None, None] + B * (s4 * e.den) - 4 * cart
         g_xv = a * (s4 * fden)[:, None] + X * (s4 * e.den) - 4 * xv
-        images = [GriessElement(self, gc, gx, s4 * e.den * den)
-                  for gc, gx, den in zip(g_cart, g_xv, fden.tolist())]
+        images = GriessElement.from_rows(self, g_cart, g_xv, s4 * e.den * fden)
         for row, g in enumerate(images):
             if self.inner_gain * g.mag * g.mag >= INT_GUARD:
                 raise SigmaImageError(

@@ -391,6 +391,8 @@ def affine_sl2_character(level: int, spin: int, depth: int) -> TwoVarSeries:
     Quotient of alternating theta sums, computed slice by slice on the
     integer depth grid; depth 0 carries the finite character of the top.
     """
+    if level < 0:
+        raise QSeriesError(f"level {level} is negative")
     if not (0 <= spin <= level):
         raise QSeriesError(f"spin {spin} outside 0..{level}")
     N = _theta_slices(level + 2, spin + 1, depth)

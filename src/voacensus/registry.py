@@ -131,16 +131,16 @@ def _direct_sum_census(parts, spec: str) -> census_mod.IsingCensus:
 
 @lru_cache(maxsize=None)
 def commutant_census(spec: str, constraints: str) -> census_mod.IsingCensus:
-    """Filter the lattice census of `spec` by comma-separated constraints."""
+    """The points of the lattice census of `spec` orthogonal to
+    comma-separated constraints; the full lattice census is not built."""
     from . import census as census_mod
     tags = lattice_tags(spec)
     if len(tags) != 1:
         raise RegistryError("commutant filters need an indecomposable lattice")
     alg = algebra(tags[0])
-    base = lattice_census(spec)
     elems = [constraint_element(alg, c) for c in constraints.split(",") if c]
     return census_mod.commutant_filter(
-        base, elems, f"commutant:{spec}:{constraints}")
+        lattice(tags[0]), alg, elems, f"commutant:{spec}:{constraints}")
 
 
 @lru_cache(maxsize=None)

@@ -172,33 +172,44 @@ class RootLattice:
             return False
 
     def mod2_classes(self) -> list[Mod2Class]:
-        """The 2^rank cosets of 2L, classified by minimal-norm vectors."""
-        buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-        for coeffs, norm in _enumerate_short(_basis_gram(self), Fraction(4)):
-            key = tuple(c % 2 for c in coeffs)
-            vec = tuple(int(x) for x in np.asarray(coeffs, dtype=np.int64) @ self.basis)
-            buckets.setdefault(key, []).append((vec, int(norm)))
+        """The 2^rank cosets of 2L, classified by minimal-norm vectors.
+
+        One array pass over the vectors of norm <= 4: their coordinates
+        mod 2 packed into one integer key per vector (first coordinate
+        highest, so keys sort as the coordinate tuples do), and one sort by
+        key, norm and vector; each key's minimal vectors are then the first
+        run of its group, already in order.
+        """
+        found = _enumerate_short(_basis_gram(self), Fraction(4))
+        coeffs = np.array([c for c, _ in found], dtype=np.int64).reshape(-1, self.rank)
+        norms = np.array([int(n) for _, n in found], dtype=np.int64)
+        vecs = coeffs @ self.basis
+        parity = coeffs & 1
+        keys = parity @ (1 << np.arange(self.rank - 1, -1, -1, dtype=np.int64))
+        order = np.lexsort([*vecs.T[::-1], norms, keys])
+        keys, norms, vecs, parity = keys[order], norms[order], vecs[order], parity[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        ends = np.append(starts[1:], len(keys))
         classes = [Mod2Class(tuple([0] * self.rank), "zero",
                              tuple([0] * self.ambient), ())]
-        for key in sorted(buckets):
-            if all(k == 0 for k in key):
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            if not keys[lo]:
                 continue
-            vecs = buckets[key]
-            min_norm = min(n for _, n in vecs)
-            mins = tuple(sorted(v for v, n in vecs if n == min_norm))
+            min_norm = int(norms[lo])
+            count = int(np.count_nonzero(norms[lo:hi] == min_norm))
+            arr = vecs[lo:lo + count]
             if min_norm == 2:
                 kind = "root-pair"
-                if len(mins) != 2:
-                    raise LatticeError(f"root-pair class with {len(mins)} minimal vectors")
+                if count != 2:
+                    raise LatticeError(f"root-pair class with {count} minimal vectors")
             else:
                 kind = "frame"
-                if len(mins) != 16:
-                    raise LatticeError(f"frame class with {len(mins)} minimal vectors")
-                arr = np.array(mins, dtype=np.int64)
-                g = arr @ arr.T
-                if not np.isin(g // self.scale_sq, [-4, 0, 4]).all():
+                if count != 16:
+                    raise LatticeError(f"frame class with {count} minimal vectors")
+                if not np.isin((arr @ arr.T) // self.scale_sq, [-4, 0, 4]).all():
                     raise LatticeError("frame class minimal vectors are not a frame")
-            classes.append(Mod2Class(key, kind, max(mins), mins))
+            mins = tuple(map(tuple, arr.tolist()))
+            classes.append(Mod2Class(tuple(parity[lo].tolist()), kind, mins[-1], mins))
         if len(classes) != 1 << self.rank:
             raise LatticeError(f"found {len(classes)} cosets, expected {1 << self.rank}")
         return classes

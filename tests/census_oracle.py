@@ -5,16 +5,30 @@ placed each coset once along a tree: it applies every support involution to
 every placed point and checks each revisit.  `hamming_embeddings_by_trio`
 builds a code, one GF(2) elimination, for every trio of weight-4 words, with
 its own elimination onto the support.  Both are kept as they were; the
-translations take their sigma images from the product oracle.
+translations take their sigma images from the product oracle.  `subcensus`
+restricts a built census to some of its points, as commutant censuses were
+built before they filtered the lattice points ahead of the Gram.
 """
 
 from itertools import combinations
 
+import numpy as np
+
 from voacensus import gf2code
-from voacensus.census import CensusError
+from voacensus.census import CensusError, IsingCensus
 from voacensus.gf2code import BinaryCode, HammingEmbedding, weight
 
 from transpo_oracle import product_sigma_image
+
+
+def subcensus(census: IsingCensus, indices, source: str) -> IsingCensus:
+    """The points of `census` at `indices`, in that order, with their Gram."""
+    idx = list(indices)
+    elems = None if census.elements is None else [census.elements[i] for i in idx]
+    gram = census.gram[np.ix_(idx, idx)].copy()
+    return IsingCensus([census.points[i] for i in idx], elems, gram, source,
+                       frame_size=census.frame_size, algebra=census.algebra,
+                       embeddings=census.embeddings)
 
 
 def translate_block_all_edges(algebra, frame_elems, emb, reps, anchor, cands):

@@ -163,6 +163,42 @@ def test_rm24_census_equals_lattice_census_gram():
     assert (code_c.gram == lat_c.gram[np.ix_(m, m)]).all()
 
 
+COMMUTANTS = [alias for alias, (kind, *_) in registry.CENSUS_ALIASES.items()
+              if kind == "commutant"] + ["commutant:E8:s"]
+
+
+@pytest.mark.parametrize("spec", COMMUTANTS)
+def test_commutant_census_is_the_lattice_subcensus(spec):
+    # the census filtered before its Gram against the full lattice census
+    # filtered one Fraction inner product at a time
+    if spec in registry.CENSUS_ALIASES:
+        _, lat, constraints = registry.CENSUS_ALIASES[spec]
+    else:
+        _, lat, constraints = spec.split(":")
+    full = registry.lattice_census(lat)
+    cons = [registry.constraint_element(full.algebra, name)
+            for name in constraints.split(",")]
+    keep = [i for i, e in enumerate(full.elements)
+            if all(e.inner(c) == 0 for c in cons)]
+    got = registry.census(spec)
+    want = oracle.subcensus(full, keep, got.source)
+    assert 0 < len(got) < len(full)
+    assert got.points == want.points
+    assert [e.key() for e in got.elements] == [e.key() for e in want.elements]
+    assert got.gram.dtype == want.gram.dtype
+    assert np.array_equal(got.gram, want.gram)
+    assert (got.frame_size, got.algebra) == (want.frame_size, want.algebra)
+
+
+def test_commutant_filter_refuses_oversized_constraints():
+    lat, alg = registry.lattice("E8"), registry.algebra("E8")
+    # the same hyperplane as wtilde, with entries past the int64 bound
+    big = Fraction(1, 2 ** 50) * alg.conformal_wtilde().element
+    assert alg.inner_gain * 8 * big.mag >= 2 ** 62
+    with pytest.raises(cz.CensusError, match="too large"):
+        cz.commutant_filter(lat, alg, [big], "oversized")
+
+
 def test_standard_e8_model_isomorphic_census():
     # carry the standard-model census onto the code-frame model by an exact
     # lattice isometry and compare Gram matrices entry by entry

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voacensus import exact, registry
+from voacensus import exact, registry, transpo
 from voacensus import rootlat as rl
 from voacensus.census import GRAM_32ND, GRAM_ZERO, CensusError, gram_from_elements
 from voacensus.griess import (INT_GUARD, GriessElement, GriessError, SigmaImageError,
@@ -240,6 +240,58 @@ def test_sigma_images_refuse_bad_rows():
         assert exc.value.row == 1
     with pytest.raises(GriessError, match="too large"):
         alg.sigma_image(e, big)
+
+
+def _rows_by_constructor(cls, alg, carts, xvs, dens):
+    """Oracle: each row normalised by its own GriessElement constructor."""
+    return [GriessElement(alg, c, x, d) for c, x, d in zip(carts, xvs, dens.tolist())]
+
+
+@pytest.mark.parametrize("spec", ["e8full", "me8", "uc", "code:rm24"])
+def test_row_normalised_sigma_images_match_constructor(spec, monkeypatch):
+    c = registry.census(spec)
+    _, seeds = transpo._sigma_rows(c)
+    rows = []
+    for s in seeds:
+        partners = [c.elements[j] for j in np.flatnonzero(c.gram[s] == GRAM_32ND)]
+        rows.append((s, partners, c.algebra.sigma_images(c.elements[s], partners)))
+    monkeypatch.setattr(GriessElement, "from_rows", classmethod(_rows_by_constructor))
+    for s, partners, got in rows:
+        want = c.algebra.sigma_images(c.elements[s], partners)
+        assert [(g.key(), g.mag) for g in got] == [(g.key(), g.mag) for g in want]
+
+
+def test_from_rows_matches_constructor():
+    alg = algebra("D4")
+    rng = np.random.default_rng(7)
+    k, m, p = 40, alg.m, alg.npairs
+    carts = rng.integers(-50, 51, size=(k, m, m))
+    carts = carts + carts.transpose(0, 2, 1)
+    xvs = rng.integers(-50, 51, size=(k, p))
+    dens = rng.integers(1, 200, size=k)
+    scale = rng.integers(1, 13, size=k)     # common factors to divide out
+    carts, xvs, dens = (carts * scale[:, None, None], xvs * scale[:, None],
+                        dens * scale)
+    carts[3], xvs[3] = 0, 0                 # the zero element over dens[3]
+    got = GriessElement.from_rows(alg, carts, xvs, dens)
+    want = _rows_by_constructor(GriessElement, alg, carts, xvs, dens)
+    assert [(g.key(), g.mag) for g in got] == [(g.key(), g.mag) for g in want]
+    assert GriessElement.from_rows(alg, carts[:0], xvs[:0], dens[:0]) == []
+
+
+def test_from_rows_guards_each_row():
+    alg = algebra("A2")
+    carts = np.zeros((3, alg.m, alg.m), dtype=np.int64)
+    carts[:, 0, 0] = 1
+    xvs = np.zeros((3, alg.npairs), dtype=np.int64)
+    dens = np.array([1, 2 ** 62 + 1, 3], dtype=np.int64)
+    with pytest.raises(SigmaImageError, match="overflow guard") as exc:
+        GriessElement.from_rows(alg, carts, xvs, dens)
+    assert exc.value.row == 1
+    with pytest.raises(GriessError, match="overflow guard"):
+        GriessElement(alg, carts[1], xvs[1], 2 ** 62 + 1)
+    with pytest.raises(GriessError, match="positive"):
+        GriessElement.from_rows(alg, carts, xvs, np.array([1, 0, 3]))
 
 
 def test_pair_targets_match_pair_of():

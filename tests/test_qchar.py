@@ -212,6 +212,13 @@ def test_affine_character_symmetry_and_top():
         assert two.top_term_ok()
 
 
+def test_affine_character_rejects_bad_labels():
+    with pytest.raises(qc.QSeriesError, match="level -1 is negative"):
+        qc.affine_sl2_character(-1, 0, 4)
+    with pytest.raises(qc.QSeriesError, match="spin 3 outside 0..2"):
+        qc.affine_sl2_character(2, 3, 4)
+
+
 def test_affine_level_one_is_lattice():
     # level-one vacuum character: theta of the even rank-one lattice over eta
     two = qc.affine_sl2_character(1, 0, 10)

@@ -95,6 +95,61 @@ def test_mod2_census():
     assert len(classes) == 256
 
 
+def _mod2_classes_per_vector(lat):
+    """Oracle: the coset classification `mod2_classes` made one vector at a
+    time, bucketing each short vector under its tuple key."""
+    buckets = {}
+    for coeffs, norm in rl._enumerate_short(rl._basis_gram(lat), Fraction(4)):
+        key = tuple(c % 2 for c in coeffs)
+        vec = tuple(int(x) for x in np.asarray(coeffs, dtype=np.int64) @ lat.basis)
+        buckets.setdefault(key, []).append((vec, int(norm)))
+    classes = [rl.Mod2Class(tuple([0] * lat.rank), "zero",
+                            tuple([0] * lat.ambient), ())]
+    for key in sorted(buckets):
+        if all(k == 0 for k in key):
+            continue
+        vecs = buckets[key]
+        min_norm = min(n for _, n in vecs)
+        mins = tuple(sorted(v for v, n in vecs if n == min_norm))
+        if min_norm == 2:
+            kind = "root-pair"
+            if len(mins) != 2:
+                raise rl.LatticeError(f"root-pair class with {len(mins)} minimal vectors")
+        else:
+            kind = "frame"
+            if len(mins) != 16:
+                raise rl.LatticeError(f"frame class with {len(mins)} minimal vectors")
+            arr = np.array(mins, dtype=np.int64)
+            if not np.isin(arr @ arr.T // lat.scale_sq, [-4, 0, 4]).all():
+                raise rl.LatticeError("frame class minimal vectors are not a frame")
+        classes.append(rl.Mod2Class(key, kind, max(mins), mins))
+    if len(classes) != 1 << lat.rank:
+        raise rl.LatticeError(f"found {len(classes)} cosets, expected {1 << lat.rank}")
+    return classes
+
+
+@pytest.mark.parametrize("tag", ["E8", "E8H"])
+def test_mod2_classes_match_per_vector_oracle(tag):
+    lat = rl.build_lattice(tag)
+    got = lat.mod2_classes()
+    assert got == _mod2_classes_per_vector(lat)
+    # plain Python ints throughout, as the census labels and twists use them
+    assert all(type(x) is int for cl in got for x in cl.key + cl.representative)
+
+
+@pytest.mark.parametrize("tag", ["A1", "A2", "A3", "D2", "D4", "D8", "E6", "E7", "D6C"])
+def test_mod2_classes_errors_match_per_vector_oracle(tag):
+    lat = rl.build_lattice(tag)
+    try:
+        want = _mod2_classes_per_vector(lat)
+    except rl.LatticeError as exc:
+        with pytest.raises(rl.LatticeError) as got:
+            lat.mod2_classes()
+        assert str(got.value) == str(exc)
+    else:
+        assert lat.mod2_classes() == want
+
+
 def test_mod2_frame_classes_are_frames():
     lat = rl.build_lattice("E8")
     for cl in lat.mod2_classes():
