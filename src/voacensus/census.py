@@ -47,15 +47,6 @@ class IsingPoint:
     kind: str
     data: tuple
 
-    def label(self) -> str:
-        if self.kind == "frame":
-            return f"frame:{self.data[0]}"
-        if self.kind == "hamming":
-            return f"hamming:{self.data[0]}:{self.data[1]}"
-        if self.kind in ("wminus", "wplus"):
-            return f"{self.kind}:{self.data[0]}"
-        return f"twist:{''.join(map(str, self.data[0]))}:{self.data[1]}"
-
     def to_json(self) -> dict:
         out = {"tag": self.kind}
         if self.kind == "frame":
@@ -191,9 +182,8 @@ def _lattice_points(lattice: rootlat.RootLattice, algebra: GriessAlgebra):
 
 
 def lattice_census(lattice: rootlat.RootLattice,
-                   algebra: GriessAlgebra | None = None) -> IsingCensus:
+                   algebra: GriessAlgebra) -> IsingCensus:
     """All norm-1/4 idempotents of the degree-2 algebra of an ADE lattice."""
-    algebra = algebra or GriessAlgebra(lattice)
     points, elements = _lattice_points(lattice, algebra)
     return IsingCensus(points, elements, gram_from_elements(elements),
                        f"lattice:{lattice.name}", frame_size=2 * lattice.rank,

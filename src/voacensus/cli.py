@@ -201,15 +201,10 @@ def run(args) -> dict:
             report["results"] = {"dimension": len(kern)}
         else:  # verify
             from .griess import verify_orthogonal_split, verify_twist_chain
-            from .rootlat import sublattice_embedding
             if args.which == "twist-chain":
-                emb = sublattice_embedding("A1_E7_in_E8")
-                rep = verify_twist_chain(registry.algebra("E8"), emb.alpha0)
+                rep = verify_twist_chain(registry.algebra("E8"), registry.alpha0())
             else:
-                emb = sublattice_embedding("A5_A1_in_E6_with_xi")
-                rep = verify_orthogonal_split(registry.algebra("E6"),
-                                              emb.components[0],
-                                              emb.components[1][0])
+                rep = verify_orthogonal_split(registry.algebra("E6"))
             report["results"] = {k: bool(v) for k, v in rep.items()}
             report["ok"] = rep["ok"]
     elif args.command == "characters":

@@ -26,7 +26,7 @@ from math import lcm
 import numpy as np
 
 from .exact import inverse, kernel
-from .rootlat import LatticeError, Mod2Class, RootLattice, _hnf_basis
+from .rootlat import LatticeError, RootLattice, _hnf_basis
 
 DIM_GUARD = 512
 INT_GUARD = 1 << 62
@@ -156,12 +156,6 @@ class ConformalVector:
 
     element: GriessElement
     central_charge: Fraction
-
-    @staticmethod
-    def checked(e: GriessElement) -> "ConformalVector":
-        if not (e * e == 2 * e):
-            raise GriessError("element does not square to twice itself")
-        return ConformalVector(e, 2 * e.inner(e))
 
 
 class GriessAlgebra:
@@ -310,9 +304,7 @@ class GriessAlgebra:
 
     # -- twist automorphisms ----------------------------------------------------
     def twist_signs(self, x) -> np.ndarray:
-        """Signs (-1)^<x, a_p> over pairs, for a lattice vector or coset x."""
-        if isinstance(x, Mod2Class):
-            x = x.representative
+        """Signs (-1)^<x, a_p> over pairs, for a lattice vector x."""
         x = np.asarray(x, dtype=np.int64)
         dots = (self.pairs @ x)
         if (dots % self.s2).any():
@@ -485,16 +477,22 @@ def verify_twist_chain(algebra: GriessAlgebra, alpha0) -> dict:
     return report
 
 
-def verify_orthogonal_split(algebra: GriessAlgebra, a5_roots, a1_root) -> dict:
+def verify_orthogonal_split(algebra: GriessAlgebra) -> dict:
     """Exact checks for the rank-6 orthogonal decomposition of omega.
 
-    Splits omega into the sublattice s-vector, two conformal vectors of
-    central charges 25/28 and 1/2 built from the rank-1 summand, and wtilde.
+    The A5 + A1 sublattice of the E6 model is its 32 roots with even stored
+    coordinates: A5 where coordinate 0 is zero, A1 where it is not.  Splits
+    omega into the A5 s-vector, two conformal vectors of central charges
+    25/28 and 1/2 built from the A1 summand, and wtilde.
     """
     lat = algebra.lattice
+    even = lat.roots[(lat.roots % 2 == 0).all(axis=1)]
+    a5_roots, a1_roots = even[even[:, 0] == 0], even[even[:, 0] != 0]
+    if len(a5_roots) != 30 or len(a1_roots) != 2:
+        raise GriessError(f"{lat.name}: even roots do not split as A5 + A1")
     wt6 = algebra.conformal_wtilde().element
     s_a5, wt_a5 = algebra.sublattice_conformal_pair(a5_roots)
-    p1 = lat.pair_of(np.asarray(a1_root, dtype=np.int64))
+    p1 = lat.pair_of(a1_roots[0])
     omega1 = wt_a5.element + algebra.w_vector(p1, 1).element - wt6
     omega2 = algebra.w_vector(p1, -1).element
     report = {

@@ -659,13 +659,20 @@ def verify_decompositions(depth: int = 8) -> list[dict]:
     return checks
 
 
+# the glue of A7 in the E7 sum-zero model, in stored coordinates
+XI = (1, 1, 1, 1, -1, -1, -1, -1)
+
+
+def a7_in_e7() -> rootlat.RootLattice:
+    """A7 as its own lattice: the 56 roots of the cached E7 model whose
+    stored coordinates are all even."""
+    from . import registry, rootlat
+    e7 = registry.lattice("E7")
+    return rootlat.RootLattice("A7@E7", "A", 7, 8, e7.scale_sq,
+                               e7.roots[(e7.roots % 2 == 0).all(axis=1)])
+
+
 def _coset_a7_character(upto: int) -> QSeries:
     """Graded dimension of the xi-shifted rank-7 lattice coset module."""
     import numpy as np
-
-    from . import rootlat
-    emb = rootlat.sublattice_embedding("A7_in_E7_with_xi")
-    # the sublattice as its own enumeration problem: A7 with shift xi
-    a7 = rootlat.RootLattice("A7@E7", "A", 7, 8, emb.ambient.scale_sq,
-                             np.array(emb.sub_roots))
-    return _lattice_character(a7, upto, np.array(emb.glue, dtype=np.int64))
+    return _lattice_character(a7_in_e7(), upto, np.array(XI, dtype=np.int64))

@@ -76,10 +76,9 @@ def algebra(tag: str) -> GriessAlgebra:
     return GriessAlgebra(lattice(tag))
 
 
-@lru_cache(maxsize=None)
 def alpha0() -> tuple:
-    from . import rootlat
-    return rootlat.sublattice_embedding("A1_E7_in_E8").alpha0
+    """The largest root of E8: the last of its lexicographically sorted roots."""
+    return tuple(lattice("E8").roots[-1].tolist())
 
 
 def constraint_element(alg: GriessAlgebra, name: str) -> GriessElement:
@@ -154,35 +153,28 @@ def code_census(tag: str) -> census_mod.IsingCensus:
 
 
 CENSUS_ALIASES = {
-    "hamming24": ("code", "hamming8"),
-    "me8": ("commutant", "E8", "wtilde"),
-    "me7": ("commutant", "E7", "wtilde"),
-    "me6": ("commutant", "E6", "wtilde"),
-    "md4": ("commutant", "D4", "wtilde"),
-    "uc": ("commutant", "E8", "wtilde,phi:alpha0"),
-    "e8full": ("lattice", "E8"),
+    "hamming24": "code:hamming8",
+    "me8": "commutant:E8:wtilde",
+    "me7": "commutant:E7:wtilde",
+    "me6": "commutant:E6:wtilde",
+    "md4": "commutant:D4:wtilde",
+    "uc": "commutant:E8:wtilde,phi:alpha0",
+    "e8full": "lattice:E8",
 }
 for _n in range(1, 6):
-    CENSUS_ALIASES[f"ma{_n}"] = ("commutant", f"A{_n}", "wtilde")
+    CENSUS_ALIASES[f"ma{_n}"] = f"commutant:A{_n}:wtilde"
 
 
 @lru_cache(maxsize=None)
 def census(spec: str) -> census_mod.IsingCensus:
     """Resolve a census spec.
 
-    Forms: an alias (me8, uc, hamming24, ma1..ma5, e8full, md4),
-    `code:<tag>`, `lattice:<spec>`, or
-    `commutant:<lattice>:<constraints>`.
+    Forms: `code:<tag>`, `lattice:<spec>`,
+    `commutant:<lattice>:<constraints>`, or an alias (me8, uc, hamming24,
+    ma1..ma5, e8full, md4) standing for one of them.
     """
     spec = spec.strip()
-    low = spec.lower()
-    if low in CENSUS_ALIASES:
-        kind, *rest = CENSUS_ALIASES[low]
-        if kind == "code":
-            return code_census(rest[0])
-        if kind == "lattice":
-            return lattice_census(rest[0])
-        return commutant_census(rest[0], rest[1])
+    spec = CENSUS_ALIASES.get(spec.lower(), spec)
     if ":" in spec:
         kind, rest = spec.split(":", 1)
         kind = kind.lower()

@@ -411,46 +411,6 @@ def build_lattice(tag: str) -> RootLattice:
     raise LatticeError(f"unknown lattice tag {tag!r}")
 
 
-@dataclass(frozen=True)
-class SublatticeEmbedding:
-    name: str
-    ambient: RootLattice
-    sub_roots: tuple[np.ndarray, ...]
-    components: tuple[tuple[np.ndarray, ...], ...]
-    glue: tuple[int, ...] | None
-    alpha0: tuple[int, ...] | None
-
-
-def sublattice_embedding(name: str) -> SublatticeEmbedding:
-    """Explicit coordinate models for the sublattice chains used downstream."""
-    if name == "A1_E7_in_E8":
-        amb = build_lattice("E8")
-        alpha0 = max(map(tuple, amb.roots.tolist()))
-        a0 = np.array(alpha0, dtype=np.int64)
-        perp = tuple(r for r in amb.roots if int(np.dot(r, a0)) == 0)
-        axis = (a0, -a0)
-        if len(perp) != 126:
-            raise LatticeError("orthogonal complement of a root must have 126 roots")
-        return SublatticeEmbedding(name, amb, axis + perp, (axis, perp), None, alpha0)
-    if name == "A7_in_E7_with_xi":
-        amb = build_lattice("E7")
-        sub = tuple(r for r in amb.roots if not (r % 2).any())
-        if len(sub) != 56:
-            raise LatticeError("integer-coordinate roots of the sum-zero model must be A7")
-        xi = (1, 1, 1, 1, -1, -1, -1, -1)
-        return SublatticeEmbedding(name, amb, sub, (sub,), xi, None)
-    if name == "A5_A1_in_E6_with_xi":
-        amb = build_lattice("E6")
-        l1 = tuple(r for r in amb.roots
-                   if not (r % 2).any() and r[0] == 0 and r[7] == 0)
-        l2 = tuple(r for r in amb.roots if not (r % 2).any() and r[0] != 0)
-        if len(l1) != 30 or len(l2) != 2:
-            raise LatticeError("A5 + A1 split of the E6 model failed")
-        xi = (1, 1, 1, 1, -1, -1, -1, -1)
-        return SublatticeEmbedding(name, amb, l1 + l2, (l1, l2), xi, None)
-    raise LatticeError(f"unknown embedding {name!r}")
-
-
 def norm_counts(lattice: RootLattice, bound, shift=None) -> dict[Fraction, int]:
     """Counts of (shift + L)-vectors by geometric norm, up to `bound` inclusive.
 

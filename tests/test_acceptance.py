@@ -179,8 +179,7 @@ def test_criterion_08_transposition_and_inductive():
     table = registry.sigma_table("lattice:E8")
     alg = full.algebra
     wt = alg.conformal_wtilde().element
-    emb = rootlat.sublattice_embedding("A1_E7_in_E8")
-    phiwt = alg.phi_twist(np.array(emb.alpha0, dtype=np.int64), wt)
+    phiwt = alg.phi_twist(np.array(registry.alpha0(), dtype=np.int64), wt)
     x, y = full.element_index(wt), full.element_index(phiwt)
     ind = tp.inductive_structure(table.rows, x, y)
     ouc = tp.group_order(list(registry.sigma_table("uc").rows))
@@ -211,11 +210,8 @@ def test_criterion_09_hamming_frames():
 
 
 def test_criterion_10_exact_identities():
-    emb = rootlat.sublattice_embedding("A1_E7_in_E8")
-    rep8 = verify_twist_chain(registry.algebra("E8"), emb.alpha0)
-    emb6 = rootlat.sublattice_embedding("A5_A1_in_E6_with_xi")
-    rep6 = verify_orthogonal_split(registry.algebra("E6"),
-                                   emb6.components[0], emb6.components[1][0])
+    rep8 = verify_twist_chain(registry.algebra("E8"), registry.alpha0())
+    rep6 = verify_orthogonal_split(registry.algebra("E6"))
     ok = rep8["ok"] and rep6["ok"]
     _line(10, ok, f"twist-chain identities {rep8['ok']}, "
                   f"rank-6 orthogonal split {rep6['ok']}")

@@ -227,6 +227,34 @@ for argv in (["characters", "show", "man:6:4"],
     assert proc.returncode == 0, proc.stderr
 
 
+def test_sublattice_jobs_build_each_catalog_lattice_once():
+    # a fresh interpreter, so the suite's registry caches stay as they are:
+    # the jobs that read alpha0, the A7 or the A5 + A1 off E8, E7 and E6
+    # build each of those lattices once, in the registry
+    script = """
+import collections, contextlib, io
+from voacensus import cli, rootlat
+built = collections.Counter()
+init = rootlat.RootLattice.__init__
+def counting_init(self, name, *args):
+    built[name] += 1
+    init(self, name, *args)
+rootlat.RootLattice.__init__ = counting_init
+for argv in (["group", "--census", "uc", "--inductive"],
+             ["census", "commutant", "E8", "--orthogonal-to", "wtilde,phi:alpha0"],
+             ["griess", "verify", "twist-chain"],
+             ["griess", "verify", "orthogonal-split"],
+             ["characters", "verify", "--cutoff", "4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(built["E8"], built["E7"], built["E6"])
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "1"]
+
+
 def test_empty_lattice_tag_is_usage_error():
     proc = subprocess.run(RUN + ["griess", "build", ""],
                           capture_output=True, text=True)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voacensus import exact, registry, transpo
-from voacensus import rootlat as rl
 from voacensus.census import GRAM_32ND, GRAM_ZERO, CensusError, gram_from_elements
 from voacensus.griess import (INT_GUARD, GriessElement, GriessError, SigmaImageError,
                               verify_orthogonal_split, verify_twist_chain)
@@ -194,9 +193,8 @@ def test_sigma_symmetric_and_errors():
 
 
 def test_sigma_twist_chain_image():
-    emb = rl.sublattice_embedding("A1_E7_in_E8")
     alg = algebra("E8")
-    a0 = np.array(emb.alpha0, dtype=np.int64)
+    a0 = np.array(registry.alpha0(), dtype=np.int64)
     wt = alg.conformal_wtilde().element
     phiwt = alg.phi_twist(a0, wt)
     wplus = alg.w_vector(alg.lattice.pair_of(a0), 1).element
@@ -320,16 +318,16 @@ def test_commutant_of_omega_trivial():
 
 
 def test_twist_chain_report():
-    emb = rl.sublattice_embedding("A1_E7_in_E8")
-    report = verify_twist_chain(algebra("E8"), emb.alpha0)
+    report = verify_twist_chain(algebra("E8"), registry.alpha0())
     assert report["ok"]
 
 
 def test_orthogonal_split_report():
-    emb = rl.sublattice_embedding("A5_A1_in_E6_with_xi")
-    report = verify_orthogonal_split(algebra("E6"), emb.components[0],
-                                     emb.components[1][0])
+    report = verify_orthogonal_split(algebra("E6"))
     assert report["ok"]
+    # E7's even roots are an A7, which has no A5 + A1 split by coordinate 0
+    with pytest.raises(GriessError, match="do not split as A5 \\+ A1"):
+        verify_orthogonal_split(algebra("E7"))
 
 
 def test_element_json_roundtrip():

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voacensus import registry
+from voacensus import qchar, registry
 from voacensus import rootlat as rl
 from voacensus.exact import inverse
 
@@ -210,51 +210,37 @@ def test_coords_against_sympy_rank(tag, data):
 
 
 def test_sublattice_embedding_a1_e7():
-    emb = rl.sublattice_embedding("A1_E7_in_E8")
-    axis, perp = emb.components
-    assert len(axis) == 2 and len(perp) == 126
-    a0 = np.array(emb.alpha0)
-    assert all(int(np.dot(r, a0)) == 0 for r in perp)
+    # alpha0 is the largest root of the cached E8; its perp is an E7
+    e8 = registry.lattice("E8")
+    a0 = registry.alpha0()
+    assert a0 == max(map(tuple, e8.roots.tolist()))
+    perp = e8.roots[e8.roots @ np.array(a0) == 0]
+    assert len(perp) == 126
+    rl.RootLattice("E7@E8", "E", 7, 8, e8.scale_sq, perp)
 
 
 def test_sublattice_embedding_a7_e7():
-    emb = rl.sublattice_embedding("A7_in_E7_with_xi")
-    lat = emb.ambient
-    xi = np.array(emb.glue, dtype=np.int64)
-    assert tuple(xi) not in {tuple(r) for r in emb.sub_roots}
-    # xi is in the ambient lattice, 2*xi is in the sublattice span integrally
-    assert xi in lat
-    sub = np.array([np.asarray(r) for r in emb.sub_roots])
-    from voacensus.rootlat import _hnf_basis as _row_basis
-    basis = _row_basis(sub)
-    assert len(basis) == 7
-    coords = _solve_int(basis, 2 * xi)
-    assert coords is not None
-    # index two: every ambient root is in the sublattice span or xi + span
-    half = _solve_int(basis, xi)
-    assert half is None
+    e7 = registry.lattice("E7")
+    a7 = qchar.a7_in_e7()
+    assert len(a7.roots) == 56 and all(e7.is_root(r) for r in a7.roots)
+    xi = np.array(qchar.XI, dtype=np.int64)
+    assert not a7.is_root(xi)
+    # xi is in the ambient lattice, 2*xi is in the sublattice, xi is not
+    assert xi in e7 and 2 * xi in a7 and xi not in a7
+    # index two: every ambient root is in the sublattice or in xi + it
+    assert all(r in a7 or r - xi in a7 for r in e7.roots)
 
 
 def test_sublattice_embedding_e6():
-    emb = rl.sublattice_embedding("A5_A1_in_E6_with_xi")
-    l1, l2 = emb.components
+    # the split verify_orthogonal_split reads off the cached E6
+    e6 = registry.lattice("E6")
+    even = e6.roots[(e6.roots % 2 == 0).all(axis=1)]
+    l1, l2 = even[even[:, 0] == 0], even[even[:, 0] != 0]
     assert len(l1) == 30 and len(l2) == 2
-    xi = np.array(emb.glue, dtype=np.int64)
-    assert xi in emb.ambient
-
-
-def _solve_int(basis, v):
-    sol = np.linalg.lstsq(np.array(basis, dtype=float).T,
-                          np.array(v, dtype=float), rcond=None)[0]
-    rounded = np.round(sol).astype(np.int64)
-    if (rounded @ basis == v).all():
-        return rounded
-    return None
-
-
-def test_unknown_embedding():
-    with pytest.raises(rl.LatticeError):
-        rl.sublattice_embedding("A3_in_D7")
+    assert (l1[:, 7] == 0).all()
+    assert l2[0].tolist() == [-2, 0, 0, 0, 0, 0, 0, 2]
+    rl.RootLattice("A5@E6", "A", 5, 8, e6.scale_sq, l1)
+    assert np.array(qchar.XI, dtype=np.int64) in e6
 
 
 def test_norm_counts_known_thetas():
@@ -281,10 +267,8 @@ def test_norm_counts_zero_vector_counted_once_for_any_lattice_shift():
 
 
 def test_norm_counts_shifted_coset():
-    emb = rl.sublattice_embedding("A7_in_E7_with_xi")
-    sub = np.array([np.asarray(r) for r in emb.sub_roots])
-    lat = rl.RootLattice("A7It", "A", 7, 8, emb.ambient.scale_sq, sub)
-    counts = rl.norm_counts(lat, 4, np.array(emb.glue, dtype=np.int64))
+    lat = qchar.a7_in_e7()
+    counts = rl.norm_counts(lat, 4, np.array(qchar.XI, dtype=np.int64))
     # the shifted coset has no vectors of norm below 3/2 and none of norm 0
     assert all(n >= Fraction(3, 2) for n in counts)
     assert sum(c for n, c in counts.items() if n == min(counts)) > 0
@@ -378,10 +362,8 @@ def test_enumeration_matches_fraction_oracle(tag, bound):
 
 @pytest.mark.parametrize("bound", [Fraction(5, 2), Fraction(4), Fraction(8)])
 def test_shifted_enumeration_matches_fraction_oracle(bound):
-    emb = rl.sublattice_embedding("A7_in_E7_with_xi")
-    sub = np.array([np.asarray(r) for r in emb.sub_roots])
-    lat = rl.RootLattice("A7It", "A", 7, 8, emb.ambient.scale_sq, sub)
-    shift = lat.coords(np.array(emb.glue, dtype=np.int64))
+    lat = qchar.a7_in_e7()
+    shift = lat.coords(np.array(qchar.XI, dtype=np.int64))
     assert any(c.denominator > 1 for c in shift)
     gram = _inner_gram(lat)
     got = rl._enumerate_short(gram, bound, shift)
