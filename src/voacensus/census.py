@@ -16,11 +16,9 @@ import numpy as np
 
 from . import gf2code, rootlat
 from .gf2code import BinaryCode, HammingEmbedding
-from .griess import INT_GUARD, GriessAlgebra, GriessElement
+from .griess import GriessAlgebra, GriessElement
 
 GRAM_ZERO, GRAM_32ND, GRAM_QUARTER, GRAM_UNKNOWN = 0, 1, 2, 3
-_GRAM_VALUE = {GRAM_ZERO: Fraction(0), GRAM_32ND: Fraction(1, 32),
-               GRAM_QUARTER: Fraction(1, 4)}
 
 
 class CensusError(ValueError):
@@ -29,10 +27,6 @@ class CensusError(ValueError):
 
 class CensusCheckError(CensusError):
     """A computed census failed one of its mathematical invariants."""
-
-
-class UnrealizedGramError(CensusError):
-    """Raised when cross-block Gram data is requested without a realization."""
 
 
 @dataclass(frozen=True)
@@ -92,16 +86,6 @@ class IsingCensus:
             out[p.kind] = out.get(p.kind, 0) + 1
         return dict(sorted(out.items()))
 
-    def gram_value(self, i: int, j: int) -> Fraction:
-        code = int(self.gram[i, j])
-        if code == GRAM_UNKNOWN:
-            raise UnrealizedGramError(
-                f"gram({i},{j}) needs a lattice realization ({self.source})")
-        return _GRAM_VALUE[code]
-
-    def has_unknown_gram(self) -> bool:
-        return bool((self.gram == GRAM_UNKNOWN).any())
-
     def element_index(self, e: GriessElement) -> int:
         if self.elements is None:
             raise CensusError("census carries no realizations")
@@ -129,27 +113,17 @@ class IsingCensus:
 
 def gram_from_elements(elements: list[GriessElement]) -> np.ndarray:
     """Coded Gram matrix of realized points; validates the 0 / 1-32 / 1-4 law."""
-    n = len(elements)
-    if n == 0:
+    if not elements:
         return np.zeros((0, 0), dtype=np.int8)
-    alg = elements[0].alg
-    s4 = alg.s2 * alg.s2
-    mag = max(e.mag for e in elements)
-    if 32 * alg.inner_gain * mag * mag >= INT_GUARD:   # num * 32 below
-        raise CensusError("census elements too large for an exact int64 Gram")
-    dens = np.array([e.den for e in elements], dtype=np.int64)
-    carts = np.stack([e.cart.ravel() for e in elements])
-    xvs = np.stack([e.xv for e in elements])
-    num = 2 * (carts @ carts.T) + 2 * s4 * (xvs @ xvs.T)
-    dd = s4 * np.outer(dens, dens)
-    gram = np.full((n, n), -1, dtype=np.int8)
+    num, den = elements[0].alg.inner_numerators(elements, elements)
+    gram = np.full(num.shape, -1, dtype=np.int8)
     gram[num == 0] = GRAM_ZERO
-    gram[num * 32 == dd] = GRAM_32ND
-    gram[num * 4 == dd] = GRAM_QUARTER
+    gram[32 * num == den] = GRAM_32ND
+    gram[4 * num == den] = GRAM_QUARTER
     if (gram < 0).any():
         i, j = map(int, np.argwhere(gram < 0)[0])
         raise CensusCheckError(
-            f"inner product of points {i},{j} is {Fraction(int(num[i, j]), int(dd[i, j]))},"
+            f"inner product of points {i},{j} is {Fraction(int(num[i, j]), int(den[i, j]))},"
             " outside {0, 1/32, 1/4}")
     if not (np.diag(gram) == GRAM_QUARTER).all():
         raise CensusCheckError("a census point does not have norm 1/4")
@@ -184,35 +158,23 @@ def _lattice_points(lattice: rootlat.RootLattice, algebra: GriessAlgebra):
 def lattice_census(lattice: rootlat.RootLattice,
                    algebra: GriessAlgebra) -> IsingCensus:
     """All norm-1/4 idempotents of the degree-2 algebra of an ADE lattice."""
-    points, elements = _lattice_points(lattice, algebra)
-    return IsingCensus(points, elements, gram_from_elements(elements),
-                       f"lattice:{lattice.name}", frame_size=2 * lattice.rank,
-                       algebra=algebra)
+    return commutant_filter(lattice, algebra, [], f"lattice:{lattice.name}")
 
 
 def commutant_filter(lattice: rootlat.RootLattice, algebra: GriessAlgebra,
                      constraints: list[GriessElement], source: str) -> IsingCensus:
     """Census of the lattice census points orthogonal to every constraint.
 
-    The points are filtered before any Gram is taken: <e, c> is 0 exactly
-    when its numerator 2 tr(A_e A_c) + 2 s2^2 x_e . x_c is, one stacked
-    product per constraint over all points, under one int64 bound
-    inner_gain * mag * c.mag checked first.  Each Gram entry depends only on
-    its two elements, so the Gram of the kept points is the lattice
-    census's Gram restricted to them (README: "How a commutant census is
-    built").
+    The points are filtered before any Gram is taken: a point is kept when
+    its row of `GriessAlgebra.inner_numerators` against the constraints is
+    all zero, so with no constraints every point is kept.  Each Gram entry
+    depends only on its two elements, so the Gram of the kept points is the
+    lattice census's Gram restricted to them (README: "How a commutant
+    census is built").
     """
     points, elements = _lattice_points(lattice, algebra)
-    mag = max(e.mag for e in elements) * max((c.mag for c in constraints), default=0)
-    if algebra.inner_gain * mag >= INT_GUARD:
-        raise CensusError("constraints too large for an exact int64 inner product")
-    s4 = algebra.s2 * algebra.s2
-    carts = np.stack([e.cart.ravel() for e in elements])
-    xvs = np.stack([e.xv for e in elements])
-    keep = np.ones(len(elements), dtype=bool)
-    for c in constraints:
-        keep &= 2 * (carts @ c.cart.T.ravel()) + 2 * s4 * (xvs @ c.xv) == 0
-    idx = np.flatnonzero(keep).tolist()
+    num, _ = algebra.inner_numerators(elements, constraints)
+    idx = np.flatnonzero(~num.any(axis=1)).tolist()
     kept = [elements[i] for i in idx]
     return IsingCensus([points[i] for i in idx], kept, gram_from_elements(kept),
                        source, frame_size=2 * lattice.rank, algebra=algebra)

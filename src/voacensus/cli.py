@@ -326,6 +326,12 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader left early; devnull keeps the flush at exit quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # an --output path that cannot be written is a usage error
+        report = {"tool": f"voacensus {__version__}", "ok": False,
+                  "error": f"cannot write {args.output!r}: {exc.strerror}"}
+        _emit(report, args.format, None)
+        code = 2
     return code
 
 

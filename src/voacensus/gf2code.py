@@ -296,6 +296,8 @@ def hamming_embeddings(code: BinaryCode) -> list[HammingEmbedding]:
 def parse_code_text(text: str) -> BinaryCode:
     """Code file format: first line 'n k', then k rows of n characters."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise CodeError("code text is empty: expected a header line 'n k'")
     try:
         n, k = map(int, lines[0].split())
     except Exception as exc:

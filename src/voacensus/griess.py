@@ -302,6 +302,27 @@ class GriessAlgebra:
         num = 2 * int(np.trace(a.cart @ b.cart)) + 2 * s4 * int(a.xv @ b.xv)
         return Fraction(num, s4 * a.den * b.den)
 
+    def inner_numerators(self, es, fs) -> tuple[np.ndarray, np.ndarray]:
+        """int64 (num, den) with <es[i], fs[j]> = num[i, j] / den[i, j], unreduced.
+
+        num = 2 tr(A_e A_f) + 2 s2^2 x_e . x_f, each partial sum at most
+        inner_gain e.mag f.mag, and den = s2^2 e.den f.den, at most that too.
+        Checked first, on Python ints: 32 inner_gain max e.mag max f.mag, the
+        32 so that callers may compare 32 num == den (<e, f> = 1/32) in int64.
+        """
+        if not es or not fs:
+            empty = np.zeros((len(es), len(fs)), dtype=np.int64)
+            return empty, empty
+        _guard(32 * self.inner_gain * max(e.mag for e in es) * max(f.mag for f in fs))
+        s4 = self.s2 * self.s2
+        A = np.stack([e.cart.ravel() for e in es])
+        B = np.stack([f.cart.T.ravel() for f in fs])
+        X = np.stack([e.xv for e in es])
+        Y = np.stack([f.xv for f in fs])
+        num = 2 * (A @ B.T) + 2 * s4 * (X @ Y.T)
+        eden = np.array([e.den for e in es], dtype=np.int64)
+        return num, s4 * np.outer(eden, [f.den for f in fs])
+
     # -- twist automorphisms ----------------------------------------------------
     def twist_signs(self, x) -> np.ndarray:
         """Signs (-1)^<x, a_p> over pairs, for a lattice vector x."""

@@ -165,13 +165,13 @@ for _n in range(1, 6):
     CENSUS_ALIASES[f"ma{_n}"] = f"commutant:A{_n}:wtilde"
 
 
-@lru_cache(maxsize=None)
 def census(spec: str) -> census_mod.IsingCensus:
     """Resolve a census spec.
 
     Forms: `code:<tag>`, `lattice:<spec>`,
     `commutant:<lattice>:<constraints>`, or an alias (me8, uc, hamming24,
-    ma1..ma5, e8full, md4) standing for one of them.
+    ma1..ma5, e8full, md4) standing for one of them.  Each kind's builder
+    caches its censuses.
     """
     spec = spec.strip()
     spec = CENSUS_ALIASES.get(spec.lower(), spec)
@@ -188,8 +188,12 @@ def census(spec: str) -> census_mod.IsingCensus:
     raise RegistryError(f"unknown census spec {spec!r}")
 
 
-@lru_cache(maxsize=None)
 def sigma_table(spec: str):
-    """Checked involution table of a census (see `transpo.SigmaTable`)."""
+    """Checked involution table (see `transpo.SigmaTable`), one per census."""
+    return _sigma_table(census(spec))
+
+
+@lru_cache(maxsize=None)
+def _sigma_table(c: census_mod.IsingCensus):
     from . import transpo
-    return transpo.sigma_permutations(census(spec))
+    return transpo.sigma_permutations(c)

@@ -11,7 +11,7 @@ from voacensus import census as cz
 from voacensus import gf2code as gc
 from voacensus import registry, rootlat
 from voacensus.census import GRAM_32ND, GRAM_QUARTER, GRAM_ZERO
-from voacensus.griess import GriessAlgebra
+from voacensus.griess import GriessAlgebra, GriessError
 
 
 def test_code_census_counts():
@@ -192,7 +192,7 @@ def test_commutant_filter_refuses_oversized_constraints():
     # the same hyperplane as wtilde, with entries past the int64 bound
     big = Fraction(1, 2 ** 50) * alg.conformal_wtilde().element
     assert alg.inner_gain * 8 * big.mag >= 2 ** 62
-    with pytest.raises(cz.CensusError, match="too large"):
+    with pytest.raises(GriessError, match="too large"):
         cz.commutant_filter(lat, alg, [big], "oversized")
 
 
@@ -228,12 +228,12 @@ def test_standard_e8_model_isomorphic_census():
 
 def test_unrealized_cross_block_errors():
     raw = cz.code_census(registry.code("rm24"))
-    assert raw.has_unknown_gram()
-    with pytest.raises(cz.UnrealizedGramError):
-        raw.gram_value(16, 40)
+    assert raw.gram[16, 40] == cz.GRAM_UNKNOWN
     # frame rows and within-block entries are still defined
-    assert raw.gram_value(0, 1) == 0
-    assert raw.gram_value(16, 17) in (Fraction(0), Fraction(1, 32))
+    assert (raw.gram[:16] != cz.GRAM_UNKNOWN).all()
+    assert (raw.gram[16:32, 16:32] != cz.GRAM_UNKNOWN).all()
+    assert raw.gram[0, 1] == GRAM_ZERO
+    assert raw.gram[16, 17] in (GRAM_ZERO, GRAM_32ND)
 
 
 def test_combinatorial_gram_matches_realization():
@@ -263,6 +263,27 @@ def test_paired_model_census_built_once_per_process():
     out = subprocess.run([sys.executable, "-c", _COUNT_LATTICE_CENSUSES],
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["1"]
+
+
+# counts sigma tables built in a fresh process for four spellings of the
+# census me8
+_COUNT_SIGMA_TABLES = """
+from voacensus import registry, transpo
+calls, build = [], transpo.sigma_permutations
+def counting(c):
+    calls.append(c)
+    return build(c)
+transpo.sigma_permutations = counting
+tables = {id(registry.sigma_table(s))
+          for s in ("me8", "ME8", " me8", "commutant:E8:wtilde")}
+print(len(calls), len(tables))
+"""
+
+
+def test_sigma_table_built_once_per_census():
+    out = subprocess.run([sys.executable, "-c", _COUNT_SIGMA_TABLES],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["1", "1"]
 
 
 def _realize_recording_blocks(monkeypatch, tag):

@@ -140,6 +140,26 @@ def test_missing_code_file_is_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr
     data = json.loads(proc.stdout)
     assert data["ok"] is False and "absent.txt" in data["error"]
+    # an empty or blank code file has no header line
+    for name, text in (("empty.txt", ""), ("blank.txt", "  \n\n \n")):
+        (tmp_path / name).write_text(text)
+        proc = subprocess.run(RUN + ["code", f"file:{tmp_path / name}"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, name
+        assert "Traceback" not in proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["ok"] is False and "empty" in data["error"]
+
+
+def test_unwritable_output_is_usage_error(tmp_path):
+    for out in (tmp_path, tmp_path / "absent" / "report.json"):
+        proc = subprocess.run(RUN + ["--output", str(out), "code", "rm14"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, out
+        assert "Traceback" not in proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["ok"] is False and str(out) in data["error"]
+    assert not (tmp_path / "absent").exists()
 
 
 def test_frame_vector_index_out_of_range():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voacensus import exact, registry, transpo
-from voacensus.census import GRAM_32ND, GRAM_ZERO, CensusError, gram_from_elements
+from voacensus.census import GRAM_32ND, GRAM_ZERO, gram_from_elements
 from voacensus.griess import (INT_GUARD, GriessElement, GriessError, SigmaImageError,
                               verify_orthogonal_split, verify_twist_chain)
 from voacensus.registry import algebra
@@ -401,8 +401,19 @@ def test_int64_wrap_is_refused():
         (2 ** 30) * e40
     with pytest.raises(GriessError, match="too large"):
         e40 + GriessElement(alg, e40.cart, e40.xv, 2 ** 23 + 1)
-    with pytest.raises(CensusError, match="too large"):
+    with pytest.raises(GriessError, match="too large"):
         gram_from_elements([e40, e40])
+
+
+def test_inner_numerators_match_inner_on_e8_census():
+    c = registry.census("lattice:E8")
+    cons = [registry.constraint_element(c.algebra, name)
+            for name in ("wtilde", "s", "phi:alpha0")]
+    nums, dens = c.algebra.inner_numerators(c.elements, cons)
+    assert nums.shape == dens.shape == (len(c), 3)
+    for e, num_row, den_row in zip(c.elements, nums.tolist(), dens.tolist()):
+        assert [Fraction(n, d) for n, d in zip(num_row, den_row)] == \
+            [c.algebra.inner(e, f) for f in cons]
 
 
 def _object_product(alg, a, b):
@@ -429,8 +440,10 @@ def _element_pair(draw):
     if draw(st.booleans()):
         ints = st.integers(-1000, 1000)
     else:
-        # operands as large as the product bound admits
-        hi = isqrt((INT_GUARD - 1) // alg.product_gain)
+        # operands as large as the product bound, or the stacked inner
+        # bound of `inner_numerators`, admits
+        gain = draw(st.sampled_from([alg.product_gain, 32 * alg.inner_gain]))
+        hi = isqrt((INT_GUARD - 1) // gain)
         ints = st.builds(lambda x, sign: sign * x, st.integers(hi // 2, hi),
                          st.sampled_from([1, -1]))
 
@@ -457,3 +470,11 @@ def test_product_and_inner_match_object_reference(case):
     num = 2 * np.trace(a.cart.astype(object).dot(b.cart.astype(object))) \
         + 2 * s4 * a.xv.astype(object).dot(b.xv.astype(object))
     assert got_inner == Fraction(num, s4 * a.den * b.den)
+    if 32 * alg.inner_gain * a.mag * b.mag < INT_GUARD:
+        nums, dens = alg.inner_numerators([a, b], [b, a])
+        assert [[Fraction(int(n), int(d)) for n, d in zip(*row)]
+                for row in zip(nums, dens)] == \
+            [[alg.inner(e, f) for f in (b, a)] for e in (a, b)]
+    else:
+        with pytest.raises(GriessError, match="too large"):
+            alg.inner_numerators([a], [b])
