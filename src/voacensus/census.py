@@ -206,12 +206,14 @@ def _coset_reps(embedding: HammingEmbedding) -> list[int]:
     return sorted(reps)
 
 
-def code_census(code: BinaryCode, realize: IsingCensus | None = None) -> IsingCensus:
+def code_census(code: BinaryCode, realize: IsingCensus | None = None,
+                sigmas=None) -> IsingCensus:
     """Frame points plus 16 points per Hamming-type embedding.
 
     `realize` is the lattice census of a paired model (see `paired_model`)
-    whose elements are attached to the points; without it, cross-embedding
-    Gram entries are marked unrealized.
+    whose elements are attached to the points, and `sigmas` its checked
+    `transpo.SigmaTable`; without them, cross-embedding Gram entries are
+    marked unrealized.
     """
     if code.rank == 0:
         raise CensusError("census of the zero code is empty of structure")
@@ -229,16 +231,18 @@ def code_census(code: BinaryCode, realize: IsingCensus | None = None) -> IsingCe
     if realize is None:
         return IsingCensus(points, None, gram, "code:unrealized",
                            frame_size=code.length, embeddings=embeddings)
-    base, index = _realize_code_census(code, embeddings, block_cosets, realize)
-    realized = base.gram[np.ix_(index, index)]
+    if sigmas is None or len(sigmas.rows) != len(realize):
+        raise CensusError("a realized code census needs its paired census's sigma-table")
+    index = _realize_code_census(code, embeddings, block_cosets, realize, sigmas.rows)
+    realized = realize.gram[np.ix_(index, index)]
     bad = np.argwhere((gram != GRAM_UNKNOWN) & (gram != realized))
     if len(bad):
         i, j = map(int, bad[0])
         raise CensusCheckError(
             f"realized Gram entry ({i},{j}) differs from the code's")
-    return IsingCensus(points, [base.elements[k] for k in index], realized,
-                       f"code:{base.algebra.lattice.name}", frame_size=code.length,
-                       algebra=base.algebra, embeddings=embeddings)
+    return IsingCensus(points, [realize.elements[k] for k in index], realized,
+                       f"code:{realize.algebra.lattice.name}", frame_size=code.length,
+                       algebra=realize.algebra, embeddings=embeddings)
 
 
 def _combinatorial_gram(code, embeddings, block_cosets) -> np.ndarray:
@@ -276,58 +280,58 @@ def paired_model(code: BinaryCode) -> str | None:
     return None
 
 
-def _realize_code_census(code, embeddings, block_cosets, base):
-    """Match census labels with idempotents of the paired lattice census `base`.
+def _realize_code_census(code, embeddings, block_cosets, base, sigmas):
+    """Match census labels with points of the paired lattice census `base`.
 
     Frame slot 2i / 2i+1 maps to the minus / plus vector over the i-th
     coordinate axis root.  Each embedding block is matched by its Gram row
-    against the frame realizations, anchored and translated by the
-    involutions of in-support frame points.  Returns `base` and the index in
-    it of every code census point.
+    against the frame points, anchored and translated by the involutions of
+    in-support frame points (`sigmas`, the σ-table rows of `base`).  Returns
+    the index in `base` of every code census point.
     """
     lattice = base.algebra.lattice
     if code.length != 2 * lattice.ambient:
         raise CensusError(f"code length {code.length} does not pair with {lattice.name}")
-    index = []
+    frame = []
     for i in range(lattice.ambient):
         v = np.zeros(lattice.ambient, dtype=np.int64)
         v[i] = 2
         pair = lattice.pair_of(v)
-        index += [pair, lattice.npairs + pair]   # its wminus and wplus points
-    frame_elems = [base.elements[k] for k in index]
-    rows = base.gram[:, index]
+        frame += [pair, lattice.npairs + pair]   # its wminus and wplus points
+    meets = base.gram[:, frame]
     free = np.ones(len(base), dtype=bool)
-    free[index] = False
+    free[frame] = False
+    index = list(frame)
     for emb, reps in zip(embeddings, block_cosets):
         desired = np.full(code.length, GRAM_ZERO, dtype=np.int8)
         desired[list(emb.support)] = GRAM_32ND
-        cands = [base.elements[k]
-                 for k in np.flatnonzero(free & (rows == desired).all(axis=1))]
+        cands = np.flatnonzero(free & (meets == desired).all(axis=1)).tolist()
         if len(cands) != 16:
             raise CensusCheckError(
                 f"embedding matching found {len(cands)} candidates, expected 16")
-        anchor = min(cands, key=lambda e: e.key())
-        placed = _translate_block(base.algebra, frame_elems, emb, reps, anchor,
-                                  cands)
-        block = [base.element_index(placed[rep]) for rep in reps]
+        anchor = min(cands, key=lambda k: base.elements[k].key())
+        placed = _translate_block(sigmas, frame, emb, reps, anchor, cands)
+        block = [placed[rep] for rep in reps]
         free[block] = False
         index += block
-    return base, index
+    return index
 
 
-def _translate_block(algebra, frame_elems, emb, reps, anchor, cands):
+def _translate_block(sigmas, frame, emb, reps, anchor, cands):
     """Label the 16 block candidates by cosets via frame-involution translations.
 
-    Flipping coordinate i of a label is σ_i, the involution of frame point i.
-    The frame points are mutually orthogonal, so σ_i fixes frame point j and
-    σ_i σ_j σ_i = σ_j: the σ's commute, and a word w on the support acts by
-    the product of its σ's.  The words fixing the anchor form a subgroup K.
+    Flipping coordinate i of a label is σ_i, the involution of frame point
+    i, read off the checked σ-table: σ_i(x) = sigmas[frame[i], x] on census
+    indices.  The frame points are mutually orthogonal, so σ_i fixes frame
+    point j and σ_i σ_j σ_i = σ_j: the σ's commute, and a word w on the
+    support acts by the product of its σ's.  The words fixing the anchor
+    form a subgroup K.
 
     Starting from the anchor, labelled by the minimal-weight coset, each new
     coset is placed once, by one σ from the placed coset it is reached from,
-    walking breadth-first over the support coordinates: 15 products.  Each
+    walking breadth-first over the support coordinates: 15 lookups.  Each
     subcode generator, applied coordinate by coordinate, must also return
-    the anchor (4 products for a weight-4 generator).  If they do, the
+    the anchor (4 lookups for a weight-4 generator).  If they do, the
     subcode lies in K, so w(anchor) depends only on the coset of w and every
     edge (coset c, coordinate i) has σ_i(point of c) = point of c + e_i,
     which is what a check of all 8 x 16 edges would verify; conversely that
@@ -344,7 +348,7 @@ def _translate_block(algebra, frame_elems, emb, reps, anchor, cands):
         point = anchor
         for i in support:
             if (g >> i) & 1:
-                point = algebra.sigma_image(frame_elems[i], point)
+                point = int(sigmas[frame[i], point])
         if point != anchor:
             raise CensusCheckError("a subcode word moves the block anchor")
     zero = min(reps, key=lambda w: (gf2code.weight(w), w))
@@ -354,10 +358,10 @@ def _translate_block(algebra, frame_elems, emb, reps, anchor, cands):
         for i in support:
             target = label[cur ^ (1 << i)]
             if target not in placed:
-                placed[target] = algebra.sigma_image(frame_elems[i], placed[cur])
+                placed[target] = int(sigmas[frame[i], placed[cur]])
                 order.append(target)
-    keys = {e.key() for e in placed.values()}
-    if len(keys) != 16 or not keys <= {e.key() for e in cands}:
+    points = set(placed.values())
+    if len(points) != 16 or not points <= set(cands):
         raise CensusCheckError("block translation did not place 16 distinct candidates")
     return placed
 

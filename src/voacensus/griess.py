@@ -190,6 +190,13 @@ class GriessAlgebra:
             k = int(np.argmax(targets < 0))
             v = P[tp[k]] - dots[tp[k], tq[k]] * P[tq[k]]
             raise LatticeError(f"{v} is not a root of {lattice.name}")
+        # source[q, r] = p for (p, q) -> r, else npairs; p is +-(r + q) or
+        # +-(r - q), and only one of them is a root
+        source = np.full((self.npairs, self.npairs), self.npairs, dtype=np.int64)
+        source[tq, targets] = tp
+        if np.count_nonzero(source < self.npairs) != len(tp):
+            raise LatticeError(f"{lattice.name}: a pair product has two sources")
+        self._pair_source = source
         self._tp, self._tq, self._tr = tp, tq, targets
         self._pair_outer = np.einsum("pi,pj->pij", P, P)
         # |integer| of a product / inner numerator <= gain * a.mag * b.mag
@@ -277,24 +284,35 @@ class GriessAlgebra:
 
     # -- products and forms ---------------------------------------------------
     def product(self, a: GriessElement, b: GriessElement) -> GriessElement:
-        _guard(self.product_gain * a.mag * b.mag)
-        s2 = self.s2
-        P = self.pairs
-        cart = 2 * s2 * (a.cart @ b.cart + b.cart @ a.cart)
-        w = a.xv * b.xv
-        if w.any():
-            cart = cart + 2 * s2 * s2 * np.einsum("p,pij->ij", w, self._pair_outer)
-        xv = np.zeros(self.npairs, dtype=np.int64)
-        if a.cart.any() and b.xv.any():
-            quad = 2 * np.einsum("pi,ij,pj->p", P, a.cart, P)
-            xv += quad * b.xv
-        if b.cart.any() and a.xv.any():
-            quad = 2 * np.einsum("pi,ij,pj->p", P, b.cart, P)
-            xv += quad * a.xv
-        if a.xv.any() and b.xv.any():
-            contrib = s2 * s2 * a.xv[self._tp] * b.xv[self._tq]
-            np.add.at(xv, self._tr, contrib)
-        return GriessElement(self, cart, xv, a.den * b.den * s2 * s2)
+        return self.products(a, [b])[0]
+
+    def products(self, e: GriessElement, fs) -> list[GriessElement]:
+        """e f for every f in `fs`, after one bound on Python ints:
+        product_gain e.mag max f.mag dominates every integer formed."""
+        if not fs:
+            return []
+        _guard(self.product_gain * e.mag * max(f.mag for f in fs))
+        B = np.stack([f.cart for f in fs])
+        X = np.stack([f.xv for f in fs])
+        fden = np.array([f.den for f in fs], dtype=np.int64)
+        cart, xv = self._product_numerators(e, B, X)
+        return GriessElement.from_rows(self, cart, xv, self.s2 ** 2 * e.den * fden)
+
+    def _product_numerators(self, e: GriessElement, B: np.ndarray, X: np.ndarray):
+        """Numerators (carts, pair vectors) of e f over e.den f.den s2^2 for
+        the f stacked as carts B and pair vectors X: the structure constants
+        on the whole stack, the pair products (p, q) -> r as X @ M for
+        M[q, r] = s2^2 a[p] (0 where no p exists)."""
+        s2, m, npairs = self.s2, self.m, self.npairs
+        s4 = s2 * s2
+        A, a = e.cart, e.xv
+        outer = self._pair_outer.reshape(npairs, m * m)
+        cart = (2 * s2 * (A @ B + B @ A)
+                + 2 * s4 * ((a * X) @ outer).reshape(-1, m, m))
+        pair_pair = np.append(s4 * a, 0)[self._pair_source]
+        xv = (2 * (outer @ A.ravel()) * X + 2 * (B.reshape(-1, m * m) @ outer.T) * a
+              + X @ pair_pair)
+        return cart, xv
 
     def inner(self, a: GriessElement, b: GriessElement) -> Fraction:
         _guard(self.inner_gain * a.mag * b.mag)
@@ -350,26 +368,21 @@ class GriessAlgebra:
     def sigma_images(self, e: GriessElement, fs) -> list[GriessElement]:
         """sigma_e(f) = e + f - 4 e f for every f in `fs`, each at <e,f> = 1/32.
 
-        The partners are stacked (carts B, pair vectors X) and the numerators
-        of all products e f are taken at once over the common denominator
-        e.den f.den s2^2; the pair-pair term is X @ M for the matrix
-        M[q, r] = s2^2 sum of a[p] over the pair products (p, q) -> r.  Each
-        image is normalised by GriessElement.  A failed check raises
-        SigmaImageError naming the first bad row, before the arithmetic it
-        guards: the int64 bound, 32 <e,f> = 1, and <g,g> = 1/4.
+        The products e f come from `_product_numerators`.  A failed check
+        raises SigmaImageError naming the first bad row, before the
+        arithmetic it guards: the int64 bound, 32 <e,f> = 1, and <g,g> = 1/4.
 
         The bound.  With mu = e.mag f.mag, every integer is at most gain mu:
         the inner numerator 2 tr(AB) + 2 s2^2 a.X by inner_gain mu; each
         product numerator, and the intermediate sums that build it, by
-        product_gain mu (as in `product`); the image numerators
+        product_gain mu (as in `products`); the image numerators
         e f.den s2^2 + f e.den s2^2 - 4 (e f) and their denominator
         e.den f.den s2^2 by (2 s2^2 + 4 product_gain) mu.  The norm check
         on a normalised image g is bounded by inner_gain g.mag^2.
         """
         if not fs:
             return []
-        s2, m, npairs = self.s2, self.m, self.npairs
-        s4 = s2 * s2
+        s4 = self.s2 * self.s2
         gain = self.inner_gain + 2 * s4 + 4 * self.product_gain
         for row, f in enumerate(fs):
             if gain * e.mag * f.mag >= INT_GUARD:
@@ -385,13 +398,7 @@ class GriessAlgebra:
                 raise SigmaImageError(
                     row, f"inner product {Fraction(num, s4 * e.den * den)} "
                          "admits no involution rule")
-        outer = self._pair_outer.reshape(npairs, m * m)
-        cart = (2 * s2 * (A @ B + B @ A)
-                + 2 * s4 * ((a * X) @ outer).reshape(-1, m, m))
-        pair_pair = np.zeros((npairs, npairs), dtype=np.int64)
-        np.add.at(pair_pair, (self._tq, self._tr), s4 * a[self._tp])
-        xv = (2 * (outer @ A.ravel()) * X + 2 * (B.reshape(-1, m * m) @ outer.T) * a
-              + X @ pair_pair)
+        cart, xv = self._product_numerators(e, B, X)
         g_cart = A * (s4 * fden)[:, None, None] + B * (s4 * e.den) - 4 * cart
         g_xv = a * (s4 * fden)[:, None] + X * (s4 * e.den) - 4 * xv
         images = GriessElement.from_rows(self, g_cart, g_xv, s4 * e.den * fden)
@@ -443,19 +450,14 @@ class GriessAlgebra:
     # -- kernels -------------------------------------------------------------------
     def commutant_weight2(self, u: GriessElement) -> list[list[Fraction]]:
         """Reduced echelon basis of ker(v -> u * v) over the labeled basis."""
-        cols = [self.expand(self.product(u, b)) for b in self._basis_elements()]
+        cols = [self.expand(g) for g in self.products(u, self._basis_elements())]
         return kernel(list(zip(*cols)))
 
     def _basis_elements(self) -> list[GriessElement]:
-        basis = self.lattice.basis
-        out = []
-        ell = self.lattice.rank
-        for i in range(ell):
-            for j in range(i, ell):
-                out.append(self.from_quadratic(basis[i], basis[j]))
-        for p in range(self.npairs):
-            out.append(self.pair_element(p))
-        return out
+        basis, ell = self.lattice.basis, self.lattice.rank
+        return ([self.from_quadratic(basis[i], basis[j])
+                 for i in range(ell) for j in range(i, ell)]
+                + [self.pair_element(p) for p in range(self.npairs)])
 
     def in_span(self, v: GriessElement, echelon: list[list[Fraction]]) -> bool:
         """Membership of v in the row space of a reduced echelon basis.

@@ -58,7 +58,11 @@ def code(tag: str) -> gf2code.BinaryCode:
 
 
 def lattice_tags(spec: str) -> list[str]:
-    return [part.strip().upper() for part in spec.split("+") if part.strip()]
+    """The summands of a lattice spec, stripped and upper-cased."""
+    tags = [part.strip().upper() for part in spec.split("+")]
+    if not all(tags):
+        raise RegistryError(f"lattice spec {spec!r} has an empty summand")
+    return tags
 
 
 @lru_cache(maxsize=None)
@@ -95,61 +99,19 @@ def constraint_element(alg: GriessAlgebra, name: str) -> GriessElement:
     raise RegistryError(f"unknown constraint {name!r}")
 
 
-@lru_cache(maxsize=None)
-def lattice_census(spec: str) -> census_mod.IsingCensus:
-    """Census of a lattice spec; direct sums are concatenated blockwise."""
-    from . import census as census_mod
-    tags = lattice_tags(spec)
-    if not tags:
-        raise RegistryError("empty lattice spec")
-    if len(tags) == 1:
-        tag = tags[0]
-        return census_mod.lattice_census(lattice(tag), algebra(tag))
-    parts = [lattice_census(t) for t in tags]
-    return _direct_sum_census(parts, spec)
-
-
 def _direct_sum_census(parts, spec: str) -> census_mod.IsingCensus:
     import numpy as np
 
     from . import census as census_mod
-    points = []
-    total = sum(len(p) for p in parts)
-    gram = np.zeros((total, total), dtype=np.int8)
-    offset = 0
-    blocks = []
+    points = [pt for p in parts for pt in p.points]
+    gram = np.zeros((len(points), len(points)), dtype=np.int8)
+    blocks, offset = [], 0
     for p in parts:
-        points.extend(p.points)
         gram[offset:offset + len(p), offset:offset + len(p)] = p.gram
         blocks.append((offset, p))
         offset += len(p)
-    frame = sum(p.frame_size for p in parts)
-    return census_mod.IsingCensus(points, None, gram, f"lattice:{spec}",
-                                  frame_size=frame, blocks=blocks)
-
-
-@lru_cache(maxsize=None)
-def commutant_census(spec: str, constraints: str) -> census_mod.IsingCensus:
-    """The points of the lattice census of `spec` orthogonal to
-    comma-separated constraints; the full lattice census is not built."""
-    from . import census as census_mod
-    tags = lattice_tags(spec)
-    if len(tags) != 1:
-        raise RegistryError("commutant filters need an indecomposable lattice")
-    alg = algebra(tags[0])
-    elems = [constraint_element(alg, c) for c in constraints.split(",") if c]
-    return census_mod.commutant_filter(
-        lattice(tags[0]), alg, elems, f"commutant:{spec}:{constraints}")
-
-
-@lru_cache(maxsize=None)
-def code_census(tag: str) -> census_mod.IsingCensus:
-    """Census of a code, realized in its paired model's lattice census."""
-    from . import census as census_mod
-    c = code(tag)
-    model = census_mod.paired_model(c)
-    return census_mod.code_census(
-        c, realize=None if model is None else lattice_census(model))
+    return census_mod.IsingCensus(points, None, gram, f"lattice:{spec}", blocks=blocks,
+                                  frame_size=sum(p.frame_size for p in parts))
 
 
 CENSUS_ALIASES = {
@@ -166,26 +128,58 @@ for _n in range(1, 6):
 
 
 def census(spec: str) -> census_mod.IsingCensus:
-    """Resolve a census spec.
+    """Resolve a census spec, built once per process in one spelling.
 
     Forms: `code:<tag>`, `lattice:<spec>`,
     `commutant:<lattice>:<constraints>`, or an alias (me8, uc, hamming24,
-    ma1..ma5, e8full, md4) standing for one of them.  Each kind's builder
-    caches its censuses.
+    ma1..ma5, e8full, md4) standing for one of them.  The cache key has
+    lattice tags stripped, upper-cased and joined by `+`, and code tags and
+    constraint names stripped and lower-cased (a `file:` path as given).
     """
     spec = spec.strip()
     spec = CENSUS_ALIASES.get(spec.lower(), spec)
-    if ":" in spec:
-        kind, rest = spec.split(":", 1)
-        kind = kind.lower()
-        if kind == "code":
-            return code_census(rest)
-        if kind == "lattice":
-            return lattice_census(rest)
-        if kind == "commutant":
-            lat, cons = rest.split(":", 1)
-            return commutant_census(lat, cons)
+    kind, colon, rest = spec.partition(":")
+    kind = kind.lower()
+    if colon and kind == "code":
+        return _census("code:" + (rest if rest[:5].lower() == "file:"
+                                  else rest.strip().lower()))
+    if colon and kind == "lattice":
+        return _census("lattice:" + "+".join(lattice_tags(rest)))
+    if colon and kind == "commutant":
+        lat, colon, cons = rest.partition(":")
+        names = [name.strip().lower() for name in cons.split(",")]
+        if not colon or not all(names):
+            raise RegistryError("commutant specs have the form "
+                                "commutant:<lattice>:<constraint>[,<constraint>...]")
+        tags = lattice_tags(lat)
+        if len(tags) != 1:
+            raise RegistryError("commutant filters need an indecomposable lattice")
+        return _census(f"commutant:{tags[0]}:{','.join(names)}")
     raise RegistryError(f"unknown census spec {spec!r}")
+
+
+@lru_cache(maxsize=None)
+def _census(spec: str) -> census_mod.IsingCensus:
+    """The census of a spec spelled as `census` keys it; a code's is read
+    off its paired model's lattice census and that census's sigma-table."""
+    from . import census as census_mod
+    kind, rest = spec.split(":", 1)
+    if kind == "lattice":
+        tags = rest.split("+")
+        if len(tags) == 1:
+            return census_mod.lattice_census(lattice(rest), algebra(rest))
+        return _direct_sum_census([_census(f"lattice:{t}") for t in tags], rest)
+    if kind == "commutant":
+        tag, constraints = rest.split(":", 1)
+        alg = algebra(tag)
+        elems = [constraint_element(alg, c) for c in constraints.split(",")]
+        return census_mod.commutant_filter(lattice(tag), alg, elems, spec)
+    c = code(rest)
+    model = census_mod.paired_model(c)
+    if model is None:
+        return census_mod.code_census(c)
+    base = _census(f"lattice:{model}")
+    return census_mod.code_census(c, realize=base, sigmas=_sigma_table(base))
 
 
 def sigma_table(spec: str):

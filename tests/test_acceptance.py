@@ -39,8 +39,9 @@ def test_criterion_01_code_census_counts():
         cases.append((f"dcode{2 * n}", gc.structure_code_dplus(n), expect))
     for tag, code, expect in cases:
         t0 = time.monotonic()
-        model = registry.lattice_census(cz.paired_model(code))
-        got = len(cz.code_census(code, realize=model))
+        spec = f"lattice:{cz.paired_model(code)}"
+        model, table = registry.census(spec), registry.sigma_table(spec)
+        got = len(cz.code_census(code, realize=model, sigmas=table))
         dt = time.monotonic() - t0
         timings.append(dt)
         results.append(got == expect)

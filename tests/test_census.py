@@ -1,3 +1,5 @@
+import copy
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -172,7 +174,7 @@ def test_commutant_census_is_the_lattice_subcensus(spec):
     # the census filtered before its Gram against the full lattice census
     # filtered one Fraction inner product at a time
     _, lat, constraints = registry.CENSUS_ALIASES.get(spec, spec).split(":", 2)
-    full = registry.lattice_census(lat)
+    full = registry.census(f"lattice:{lat}")
     cons = [registry.constraint_element(full.algebra, name)
             for name in constraints.split(",")]
     keep = [i for i, e in enumerate(full.elements)
@@ -286,55 +288,97 @@ def test_sigma_table_built_once_per_census():
     assert out.split() == ["1", "1"]
 
 
+SPELLINGS = [("lattice:e8", "lattice:E8"), ("code:RM24", "code:rm24"),
+             ("commutant:e8:wtilde", "me8"), (" Lattice: a2 + A3 ", "lattice:A2+A3"),
+             ("commutant:E8: WTilde , Phi:Alpha0", "uc")]
+
+
+@pytest.mark.parametrize("spelling, spec", SPELLINGS)
+def test_census_spellings_share_one_instance(spelling, spec):
+    assert registry.census(spelling) is registry.census(spec)
+    assert registry.sigma_table(spelling) is registry.sigma_table(spec)
+    assert registry.census(spelling).source == registry.census(spec).source
+
+
+def test_commutant_source_is_canonical():
+    assert registry.census("commutant:e8:wtilde").source == "commutant:E8:wtilde"
+    assert registry.census("lattice: a1 + a1").source == "lattice:A1+A1"
+
+
+@pytest.mark.parametrize("spec, message", [
+    # the CLI forms are in test_cli.py::test_malformed_census_spec_is_usage_error
+    ("commutant:E8:", "commutant:<lattice>:<constraint>"),
+    ("commutant:A2+A2:wtilde", "indecomposable"),
+    ("lattice:+", "empty summand"),
+    ("lattice:", "empty summand"),
+])
+def test_malformed_census_specs_are_refused(spec, message):
+    with pytest.raises(registry.RegistryError, match=re.escape(message)):
+        registry.census(spec)
+
+
+def _paired(code):
+    """The paired model's lattice census of `code` and its registry σ-table."""
+    spec = f"lattice:{cz.paired_model(code)}"
+    return registry.census(spec), registry.sigma_table(spec)
+
+
 def _realize_recording_blocks(monkeypatch, tag):
-    """Realize code `tag` afresh; returns the census and, per block, the
-    arguments of its translation, the placed points and the products used."""
-    translate, sigma = cz._translate_block, GriessAlgebra.sigma_image
-    products = [0]
+    """Realize code `tag` afresh; returns the census, the paired lattice
+    census and, per block, the arguments of its translation, the placed
+    points and the Griess products and σ images evaluated inside it."""
+    translate = cz._translate_block
+    code = registry.code(tag)
+    model, table = _paired(code)
+    calls = [0]
     blocks = []
 
-    def counting_sigma(self, e, f):
-        products[0] += 1
-        return sigma(self, e, f)
+    def counting(method):
+        def wrapper(*args):
+            calls[0] += 1
+            return method(*args)
+        return wrapper
 
     def record(*args):
-        before = products[0]
+        before = calls[0]
         placed = translate(*args)
-        blocks.append((args, placed, products[0] - before))
+        blocks.append((args, placed, calls[0] - before))
         return placed
 
-    monkeypatch.setattr(GriessAlgebra, "sigma_image", counting_sigma)
+    for name in ("sigma_image", "sigma_images", "product", "products"):
+        monkeypatch.setattr(GriessAlgebra, name, counting(getattr(GriessAlgebra, name)))
     monkeypatch.setattr(cz, "_translate_block", record)
-    code = registry.code(tag)
-    model = registry.lattice_census(cz.paired_model(code))
-    census = cz.code_census(code, realize=model)
+    census = cz.code_census(code, realize=model, sigmas=table)
     monkeypatch.undo()
-    return census, blocks
+    return census, model, table, blocks
 
 
 @pytest.mark.parametrize("tag", ["hamming8", "rm24", "dcode4", "dcode6", "dcode8"])
 def test_tree_translation_matches_all_edges_oracle(monkeypatch, tag):
-    census, blocks = _realize_recording_blocks(monkeypatch, tag)
+    census, model, table, blocks = _realize_recording_blocks(monkeypatch, tag)
     assert len(blocks) == len(census.embeddings)
-    for args, placed, products in blocks:
-        # 15 tree edges and 4 weight-4 generators walked in 4 steps each
-        assert products == 15 + 4 * 4
-        want = oracle.translate_block_all_edges(*args)
-        assert {r: e.key() for r, e in placed.items()} == \
+    elems = model.elements
+    for (rows, frame, emb, reps, anchor, cands), placed, products in blocks:
+        # 15 tree edges and 4 weight-4 generators walked, all off the table
+        assert rows is table.rows and products == 0
+        want = oracle.translate_block_all_edges(
+            model.algebra, [elems[k] for k in frame], emb, reps, elems[anchor],
+            [elems[k] for k in cands])
+        assert {r: elems[k].key() for r, k in placed.items()} == \
             {r: e.key() for r, e in want.items()}
 
 
 def test_translate_block_rejects_corrupted_input(monkeypatch):
-    _, blocks = _realize_recording_blocks(monkeypatch, "hamming8")
-    (alg, frame, emb, reps, anchor, cands), placed, _ = blocks[0]
+    _, _, _, blocks = _realize_recording_blocks(monkeypatch, "hamming8")
+    (rows, frame, emb, reps, anchor, cands), placed, _ = blocks[0]
     # an anchor outside the block: a frame point every sigma fixes
     with pytest.raises(cz.CensusCheckError, match="distinct candidates"):
-        cz._translate_block(alg, frame, emb, reps, frame[emb.support[0]], cands)
+        cz._translate_block(rows, frame, emb, reps, frame[emb.support[0]], cands)
     # two labels in one coset, so another coset has none
     bad = list(reps)
     bad[1] = reps[2] ^ emb.words[1]
     with pytest.raises(cz.CensusCheckError, match="16 cosets"):
-        cz._translate_block(alg, frame, emb, bad, anchor, cands)
+        cz._translate_block(rows, frame, emb, bad, anchor, cands)
     # labels by another [8,4,4] subcode: swap two support coordinates
     i, j = emb.support[0], emb.support[1]
     swapped = [g ^ ((1 << i) | (1 << j)) if ((g >> i) ^ (g >> j)) & 1 else g
@@ -342,7 +386,7 @@ def test_translate_block_rejects_corrupted_input(monkeypatch):
     other = gc.HammingEmbedding(emb.parent, gc.rref(swapped), emb.support)
     assert set(other.words) != set(emb.words)
     with pytest.raises(cz.CensusCheckError):
-        cz._translate_block(alg, frame, other, cz._coset_reps(other), anchor, cands)
+        cz._translate_block(rows, frame, other, cz._coset_reps(other), anchor, cands)
     # labels 0 and a weight-1 coset exchanged: only the Gram comparison sees it
     zero, odd = reps[0], next(r for r in reps if gc.weight(r) == 1)
 
@@ -353,9 +397,34 @@ def test_translate_block_rejects_corrupted_input(monkeypatch):
 
     monkeypatch.setattr(cz, "_translate_block", exchange)
     code = registry.code("hamming8")
-    model = registry.lattice_census(cz.paired_model(code))
+    model, table = _paired(code)
     with pytest.raises(cz.CensusCheckError, match="Gram"):
+        cz.code_census(code, realize=model, sigmas=table)
+
+
+@pytest.mark.parametrize("tag", ["hamming8", "rm24", "dcode6"])
+def test_corrupted_frame_row_is_refused(tag):
+    # copies of the paired table in which the involution of frame point 0
+    # fixes every point, or acts as that of frame point 1: a generator walk
+    # through coordinate 0 no longer returns to its anchor
+    code = registry.code(tag)
+    model, table = _paired(code)
+    frame = [model.element_index(e) for e in registry.census(f"code:{tag}").elements[:2]]
+    for row in (np.arange(len(model), dtype=table.rows.dtype), table.rows[frame[1]]):
+        corrupted = copy.copy(table)
+        corrupted.rows = table.rows.copy()
+        corrupted.rows[frame[0]] = row
+        with pytest.raises(cz.CensusCheckError, match="moves the block anchor"):
+            cz.code_census(code, realize=model, sigmas=corrupted)
+
+
+def test_realized_code_census_needs_its_table():
+    code = registry.code("hamming8")
+    model, _ = _paired(code)
+    with pytest.raises(cz.CensusError, match="sigma-table"):
         cz.code_census(code, realize=model)
+    with pytest.raises(cz.CensusError, match="sigma-table"):
+        cz.code_census(code, realize=model, sigmas=registry.sigma_table("me8"))
 
 
 def test_gram_law_violation_is_check_error():

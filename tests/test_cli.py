@@ -284,6 +284,19 @@ def test_empty_lattice_tag_is_usage_error():
     assert data["ok"] is False and "empty lattice tag" in data["error"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["group", "--census", "commutant:E8"], "commutant:<lattice>:<constraint>"),
+    (["census", "commutant", "E8", "--orthogonal-to", ","], "commutant:<lattice>"),
+    (["census", "commutant", "E8", "--orthogonal-to", "wtilde,"], "commutant:<lattice>"),
+    (["census", "lattice", "E8+"], "empty summand"),
+    (["group", "--census", "lattice:+E8"], "empty summand"),
+])
+def test_malformed_census_spec_is_usage_error(args, message, capsys):
+    assert cli.main(args) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False and message in data["error"]
+
+
 def test_failed_sigma_check_exits_1(monkeypatch):
     good = registry.census("ma3")
     elems = list(good.elements)
@@ -328,9 +341,8 @@ def test_failed_census_check_exits_1(monkeypatch, tmp_path, capsys):
     path.write_text(gf2code.format_code_text(registry.code("hamming8")))
     translate = census._translate_block
 
-    def frame_anchor(algebra, frame_elems, emb, reps, anchor, cands):
-        return translate(algebra, frame_elems, emb, reps,
-                         frame_elems[emb.support[0]], cands)
+    def frame_anchor(sigmas, frame, emb, reps, anchor, cands):
+        return translate(sigmas, frame, emb, reps, frame[emb.support[0]], cands)
 
     # a file spec keeps the cached censuses of catalog codes out of play
     monkeypatch.setattr(census, "_translate_block", frame_anchor)

@@ -462,11 +462,15 @@ def test_product_and_inner_match_object_reference(case):
     alg, a, b = case
     s4 = alg.s2 * alg.s2
     got_prod, got_inner = alg.product(a, b), alg.inner(a, b)
-    cart, xv, den = _object_product(alg, a, b)
-    assert [Fraction(int(x), got_prod.den) for x in got_prod.cart.ravel()] == \
-        [Fraction(x, den) for x in cart.ravel()]
-    assert [Fraction(int(x), got_prod.den) for x in got_prod.xv] == \
-        [Fraction(x, den) for x in xv]
+    stacked = alg.products(a, [b, a])
+    pair = transpo_oracle.pair_product(alg, a, b)
+    for got, (x, y) in ((got_prod, (a, b)), (stacked[0], (a, b)), (pair, (a, b)),
+                        (stacked[1], (a, a))):
+        cart, xv, den = _object_product(alg, x, y)
+        assert [Fraction(int(v), got.den) for v in got.cart.ravel()] == \
+            [Fraction(v, den) for v in cart.ravel()]
+        assert [Fraction(int(v), got.den) for v in got.xv] == \
+            [Fraction(v, den) for v in xv]
     num = 2 * np.trace(a.cart.astype(object).dot(b.cart.astype(object))) \
         + 2 * s4 * a.xv.astype(object).dot(b.xv.astype(object))
     assert got_inner == Fraction(num, s4 * a.den * b.den)

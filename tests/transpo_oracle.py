@@ -3,9 +3,11 @@
 Each scan visits every point (or every row) of a plain permutation
 table, with no use of orbits.  They are the scans `transpo` ran before it
 checked one point per orbit of a checked SigmaTable, kept as they were.
-`product_sigma_image` is the one-pair sigma rule through
-`GriessAlgebra.product` and `inner`, as `griess` computed it before its rows
-were stacked.
+`pair_product` is the one-pair Griess product as `GriessAlgebra.product`
+computed it before its partners were stacked, and `product_sigma_image` is
+the one-pair sigma rule through it and `GriessAlgebra.inner`, as `griess`
+computed it before its rows were stacked; neither shares product
+arithmetic with `griess`.
 """
 
 from fractions import Fraction
@@ -15,7 +17,29 @@ import numpy as np
 
 from voacensus import transpo as tp
 from voacensus.census import GRAM_32ND, GRAM_ZERO
-from voacensus.griess import GriessError
+from voacensus.griess import GriessElement, GriessError, _guard
+
+
+def pair_product(alg, a, b):
+    """The product a b, one pair at a time, from the structure constants."""
+    _guard(alg.product_gain * a.mag * b.mag)
+    s2 = alg.s2
+    P = alg.pairs
+    cart = 2 * s2 * (a.cart @ b.cart + b.cart @ a.cart)
+    w = a.xv * b.xv
+    if w.any():
+        cart = cart + 2 * s2 * s2 * np.einsum("p,pij->ij", w, alg._pair_outer)
+    xv = np.zeros(alg.npairs, dtype=np.int64)
+    if a.cart.any() and b.xv.any():
+        quad = 2 * np.einsum("pi,ij,pj->p", P, a.cart, P)
+        xv += quad * b.xv
+    if b.cart.any() and a.xv.any():
+        quad = 2 * np.einsum("pi,ij,pj->p", P, b.cart, P)
+        xv += quad * a.xv
+    if a.xv.any() and b.xv.any():
+        contrib = s2 * s2 * a.xv[alg._tp] * b.xv[alg._tq]
+        np.add.at(xv, alg._tr, contrib)
+    return GriessElement(alg, cart, xv, a.den * b.den * s2 * s2)
 
 
 def product_sigma_image(alg, e, f):
@@ -27,7 +51,7 @@ def product_sigma_image(alg, e, f):
         return f
     if ip != Fraction(1, 32):
         raise GriessError(f"inner product {ip} admits no involution rule")
-    g = e + f - 4 * alg.product(e, f)
+    g = e + f - 4 * pair_product(alg, e, f)
     if 2 * alg.inner(g, g) != Fraction(1, 2):
         raise GriessError("sigma image is not a central-charge-1/2 candidate")
     return g
