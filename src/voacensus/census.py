@@ -65,7 +65,7 @@ class IsingCensus:
                  frame_size: int | None = None,
                  algebra: GriessAlgebra | None = None,
                  embeddings: list[HammingEmbedding] | None = None,
-                 blocks: list[tuple[int, "IsingCensus"]] | None = None):
+                 sources: list[tuple["IsingCensus", np.ndarray]] | None = None):
         self.points = points
         self.elements = elements
         self.gram = gram
@@ -73,8 +73,9 @@ class IsingCensus:
         self.frame_size = frame_size
         self.algebra = algebra
         self.embeddings = embeddings
-        # direct sums: (offset, summand census) per block, in order
-        self.blocks = blocks
+        # a derived census (direct sum, realized code census): per source
+        # census, the position here of each of its points
+        self.sources = sources
         self._elem_index = None
 
     def __len__(self) -> int:
@@ -180,6 +181,20 @@ def commutant_filter(lattice: rootlat.RootLattice, algebra: GriessAlgebra,
                        source, frame_size=2 * lattice.rank, algebra=algebra)
 
 
+def direct_sum(parts: list[IsingCensus], source: str) -> IsingCensus:
+    """The summands' points in order; points of different summands are orthogonal."""
+    points = [pt for p in parts for pt in p.points]
+    gram = np.zeros((len(points), len(points)), dtype=np.int8)
+    sources, offset = [], 0
+    for p in parts:
+        pos = np.arange(offset, offset + len(p), dtype=np.int32)
+        gram[offset:offset + len(p), offset:offset + len(p)] = p.gram
+        sources.append((p, pos))
+        offset += len(p)
+    return IsingCensus(points, None, gram, source, sources=sources,
+                       frame_size=sum(p.frame_size for p in parts))
+
+
 # ---------------------------------------------------------------------------
 # code censuses
 
@@ -213,7 +228,7 @@ def code_census(code: BinaryCode, realize: IsingCensus | None = None,
     `realize` is the lattice census of a paired model (see `paired_model`)
     whose elements are attached to the points, and `sigmas` its checked
     `transpo.SigmaTable`; without them, cross-embedding Gram entries are
-    marked unrealized.
+    marked unrealized.  A realized census relabels `realize`, its one source.
     """
     if code.rank == 0:
         raise CensusError("census of the zero code is empty of structure")
@@ -234,6 +249,10 @@ def code_census(code: BinaryCode, realize: IsingCensus | None = None,
     if sigmas is None or len(sigmas.rows) != len(realize):
         raise CensusError("a realized code census needs its paired census's sigma-table")
     index = _realize_code_census(code, embeddings, block_cosets, realize, sigmas.rows)
+    pos = np.full(len(realize), -1, dtype=np.int32)
+    pos[index] = np.arange(len(index))
+    if len(index) != len(realize) or (pos < 0).any():
+        raise CensusCheckError(f"the code points do not relabel {realize.source}")
     realized = realize.gram[np.ix_(index, index)]
     bad = np.argwhere((gram != GRAM_UNKNOWN) & (gram != realized))
     if len(bad):
@@ -242,7 +261,8 @@ def code_census(code: BinaryCode, realize: IsingCensus | None = None,
             f"realized Gram entry ({i},{j}) differs from the code's")
     return IsingCensus(points, [realize.elements[k] for k in index], realized,
                        f"code:{realize.algebra.lattice.name}", frame_size=code.length,
-                       algebra=realize.algebra, embeddings=embeddings)
+                       algebra=realize.algebra, embeddings=embeddings,
+                       sources=[(realize, pos)])
 
 
 def _combinatorial_gram(code, embeddings, block_cosets) -> np.ndarray:
@@ -275,7 +295,8 @@ def paired_model(code: BinaryCode) -> str | None:
         return "E8H"
     if code.length % 4 == 0:
         n = code.length // 4
-        if n >= 1 and code == gf2code.structure_code_dplus(n):
+        # D2C has no code-frame model: the [4,1] code stays unrealized
+        if n >= 2 and code == gf2code.structure_code_dplus(n):
             return f"D{2 * n}C"
     return None
 

@@ -249,47 +249,38 @@ class HammingEmbedding:
         return tuple(counts)
 
 
-def _subcode_on_support(code: BinaryCode, mask: int) -> BinaryCode:
-    """Subcode of words supported inside `mask`, as a code of the same length.
-
-    Each generator r becomes (r outside `mask`) | (r << n): RREF pivots on the
-    low bits first, so its rows with no low bits span exactly the words that
-    vanish outside `mask`, and their high halves are already in RREF.
-    """
-    n = code.length
-    low = ((1 << n) - 1) & ~mask
-    rows = rref([(r & low) | (r << n) for r in code.generators])
-    return BinaryCode(n, tuple(r >> n for r in rows if not r & low))
-
-
 def hamming_embeddings(code: BinaryCode) -> list[HammingEmbedding]:
     """Every 4-dimensional subcode with the [8,4,4] weight enumerator.
 
-    Candidate supports are supports of weight-8 codewords; on each support the
-    4-dimensional subcodes through the all-ones word are enumerated from trios
-    of weight-4 words, closed by XOR into their 16 words and deduplicated as
-    subspaces before a generator matrix is built, once per embedding.
+    Such a subcode is <w> for its one weight-8 word w, plus a plane of the
+    quotient by w whose 7 nonzero classes {x, x^w} are weight-4 codewords.
+    So the classes on each support w come from the disjoint pairs of
+    weight-4 codewords, each kept by its smaller word, and a plane is taken
+    once, from its smallest class a, the smallest b beyond a and the
+    smallest c off the line {a, b, a^b}, before a generator matrix is built.
     Deterministic order: by sorted support, then by the sorted tuple of the
     16 codewords.
     """
+    wt4 = [x for x in code.words() if weight(x) == 4]
+    classes: dict[int, set[int]] = {}
+    for i, x in enumerate(wt4):
+        for y in wt4[i + 1:]:
+            if not x & y:
+                classes.setdefault(x | y, set()).add(min(x, y))
     found: list[HammingEmbedding] = []
-    for w in code.words():
-        if weight(w) != 8:
-            continue
-        wt4 = [x for x in _subcode_on_support(code, w).words() if weight(x) == 4]
-        seen: set[frozenset[int]] = set()
-        for trio in combinations(wt4, 3):
-            words = [0, w]
-            for g in trio:
-                words += [x ^ g for x in words]
-            key = frozenset(words)
-            if len(key) != 16 or key in seen:
-                continue
-            seen.add(key)
-            # 0 and w aside, a Hamming-type subcode holds only weight-4 words
-            if all(weight(x) == 4 for x in key if x not in (0, w)):
-                support = tuple(i for i in range(code.length) if (w >> i) & 1)
-                found.append(HammingEmbedding(code, rref([w, *trio]), support))
+    for w, members in classes.items():
+        cls = sorted(members)
+        for i, a in enumerate(cls):
+            for j in range(i + 1, len(cls)):
+                b = cls[j]
+                ab = min(a ^ b, a ^ b ^ w)
+                if ab < b or ab not in members:
+                    continue
+                for c in cls[j + 1:]:
+                    rest = [min(x, x ^ w) for x in (a ^ c, b ^ c, a ^ b ^ c)]
+                    if c < min(rest) and members.issuperset(rest):
+                        support = tuple(k for k in range(code.length) if (w >> k) & 1)
+                        found.append(HammingEmbedding(code, rref([w, a, b, c]), support))
     return sorted(found, key=lambda e: (e.support, e.words))
 
 

@@ -99,21 +99,6 @@ def constraint_element(alg: GriessAlgebra, name: str) -> GriessElement:
     raise RegistryError(f"unknown constraint {name!r}")
 
 
-def _direct_sum_census(parts, spec: str) -> census_mod.IsingCensus:
-    import numpy as np
-
-    from . import census as census_mod
-    points = [pt for p in parts for pt in p.points]
-    gram = np.zeros((len(points), len(points)), dtype=np.int8)
-    blocks, offset = [], 0
-    for p in parts:
-        gram[offset:offset + len(p), offset:offset + len(p)] = p.gram
-        blocks.append((offset, p))
-        offset += len(p)
-    return census_mod.IsingCensus(points, None, gram, f"lattice:{spec}", blocks=blocks,
-                                  frame_size=sum(p.frame_size for p in parts))
-
-
 CENSUS_ALIASES = {
     "hamming24": "code:hamming8",
     "me8": "commutant:E8:wtilde",
@@ -168,7 +153,7 @@ def _census(spec: str) -> census_mod.IsingCensus:
         tags = rest.split("+")
         if len(tags) == 1:
             return census_mod.lattice_census(lattice(rest), algebra(rest))
-        return _direct_sum_census([_census(f"lattice:{t}") for t in tags], rest)
+        return census_mod.direct_sum([_census(f"lattice:{t}") for t in tags], spec)
     if kind == "commutant":
         tag, constraints = rest.split(":", 1)
         alg = algebra(tag)
@@ -189,5 +174,17 @@ def sigma_table(spec: str):
 
 @lru_cache(maxsize=None)
 def _sigma_table(c: census_mod.IsingCensus):
+    """The one assembly point of sigma-tables: a derived census gathers each
+    source's table through `pos` (sigma_{pos a} sends pos b to pos sigma_a(b),
+    seeds map along); any other takes `transpo.sigma_permutations`."""
     from . import transpo
-    return transpo.sigma_permutations(c)
+    if c.sources is None:
+        return transpo.sigma_permutations(c)
+    import numpy as np
+    rows = np.tile(np.arange(len(c), dtype=np.int32), (len(c), 1))
+    seeds = []
+    for src, pos in c.sources:
+        table = _sigma_table(src)
+        rows[np.ix_(pos, pos)] = pos[table.rows]
+        seeds.append(pos[table.seeds])
+    return transpo.SigmaTable(rows, c.gram, np.concatenate(seeds))

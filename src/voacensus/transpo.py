@@ -68,7 +68,7 @@ class SigmaTable:
     automorphism of the points, their Gram and the lines {x, y, sigma_x(y)},
     and a property that such automorphisms preserve holds everywhere once
     it holds at one point of each orbit.  `reps` is the smallest point of
-    each orbit, ascending; `rows` is read-only.
+    each orbit, ascending; `seeds` the seeds as given; `rows` is read-only.
     """
 
     def __init__(self, rows: np.ndarray, gram: np.ndarray, seeds):
@@ -101,39 +101,27 @@ class SigmaTable:
             raise SigmaCheckError(f"point {lost[0]} is not reached from the seeds")
         rows.flags.writeable = False
         self.rows = rows
+        self.seeds = seeds
         self.reps = np.flatnonzero(low == np.arange(n))
 
 
 def sigma_permutations(census: IsingCensus) -> SigmaTable:
-    """One involution per census point, as a checked SigmaTable.
+    """One involution per point of a realized census, as a checked SigmaTable.
 
     Entry (i, j) of its rows is the image of point j under the involution
     of point i: fixed when the points are orthogonal, and the third point of
-    their line when the inner product is 1/32.  Direct sums act blockwise.
-    Each sigma_x is an algebra automorphism, so sigma_{sigma_x(y)} = sigma_x
-    sigma_y sigma_x: only seed rows (the smallest unknown index) take Griess
-    products, and conjugation by the seeds closes the rest.  A product
-    outside the census or failing the norm check, and a failed SigmaTable
-    check, raise SigmaCheckError.
+    their line when the inner product is 1/32.  Each sigma_x is an algebra
+    automorphism, so sigma_{sigma_x(y)} = sigma_x sigma_y sigma_x: only seed
+    rows (the smallest unknown index) take Griess products, and conjugation
+    by the seeds closes the rest.  A product outside the census or failing
+    the norm check, and a failed SigmaTable check, raise SigmaCheckError.
+    A derived census (`IsingCensus.sources`) is gathered in `registry` instead.
     """
-    rows, seeds = _sigma_rows(census)
-    return SigmaTable(rows, census.gram, seeds)
-
-
-def _sigma_rows(census: IsingCensus):
-    """The rows of `sigma_permutations` and the seeds they were derived from."""
+    if census.elements is None:
+        raise TranspoError("sigma permutations need realized census points")
     n = len(census)
     table = np.tile(np.arange(n, dtype=np.int32), (n, 1))
     seeds: list[int] = []
-    if census.blocks is not None:
-        for offset, part in census.blocks:
-            k = len(part)
-            rows, part_seeds = _sigma_rows(part)
-            table[offset:offset + k, offset:offset + k] = rows + offset
-            seeds.extend(s + offset for s in part_seeds)
-        return table, seeds
-    if census.elements is None:
-        raise TranspoError("sigma permutations need realized census points")
     algebra = census.algebra
     partners = census.gram == GRAM_32ND
     known = np.zeros(n, dtype=bool)
@@ -166,7 +154,10 @@ def _sigma_rows(census: IsingCensus):
                 known[z] = True
                 fresh_rows.append(z)
             frontier = np.concatenate(fresh_rows)
-    return table, seeds
+    # the partner mask and the last images (views of one stacked batch) go
+    # before the checks' temporaries come, which keeps the peak lower
+    partners = images = image = None
+    return SigmaTable(table, census.gram, seeds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import json
 import re
 import subprocess
 import sys
@@ -133,8 +134,7 @@ def test_hamming_model_structure():
 
 def test_hamming_model_combinatorial_sigma_rules():
     hm = registry.census("hamming24")
-    from voacensus import transpo
-    table = transpo.sigma_permutations(hm).rows
+    table = registry.sigma_table("hamming24").rows
     # sigma of a frame point sends the block label through a coordinate flip
     emb = hm.embeddings[0]
     sub_words = set(emb.words)
@@ -286,6 +286,100 @@ def test_sigma_table_built_once_per_census():
     out = subprocess.run([sys.executable, "-c", _COUNT_SIGMA_TABLES],
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["1", "1"]
+
+
+# counts stacked sigma-image calls in a fresh process per derived census, and
+# names every census whose table takes Griess products
+_COUNT_SIGMA_IMAGES = """
+from voacensus import registry, transpo
+from voacensus.griess import GriessAlgebra
+calls, images = [], GriessAlgebra.sigma_images
+def counting(self, e, fs):
+    calls.append(1)
+    return images(self, e, fs)
+GriessAlgebra.sigma_images = counting
+built, build = [], transpo.sigma_permutations
+def recording(c):
+    built.append(c.source)
+    return build(c)
+transpo.sigma_permutations = recording
+for spec in ("code:rm24", "hamming24", "lattice:A2+A2"):
+    before = len(calls)
+    registry.sigma_table(spec)
+    print(len(calls) - before)
+print(*built)
+"""
+
+
+def test_derived_sigma_tables_gather_their_sources():
+    out = subprocess.run([sys.executable, "-c", _COUNT_SIGMA_IMAGES],
+                         capture_output=True, text=True, check=True).stdout
+    # only the seed rows of E8H, D4C and A2 take products
+    assert out.split("\n")[:4] == ["10", "5", "3", "lattice:E8H lattice:D4C lattice:A2"]
+
+
+@pytest.mark.parametrize("spec", ["code:rm24", "code:dcode6", "hamming24",
+                                  "lattice:A2+A2", "lattice:A2+E6+A1"])
+def test_derived_table_is_the_source_table_relabelled(spec):
+    c = registry.census(spec)
+    table = registry.sigma_table(spec)
+    covered = np.zeros(len(c), dtype=bool)
+    for src, pos in c.sources:
+        part = registry.sigma_table(src.source)
+        assert table.rows[np.ix_(pos, pos)].tolist() == pos[part.rows].tolist()
+        assert set(pos[part.seeds].tolist()) <= set(table.seeds.tolist())
+        covered[pos] = True
+    assert covered.all()
+    if c.elements is not None:   # a code census: one source, every point
+        (src, pos), = c.sources
+        assert [src.elements[k].key() for k in np.argsort(pos)] == \
+            [e.key() for e in c.elements]
+
+
+def _corrupt_source_row(monkeypatch, spec):
+    """Serve the source tables of `spec` with row 0 equal to row 1; the
+    derived table is assembled afresh, outside the cache."""
+    registry.census(spec)   # its blocks placed with the true table
+    assemble = registry._sigma_table
+
+    def corrupted(c):
+        if c.sources is None:
+            good = assemble(c)
+            bad = copy.copy(good)
+            bad.rows = good.rows.copy()
+            bad.rows[0] = good.rows[1]
+            return bad
+        return assemble.__wrapped__(c)
+    monkeypatch.setattr(registry, "_sigma_table", corrupted)
+
+
+@pytest.mark.parametrize("spec", ["code:dcode6", "hamming24", "lattice:A2+A2"])
+def test_corrupted_source_row_is_refused(monkeypatch, spec, capsys):
+    from voacensus import cli, transpo
+    _corrupt_source_row(monkeypatch, spec)
+    with pytest.raises(transpo.SigmaCheckError, match="not injective"):
+        registry.sigma_table(spec)
+    assert cli.main(["group", "--census", spec]) == 1
+    assert "not injective" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_non_bijective_relabelling_is_refused(monkeypatch, tmp_path, capsys):
+    from voacensus import cli
+    realize = cz._realize_code_census
+
+    def repeat_first(*args):
+        index = realize(*args)
+        return index[:-1] + index[:1]
+    monkeypatch.setattr(cz, "_realize_code_census", repeat_first)
+    code = registry.code("hamming8")
+    model, table = _paired(code)
+    with pytest.raises(cz.CensusCheckError, match="do not relabel lattice:D4C"):
+        cz.code_census(code, realize=model, sigmas=table)
+    # a file spec keeps the cached census of hamming8 out of play
+    path = tmp_path / "h8.txt"
+    path.write_text(gc.format_code_text(code))
+    assert cli.main(["census", "code", f"file:{path}"]) == 1
+    assert "do not relabel" in json.loads(capsys.readouterr().out)["error"]
 
 
 SPELLINGS = [("lattice:e8", "lattice:E8"), ("code:RM24", "code:rm24"),

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,12 @@ RUN = [sys.executable, "-m", "voacensus.cli"]
 # coordinates produced them before the Gram-inverse ones
 GRIESS_PINS = json.loads(
     (Path(__file__).resolve().parent / "griess_pins.json").read_text())
+# exit code and report text minus its wall_time_s line of the group, fischer
+# and code census reports on the code censuses and a direct sum, as they
+# were before their sigma-tables were gathered from their sources
+CENSUS_PINS = json.loads(
+    (Path(__file__).resolve().parent / "census_pins.json").read_text())
+WALL_TIME = re.compile(r',\n[ \t]*"wall_time_s": [-+0-9.eE]+(?=\n)')
 
 
 def invoke(args):
@@ -383,6 +390,25 @@ def test_griess_reports_match_pins(argv, capsys):
     report = json.loads(capsys.readouterr().out)
     del report["wall_time_s"]
     assert [code, report] == GRIESS_PINS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(CENSUS_PINS))
+def test_census_reports_match_pins(argv, capsys):
+    code = cli.main(argv.split())
+    out = capsys.readouterr().out
+    assert [code, WALL_TIME.sub("", out, count=1)] == CENSUS_PINS[argv]
+
+
+def test_census_of_dplus1_code_is_unrealized(tmp_path):
+    # the [4,1] code {0000, 1111} is structure_code_dplus(1), whose lattice
+    # D2C has no code-frame model
+    path = tmp_path / "dplus1.txt"
+    path.write_text(gf2code.format_code_text(gf2code.structure_code_dplus(1)))
+    code, data = invoke_json(["census", "code", f"file:{path}"])
+    assert code == 0
+    res = data["results"]
+    assert res["source"] == "code:unrealized"
+    assert (res["count"], res["frames"], res["hamming_points"]) == (4, 4, 0)
 
 
 def test_griess_verify_subcommands():

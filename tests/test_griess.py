@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voacensus import exact, registry, transpo
+from voacensus import exact, registry
 from voacensus.census import GRAM_32ND, GRAM_ZERO, gram_from_elements
 from voacensus.griess import (INT_GUARD, GriessElement, GriessError, SigmaImageError,
                               verify_orthogonal_split, verify_twist_chain)
@@ -58,11 +58,11 @@ def test_commutative_and_invariant_e8_sampled():
         a, b, c = (basis[rng.randrange(len(basis))] for _ in range(3))
         assert (a * b) == (b * a)
         assert (a * b).inner(c) == b.inner(a * c)
-    # full commutativity scan on the pair-vector block
+    # full commutativity scan on the pair-vector block: the 120 x 120
+    # products, one stacked row per left factor, equal their transpose
     pair_elems = [alg.pair_element(p) for p in range(alg.npairs)]
-    for a in pair_elems:
-        for b in pair_elems:
-            assert a * b == b * a
+    table = [[ab.key() for ab in alg.products(a, pair_elems)] for a in pair_elems]
+    assert table == [list(col) for col in zip(*table)]
 
 
 def test_omega_acts_as_two():
@@ -248,9 +248,8 @@ def _rows_by_constructor(cls, alg, carts, xvs, dens):
 @pytest.mark.parametrize("spec", ["e8full", "me8", "uc", "code:rm24"])
 def test_row_normalised_sigma_images_match_constructor(spec, monkeypatch):
     c = registry.census(spec)
-    _, seeds = transpo._sigma_rows(c)
     rows = []
-    for s in seeds:
+    for s in registry.sigma_table(spec).seeds:
         partners = [c.elements[j] for j in np.flatnonzero(c.gram[s] == GRAM_32ND)]
         rows.append((s, partners, c.algebra.sigma_images(c.elements[s], partners)))
     monkeypatch.setattr(GriessElement, "from_rows", classmethod(_rows_by_constructor))

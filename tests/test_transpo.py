@@ -122,11 +122,9 @@ def _product_table(c):
     """Product-only oracle: one Griess product per 1/32 pair, no closure."""
     n = len(c)
     table = np.tile(np.arange(n, dtype=np.int32), (n, 1))
-    if c.blocks is not None:
-        for offset, part in c.blocks:
-            k = len(part)
-            table[offset:offset + k, offset:offset + k] = \
-                _product_table(part) + offset
+    if c.elements is None:   # a direct sum: its summands' tables, placed
+        for part, pos in c.sources:
+            table[np.ix_(pos, pos)] = pos[_product_table(part)]
         return table
     for i, j in np.argwhere(np.triu(c.gram == GRAM_32ND, k=1)):
         img = oracle.product_sigma_image(c.algebra, c.elements[i], c.elements[j])
@@ -146,16 +144,16 @@ def test_closure_table_matches_product_oracle(spec):
     assert oracle.consistency_failure(table) is None
 
 
-# every catalog alias and the code censuses with a paired model
+# every catalog alias, the code censuses with a paired model and the
+# paired lattice censuses, whose seed rows the code censuses' are
 @pytest.mark.parametrize("spec", [
     "me8", "uc", "me6", "me7", "md4", "ma1", "ma2", "ma3", "ma4", "ma5",
     "hamming24", "e8full", "code:rm24", "code:dcode4", "code:dcode6",
-    "code:dcode8",
+    "code:dcode8", "lattice:E8H", "lattice:D4C", "lattice:D6C", "lattice:D8C",
 ])
 def test_seed_rows_match_product_oracle(spec):
     c = registry.census(spec)
-    _, seeds = tp._sigma_rows(c)
-    for s in seeds:
+    for s in registry.sigma_table(spec).seeds:
         partners = [c.elements[j] for j in np.flatnonzero(c.gram[s] == GRAM_32ND)]
         got = c.algebra.sigma_images(c.elements[s], partners)
         want = [oracle.product_sigma_image(c.algebra, c.elements[s], f)
