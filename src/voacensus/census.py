@@ -208,12 +208,13 @@ def _coset_reps(embedding: HammingEmbedding) -> list[int]:
     words = [0]
     for i in embedding.support:
         words += [w | 1 << i for w in words]
+    subcode = embedding.words
     labelled: set[int] = set()
     reps = []
     for word in words:
         if word in labelled:
             continue
-        coset = [word ^ w for w in embedding.words]
+        coset = [word ^ w for w in subcode]
         labelled.update(coset)
         reps.append(min(coset, key=lambda w: (gf2code.weight(w), w)))
     if len(reps) != 16:
@@ -331,58 +332,41 @@ def _realize_code_census(code, embeddings, block_cosets, base, sigmas):
             raise CensusCheckError(
                 f"embedding matching found {len(cands)} candidates, expected 16")
         anchor = min(cands, key=lambda k: base.elements[k].key())
-        placed = _translate_block(sigmas, frame, emb, reps, anchor, cands)
-        block = [placed[rep] for rep in reps]
+        block = _translate_block(sigmas, frame, emb, reps, anchor, cands)
         free[block] = False
         index += block
     return index
 
 
 def _translate_block(sigmas, frame, emb, reps, anchor, cands):
-    """Label the 16 block candidates by cosets via frame-involution translations.
+    """The block candidate of each coset in `reps`, in that order.
 
-    Flipping coordinate i of a label is σ_i, the involution of frame point
-    i, read off the checked σ-table: σ_i(x) = sigmas[frame[i], x] on census
-    indices.  The frame points are mutually orthogonal, so σ_i fixes frame
-    point j and σ_i σ_j σ_i = σ_j: the σ's commute, and a word w on the
-    support acts by the product of its σ's.  The words fixing the anchor
-    form a subgroup K.
-
-    Starting from the anchor, labelled by the minimal-weight coset, each new
-    coset is placed once, by one σ from the placed coset it is reached from,
-    walking breadth-first over the support coordinates: 15 lookups.  Each
-    subcode generator, applied coordinate by coordinate, must also return
-    the anchor (4 lookups for a weight-4 generator).  If they do, the
-    subcode lies in K, so w(anchor) depends only on the coset of w and every
-    edge (coset c, coordinate i) has σ_i(point of c) = point of c + e_i,
-    which is what a check of all 8 x 16 edges would verify; conversely that
-    check passing makes each generator walk return to the anchor.  The 16
-    placed points must be distinct candidates, so K is exactly the subcode
+    Flipping coordinate i of a label is σ_i = sigmas[frame[i]], the checked
+    row of frame point i.  The frame points are mutually orthogonal, so σ_i
+    fixes frame point j, σ_i σ_j σ_i = σ_j and the σ's commute: a support
+    word w acts by σ_w, the product of its σ's, and the words fixing the
+    anchor form a subgroup K.  Each subcode generator must return the anchor
+    (4 lookups each), so the subcode lies in K and w(anchor) depends only on
+    the coset of w: coset r is placed at σ_r(anchor), one lookup per support
+    bit of r.  Every edge (coset c, coordinate i) then has σ_i(point of c) =
+    point of c + e_i, which is what a check of all 8 x 16 edges would
+    verify, and that check passing makes each generator return the anchor.
+    The 16 points must be distinct candidates, so K is exactly the subcode
     and the labels are a bijection onto the block.
     """
     support = list(emb.support)
-    mask = sum(1 << i for i in support)
-    label = {r ^ w: r for r in reps for w in emb.words}   # word -> coset rep
-    if len(reps) != 16 or len(label) != 256 or any(x & ~mask for x in label):
-        raise CensusCheckError("block labels are not the 16 cosets of the subcode")
-    for g in emb.subcode_generators:
+
+    def walk(word):
         point = anchor
         for i in support:
-            if (g >> i) & 1:
+            if (word >> i) & 1:
                 point = int(sigmas[frame[i], point])
-        if point != anchor:
-            raise CensusCheckError("a subcode word moves the block anchor")
-    zero = min(reps, key=lambda w: (gf2code.weight(w), w))
-    placed = {zero: anchor}
-    order = [zero]
-    for cur in order:  # the list grows while it is walked: breadth-first
-        for i in support:
-            target = label[cur ^ (1 << i)]
-            if target not in placed:
-                placed[target] = int(sigmas[frame[i], placed[cur]])
-                order.append(target)
-    points = set(placed.values())
-    if len(points) != 16 or not points <= set(cands):
+        return point
+
+    if any(walk(g) != anchor for g in emb.subcode_generators):
+        raise CensusCheckError("a subcode word moves the block anchor")
+    placed = [walk(r) for r in reps]
+    if len(set(placed)) != 16 or not set(placed) <= set(cands):
         raise CensusCheckError("block translation did not place 16 distinct candidates")
     return placed
 

@@ -134,7 +134,7 @@ def run(args) -> dict:
             spec = f"commutant:{spec}:{args.orthogonal_to}"
         c = registry.census(spec)
         table = registry.sigma_table(spec)
-        order = transpo.group_order(list(table.rows))
+        order = transpo.group_order(list(table.rows[table.seeds]))
         res = {"point_count": len(c), "group_order": str(order)}
         # fischer_space runs the 3-transposition check; the witness is only
         # recomputed when that check fails

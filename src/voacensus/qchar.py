@@ -210,11 +210,10 @@ def twisted_inverse_power(ell: int, cutoff: int) -> QSeries:
     return _product_power(ell, cutoff, 2)
 
 
-def _product_power(ell: int, cutoff: int, step: int) -> QSeries:
-    """prod over n = 1, 1 + step, 1 + 2*step, ... of (1 - q^n)^ell."""
+def _product_power(ell: int, cutoff: int, step: int, _start=(1,)) -> QSeries:
+    """`_start` times the prod over n = 1, 1 + step, ... of (1 - q^n)^ell."""
     N = int(cutoff)
-    p = [0] * (N + 1)
-    p[0] = 1
+    p = list(_start) + [0] * (N + 1 - len(_start))
     for _ in range(abs(ell)):
         for n in range(1, N + 1, step):
             if ell > 0:     # multiply by 1 - q^n, top coefficient first
@@ -277,8 +276,7 @@ def minimal_character(m: int, r: int, s: int, upto: int) -> QSeries:
                        (p * pp * k * k + k * (r * pp + s * p) + r * s, -1)),
             depth):
         numer[e] += c
-    series = QSeries.grid(0, 1, numer, depth) * euler_power(-1, depth)
-    return series.shift(h).truncate(upto)
+    return _product_power(-1, depth, 1, numer).shift(h).truncate(upto)
 
 
 # ---------------------------------------------------------------------------

@@ -260,10 +260,10 @@ class PermutationGroup:
 
 
 def group_order(perms) -> int:
-    """Exact order of the group generated by the given permutations."""
+    """Exact order of the group the permutations generate (1 for none)."""
     perms = [np.asarray(p, dtype=np.int32) for p in perms]
     if not perms:
-        raise TranspoError("empty generator list")
+        return 1
     return PermutationGroup(perms, len(perms[0])).order
 
 
@@ -405,8 +405,7 @@ def inductive_structure(sigmas: np.ndarray, x: int, y: int) -> dict:
         "d1_points": [int(i) for i in d1],
         "d2_points": d2_points,
         "d1_order": group_order([sigmas[int(i)] for i in d1]),
-        # no involutions generate the trivial group
-        "d2_order": group_order([sigmas[i] for i in d2_points]) if d2_points else 1,
+        "d2_order": group_order([sigmas[i] for i in d2_points]),
     }
 
 

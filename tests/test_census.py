@@ -453,12 +453,12 @@ def test_tree_translation_matches_all_edges_oracle(monkeypatch, tag):
     assert len(blocks) == len(census.embeddings)
     elems = model.elements
     for (rows, frame, emb, reps, anchor, cands), placed, products in blocks:
-        # 15 tree edges and 4 weight-4 generators walked, all off the table
+        # 15 coset words and 4 weight-4 generators walked, all off the table
         assert rows is table.rows and products == 0
         want = oracle.translate_block_all_edges(
             model.algebra, [elems[k] for k in frame], emb, reps, elems[anchor],
             [elems[k] for k in cands])
-        assert {r: elems[k].key() for r, k in placed.items()} == \
+        assert {r: elems[k].key() for r, k in zip(reps, placed)} == \
             {r: e.key() for r, e in want.items()}
 
 
@@ -468,10 +468,10 @@ def test_translate_block_rejects_corrupted_input(monkeypatch):
     # an anchor outside the block: a frame point every sigma fixes
     with pytest.raises(cz.CensusCheckError, match="distinct candidates"):
         cz._translate_block(rows, frame, emb, reps, frame[emb.support[0]], cands)
-    # two labels in one coset, so another coset has none
+    # two labels in one coset, so another coset has none: both land on one point
     bad = list(reps)
     bad[1] = reps[2] ^ emb.words[1]
-    with pytest.raises(cz.CensusCheckError, match="16 cosets"):
+    with pytest.raises(cz.CensusCheckError, match="distinct candidates"):
         cz._translate_block(rows, frame, emb, bad, anchor, cands)
     # labels by another [8,4,4] subcode: swap two support coordinates
     i, j = emb.support[0], emb.support[1]
@@ -485,9 +485,9 @@ def test_translate_block_rejects_corrupted_input(monkeypatch):
     zero, odd = reps[0], next(r for r in reps if gc.weight(r) == 1)
 
     def exchange(*args):
-        out = dict(placed)
-        out[zero], out[odd] = placed[odd], placed[zero]
-        return out
+        out = dict(zip(reps, placed))
+        out[zero], out[odd] = out[odd], out[zero]
+        return [out[r] for r in reps]
 
     monkeypatch.setattr(cz, "_translate_block", exchange)
     code = registry.code("hamming8")

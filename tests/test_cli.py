@@ -63,6 +63,31 @@ def test_group_report():
     assert res["symplectic_type"] is True
 
 
+@pytest.mark.parametrize("spec, seeds", [("code:rm24", 10), ("uc", 9)])
+def test_group_chain_runs_on_the_seed_rows(spec, seeds, monkeypatch):
+    table = registry.sigma_table(spec)
+    order = transpo.group_order
+    calls = []
+
+    def recording(perms):
+        calls.append(perms)
+        return order(perms)
+
+    monkeypatch.setattr(transpo, "group_order", recording)
+    assert cli.main(["group", "--census", spec]) == 0
+    assert len(calls) == 1 and len(table.seeds) == seeds
+    assert np.array_equal(calls[0], table.rows[table.seeds])
+
+
+@pytest.mark.parametrize("spec", ["commutant:A2:s", "commutant:D4:s,wtilde"])
+def test_group_of_empty_census_is_trivial(spec):
+    code, data = invoke_json(["group", "--census", spec])
+    assert code == 0
+    res = data["results"]
+    assert res["group_order"] == "1" and res["point_count"] == 0
+    assert res["is_3transposition"] is True
+
+
 def test_characters_verify_exit_codes():
     code, data = invoke_json(["characters", "verify", "--cutoff", "4"])
     assert code == 0
