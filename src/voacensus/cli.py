@@ -6,8 +6,9 @@ default character cutoff; --cutoff and VOA_CUTOFF above MAX_CUTOFF are
 rejected before any series is built.  A --seed option is accepted and
 ignored: nothing on the result path is randomized.
 
-Each command imports only the modules it uses: `code` and the `characters
-show` forms other than vfull and vplus run without numpy.
+Each command imports only the modules it uses: `code` and every
+`characters` form, `verify` and the lattice characters included, run
+without numpy.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ tuple of Python ints.  Each series has an inclusive validity bound:
 coefficients at exponents <= cutoff are correct, larger exponents are
 unknown.  No floating point appears anywhere.
 
-Only the lattice characters (`vfull`, `vplus`, the rank-7 coset) need
-numpy, `registry` and `rootlat`; they import them when called, so the
-minimal, affine, branching and tower characters run without numpy.
+The lattice characters (`vfull`, `vplus`, the rank-7 coset) read their
+theta series off the Cartan matrix of the Dynkin type (`dynkin`), so every
+character here runs without numpy.
 """
 
 from __future__ import annotations
@@ -16,12 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    import numpy as np
-
-    from . import rootlat
+from . import dynkin
 
 
 class QSeriesError(ValueError):
@@ -184,9 +180,6 @@ class QSeries:
         diff = self - other
         return diff.base if diff.coeffs else None
 
-    def agrees_with(self, other: "QSeries") -> bool:
-        return self.first_mismatch(other) is None
-
     def __repr__(self) -> str:
         items = self.items()
         terms = ", ".join(f"{c}*q^{e}" for e, c in items[:6])
@@ -283,25 +276,29 @@ def minimal_character(m: int, r: int, s: int, upto: int) -> QSeries:
 # lattice characters
 
 def vfull_character(tag: str, upto: int) -> QSeries:
-    """Graded dimension of the doubled-lattice vertex algebra."""
-    from . import registry
-    return _lattice_character(registry.lattice(tag), upto)
+    """Graded dimension of the doubled-lattice vertex algebra.
+
+    The theta series comes from the Cartan matrix of the tag's Dynkin type;
+    its norm-2 count must be the root count of that type.
+    """
+    kind, rank = dynkin.lattice_type(tag)
+    counts = dynkin.theta_counts(dynkin.cartan_matrix(kind, rank), max(upto, 2))
+    roots, expected = counts.get(Fraction(2), 0), dynkin.root_count(kind, rank)
+    if roots != expected:
+        raise dynkin.LatticeError(f"{tag}: expected {expected} roots, counted {roots}")
+    return _lattice_character(counts, rank, upto)
 
 
-def _lattice_character(lat: rootlat.RootLattice, upto: int,
-                       shift: np.ndarray | None = None) -> QSeries:
-    """Theta series of shift + lat over the rank-fold Euler product."""
-    from . import rootlat
-    theta = QSeries(rootlat.norm_counts(lat, upto, shift), upto)
-    return (theta * euler_power(-lat.rank, upto)).truncate(upto)
+def _lattice_character(counts: dict[Fraction, int], rank: int, upto: int) -> QSeries:
+    """The theta series with these norm counts over the rank-fold Euler product."""
+    theta = QSeries(counts, upto)
+    return (theta * euler_power(-rank, upto)).truncate(upto)
 
 
 def vplus_character(tag: str, upto: int) -> QSeries:
     """Graded dimension of the involution-fixed subalgebra."""
-    from . import registry
-    lat = registry.lattice(tag)
     untwisted = vfull_character(tag, upto)
-    twisted = twisted_inverse_power(lat.rank, upto)
+    twisted = twisted_inverse_power(dynkin.lattice_type(tag)[1], upto)
     both = untwisted + twisted
     for i, c in enumerate(both.coeffs):
         if c % 2:
@@ -331,13 +328,6 @@ class TwoVarSeries:
     def specialize_z1(self) -> QSeries:
         return QSeries.grid(self.h, 1, [sum(sl.values()) for sl in self.slices],
                             self.h + len(self.slices) - 1)
-
-    def z_symmetric(self) -> bool:
-        return all(sl.get(z, 0) == sl.get(-z, 0)
-                   for sl in self.slices for z in sl)
-
-    def top_term_ok(self) -> bool:
-        return self.slices[0].get(self.spin, 0) == 1
 
 
 def _theta_slices(level: int, weight: int, qmax: int) -> list[dict[int, int]]:
@@ -431,17 +421,6 @@ def w_character(level: int, spin: int, charge: int, upto) -> QSeries:
 
 def parafermion_central_charge(level: int) -> Fraction:
     return Fraction(2 * (level - 1), level + 2)
-
-
-def coset_boson_factor(level: int, charge: int, upto) -> QSeries:
-    """Character of the charge sector of the rank-1 lattice boson factor."""
-    out: dict[Fraction, int] = {}
-    for e, c in _alternating_terms(
-            lambda k: ((Fraction((charge + 2 * level * k) ** 2, 4 * level), 1),),
-            upto):
-        out[e] = out.get(e, 0) + c
-    theta = QSeries(out, upto)
-    return (theta * euler_power(-1, int(upto) + 1)).truncate(upto)
 
 
 # ---------------------------------------------------------------------------
@@ -657,20 +636,12 @@ def verify_decompositions(depth: int = 8) -> list[dict]:
     return checks
 
 
-# the glue of A7 in the E7 sum-zero model, in stored coordinates
-XI = (1, 1, 1, 1, -1, -1, -1, -1)
-
-
-def a7_in_e7() -> rootlat.RootLattice:
-    """A7 as its own lattice: the 56 roots of the cached E7 model whose
-    stored coordinates are all even."""
-    from . import registry, rootlat
-    e7 = registry.lattice("E7")
-    return rootlat.RootLattice("A7@E7", "A", 7, 8, e7.scale_sq,
-                               e7.roots[(e7.roots % 2 == 0).all(axis=1)])
+# the glue [4] of A7 in E7: the fundamental weight omega_4 in simple-root
+# coordinates, so that E7 = A7 + (omega_4 + A7)
+OMEGA4 = (Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(3, 2), 1, Fraction(1, 2))
 
 
 def _coset_a7_character(upto: int) -> QSeries:
-    """Graded dimension of the xi-shifted rank-7 lattice coset module."""
-    import numpy as np
-    return _lattice_character(a7_in_e7(), upto, np.array(XI, dtype=np.int64))
+    """Graded dimension of the omega_4-shifted rank-7 lattice coset module."""
+    counts = dynkin.theta_counts(dynkin.cartan_matrix("A", 7), upto, OMEGA4)
+    return _lattice_character(counts, 7, upto)

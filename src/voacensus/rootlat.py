@@ -8,20 +8,16 @@ exact integer arithmetic.  All roots have geometric norm 2.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt, lcm
+from math import lcm
 
 import numpy as np
 
 from . import gf2code
+from .dynkin import LatticeError, lattice_type, root_count, short_vectors, theta_counts
 from .exact import inverse, rref
-
-
-class LatticeError(ValueError):
-    pass
 
 
 def _hnf_basis(rows: np.ndarray) -> np.ndarray:
@@ -88,12 +84,7 @@ class RootLattice:
         self.scale_sq = scale_sq
         order = np.lexsort(roots.T[::-1])
         self.roots = roots[order]
-        if kind == "A":
-            expected = rank * (rank + 1)
-        elif kind == "D":
-            expected = 2 * rank * (rank - 1)
-        else:
-            expected = {6: 72, 7: 126, 8: 240}[rank]
+        expected = root_count(kind, rank)
         if len(self.roots) != expected:
             raise LatticeError(f"{name}: expected {expected} roots, built {len(self.roots)}")
         norms = (self.roots * self.roots).sum(axis=1)
@@ -180,7 +171,7 @@ class RootLattice:
         key, norm and vector; each key's minimal vectors are then the first
         run of its group, already in order.
         """
-        found = _enumerate_short(_basis_gram(self), Fraction(4))
+        found = short_vectors(_basis_gram(self), 4)
         coeffs = np.array([c for c, _ in found], dtype=np.int64).reshape(-1, self.rank)
         norms = np.array([int(n) for _, n in found], dtype=np.int64)
         vecs = coeffs @ self.basis
@@ -227,65 +218,6 @@ def _basis_gram(lattice: RootLattice) -> list[list[Fraction]]:
     """Gram matrix of the lattice basis: the integer basis . basis^T over scale_sq."""
     return [[Fraction(x, lattice.scale_sq) for x in row]
             for row in (lattice.basis @ lattice.basis.T).tolist()]
-
-
-def _enumerate_short(gram, bound: Fraction, shift=None):
-    """Fincke-Pohst enumeration of the vectors x + shift with norm <= bound.
-
-    `gram` is an exact rational Gram matrix, `shift` optional rational
-    coordinates.  Returns every (x, norm) with x an integer tuple, sorted by
-    x; when the shift is zero, x = 0 is left out and x and -x both appear.
-    The search is on integers (README: "How lattice vectors are
-    enumerated"): level i admits the x_i with |T_i| <= isqrt(rem // w_i).
-    """
-    n = len(gram)
-    s = lcm(*(Fraction(x).denominator for row in gram for x in row))
-    shift = [Fraction(0)] * n if shift is None else [Fraction(c) for c in shift]
-    m = lcm(*(c.denominator for c in shift))
-    # reversed, so that coordinate 0 is the outermost level and the tuples
-    # come out sorted; y = m (x + shift) is integral, s m^2 norm = y g y^T
-    g = [[int(Fraction(x) * s) for x in row[::-1]] for row in gram[::-1]]
-    t = [int(c * m) for c in shift[::-1]]
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i):
-            L[i][j] = (g[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
-        D[i] = g[i][i] - sum((L[i][k] ** 2 * D[k] for k in range(i)), Fraction(0))
-        if D[i] <= 0:
-            raise LatticeError("Gram matrix is not positive definite")
-    # s m^2 norm = sum D_i z_i^2 with z_i = y_i + sum_{k>i} L_ki y_k; the
-    # integer T_i = den_i z_i has weight D_i / den_i^2, all weights and the
-    # bound scaled by one integer
-    dens = [lcm(*(L[k][i].denominator for k in range(i + 1, n))) for i in range(n)]
-    weights = [D[i] / (dens[i] * m) ** 2 for i in range(n)]
-    scale = lcm(Fraction(bound * s).denominator, *(w.denominator for w in weights))
-    levels = []  # T_i = step x_i + base + sum of c x_k over (k, c) in coef
-    for i in range(n):
-        lint = [int(L[k][i] * dens[i]) for k in range(n)]
-        base = dens[i] * t[i] + sum(lint[k] * t[k] for k in range(i + 1, n))
-        coef = [(k, m * lint[k]) for k in range(i + 1, n) if lint[k]]
-        levels.append((dens[i] * m, base, coef, int(weights[i] * scale)))
-    budget = int(bound * s * scale)
-    xs = [0] * n
-    out = []
-
-    def rec(i: int, rem: int):
-        if i < 0:
-            if any(t) or any(xs):
-                out.append((tuple(xs[::-1]), Fraction(budget - rem, s * scale)))
-            return
-        step, base, coef, w = levels[i]
-        b = base + sum(c * xs[k] for k, c in coef)
-        r = isqrt(rem // w)
-        for x in range(-((r + b) // step), (r - b) // step + 1):
-            xs[i] = x
-            T = step * x + b
-            rec(i - 1, rem - w * T * T)
-
-    if budget >= 0:
-        rec(n - 1, budget)
-    return out
 
 
 def _an_roots(n: int) -> np.ndarray:
@@ -382,33 +314,21 @@ def _code_frame_roots(code: gf2code.BinaryCode) -> np.ndarray:
 
 
 def build_lattice(tag: str) -> RootLattice:
-    """Build a catalog lattice: A1..A8, D2..D12, E6, E7, E8, E8H, D4C/D6C/D8C."""
+    """Build the coordinate model of a catalog tag (see `dynkin.lattice_type`)."""
     tag = tag.upper()
-    if not tag:
-        raise LatticeError("empty lattice tag")
-    if tag == "E8":
-        return RootLattice("E8", "E", 8, 8, 4, _e8_roots())
-    if tag == "E7":
-        return RootLattice("E7", "E", 7, 8, 4, _e7_roots())
-    if tag == "E6":
-        return RootLattice("E6", "E", 6, 8, 4, _e6_roots())
+    kind, rank = lattice_type(tag)
     if tag == "E8H":
         return RootLattice("E8H", "E", 8, 8, 2,
                            _code_frame_roots(gf2code.hamming8_code()))
-    if tag.endswith("C") and tag.startswith("D"):
-        m = int(tag[1:-1])
-        if m % 2 or m < 4:
-            raise LatticeError(f"code-frame model needs even rank >= 4, got {tag}")
-        code = gf2code.dual(gf2code.frame_pair_code(m))
-        return RootLattice(tag, "D", m, m, 2, _code_frame_roots(code))
-    kind, num = tag[0], tag[1:]
-    if kind == "A" and num.isdigit() and int(num) >= 1:
-        n = int(num)
-        return RootLattice(tag, "A", n, n + 1, 1, _an_roots(n))
-    if kind == "D" and num.isdigit() and int(num) >= 2:
-        n = int(num)
-        return RootLattice(tag, "D", n, n, 1, _dn_roots(n))
-    raise LatticeError(f"unknown lattice tag {tag!r}")
+    if kind == "E":
+        roots = {6: _e6_roots, 7: _e7_roots, 8: _e8_roots}[rank]()
+        return RootLattice(tag, "E", rank, 8, 4, roots)
+    if tag.endswith("C"):
+        code = gf2code.dual(gf2code.frame_pair_code(rank))
+        return RootLattice(tag, "D", rank, rank, 2, _code_frame_roots(code))
+    if kind == "A":
+        return RootLattice(tag, "A", rank, rank + 1, 1, _an_roots(rank))
+    return RootLattice(tag, "D", rank, rank, 1, _dn_roots(rank))
 
 
 def norm_counts(lattice: RootLattice, bound, shift=None) -> dict[Fraction, int]:
@@ -417,14 +337,8 @@ def norm_counts(lattice: RootLattice, bound, shift=None) -> dict[Fraction, int]:
     `shift` is an ambient vector in the rational span of the lattice; when
     the coset holds the zero vector and `bound` >= 0, it counts with norm 0.
     """
-    bound = Fraction(bound)
     coords = None if shift is None else lattice.coords(shift)
-    counts = Counter(norm for _, norm in _enumerate_short(
-        _basis_gram(lattice), bound, coords))
-    # _enumerate_short leaves out x = 0 exactly when the shift is zero
-    if (coords is None or not any(coords)) and bound >= 0:
-        counts[Fraction(0)] += 1
-    return counts
+    return theta_counts(_basis_gram(lattice), bound, coords)
 
 
 def root_isometry(src: RootLattice, dst: RootLattice) -> np.ndarray | None:

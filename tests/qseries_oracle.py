@@ -3,13 +3,16 @@
 This is the dictionary form `qchar.QSeries` had before it moved to an
 integer grid.  Every operation works term by term on exact exponents, with
 no grid, offsets or canonical form, so the tests use it as the oracle for
-the grid arithmetic.
+the grid arithmetic.  The checks on affine characters and the boson factor
+of the branching rule, which only the tests use, live here too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+from voacensus import qchar
 
 
 class OracleError(ValueError):
@@ -89,3 +92,24 @@ class QSeries:
             if self.coeffs.get(e, 0) != other.coeffs.get(e, 0):
                 return e
         return None
+
+
+def z_symmetric(two: qchar.TwoVarSeries) -> bool:
+    """Every z-slice of an affine character is symmetric under z -> -z."""
+    return all(sl.get(z, 0) == sl.get(-z, 0) for sl in two.slices for z in sl)
+
+
+def top_term_ok(two: qchar.TwoVarSeries) -> bool:
+    """The top (depth 0) carries z^spin with multiplicity one."""
+    return two.slices[0].get(two.spin, 0) == 1
+
+
+def coset_boson_factor(level: int, charge: int, upto) -> qchar.QSeries:
+    """Character of the charge sector of the rank-1 lattice boson factor."""
+    out: dict[Fraction, int] = {}
+    for e, c in qchar._alternating_terms(
+            lambda k: ((Fraction((charge + 2 * level * k) ** 2, 4 * level), 1),),
+            upto):
+        out[e] = out.get(e, 0) + c
+    theta = qchar.QSeries(out, upto)
+    return (theta * qchar.euler_power(-1, int(upto) + 1)).truncate(upto)

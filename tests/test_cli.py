@@ -269,6 +269,9 @@ for argv in (["characters", "show", "man:6:4"],
              ["characters", "show", "minimal:2:1:3"],
              ["characters", "show", "w:4:1:3"],
              ["characters", "show", "affine:2:1"],
+             ["characters", "verify", "--cutoff", "4"],
+             ["characters", "show", "vfull:E8"],
+             ["characters", "show", "vplus:E7"],
              ["code", "rm24"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
@@ -281,8 +284,9 @@ for argv in (["characters", "show", "man:6:4"],
 
 def test_sublattice_jobs_build_each_catalog_lattice_once():
     # a fresh interpreter, so the suite's registry caches stay as they are:
-    # the jobs that read alpha0, the A7 or the A5 + A1 off E8, E7 and E6
-    # build each of those lattices once, in the registry
+    # the jobs that read alpha0 or the A5 + A1 off E8 and E6 build each of
+    # those lattices once, in the registry; `characters verify` reads its
+    # E7 and A7 off Cartan matrices and builds no lattice
     script = """
 import collections, contextlib, io
 from voacensus import cli, rootlat
@@ -292,19 +296,31 @@ def counting_init(self, name, *args):
     built[name] += 1
     init(self, name, *args)
 rootlat.RootLattice.__init__ = counting_init
-for argv in (["group", "--census", "uc", "--inductive"],
+for argv in (["characters", "verify", "--cutoff", "4"],
+             ["group", "--census", "uc", "--inductive"],
              ["census", "commutant", "E8", "--orthogonal-to", "wtilde,phi:alpha0"],
              ["griess", "verify", "twist-chain"],
-             ["griess", "verify", "orthogonal-split"],
-             ["characters", "verify", "--cutoff", "4"]):
+             ["griess", "verify", "orthogonal-split"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
+    if argv[0] == "characters":
+        print(sum(built.values()))
 print(built["E8"], built["E7"], built["E6"])
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "1", "1"]
+    assert proc.stdout.split() == ["0", "1", "0", "1"]
+
+
+@pytest.mark.parametrize("tag", ["DC", "DXC", "D4CC"])
+@pytest.mark.parametrize("args", [["census", "lattice"], ["griess", "build"],
+                                  ["characters", "show"]])
+def test_malformed_code_frame_tag_is_unknown(tag, args, capsys):
+    obj = f"vfull:{tag}" if args[0] == "characters" else tag
+    assert cli.main(args + [obj]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False and data["error"] == f"unknown lattice tag {tag!r}"
 
 
 def test_empty_lattice_tag_is_usage_error():

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -7,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voacensus import qchar, registry
+from voacensus import dynkin, qchar, registry
 from voacensus import rootlat as rl
 from voacensus.exact import inverse
 
@@ -41,8 +42,11 @@ def test_coxeter_and_charges():
 
 
 def test_invalid_tags():
-    for bad in ("F4", "A0", "Q3", "D1"):
-        with pytest.raises(rl.LatticeError):
+    for bad in ("F4", "A0", "Q3", "D1", "E08", "DC", "DXC", "D4CC", "A\u00b2"):
+        with pytest.raises(rl.LatticeError, match="unknown lattice tag"):
+            rl.build_lattice(bad)
+    for bad in ("D2C", "D5C"):
+        with pytest.raises(rl.LatticeError, match="even rank >= 4"):
             rl.build_lattice(bad)
 
 
@@ -99,7 +103,7 @@ def _mod2_classes_per_vector(lat):
     """Oracle: the coset classification `mod2_classes` made one vector at a
     time, bucketing each short vector under its tuple key."""
     buckets = {}
-    for coeffs, norm in rl._enumerate_short(rl._basis_gram(lat), Fraction(4)):
+    for coeffs, norm in dynkin.short_vectors(rl._basis_gram(lat), Fraction(4)):
         key = tuple(c % 2 for c in coeffs)
         vec = tuple(int(x) for x in np.asarray(coeffs, dtype=np.int64) @ lat.basis)
         buckets.setdefault(key, []).append((vec, int(norm)))
@@ -209,6 +213,19 @@ def test_coords_against_sympy_rank(tag, data):
             lat.coords(np.array(b, dtype=np.int64))
 
 
+# the glue of A7 in the E7 sum-zero model, in stored coordinates: the
+# coordinate-model oracle of the omega_4 coset that `qchar` counts
+XI = (1, 1, 1, 1, -1, -1, -1, -1)
+
+
+def a7_in_e7() -> rl.RootLattice:
+    """A7 as its own lattice: the 56 roots of the cached E7 model whose
+    stored coordinates are all even."""
+    e7 = registry.lattice("E7")
+    return rl.RootLattice("A7@E7", "A", 7, 8, e7.scale_sq,
+                          e7.roots[(e7.roots % 2 == 0).all(axis=1)])
+
+
 def test_sublattice_embedding_a1_e7():
     # alpha0 is the largest root of the cached E8; its perp is an E7
     e8 = registry.lattice("E8")
@@ -221,9 +238,9 @@ def test_sublattice_embedding_a1_e7():
 
 def test_sublattice_embedding_a7_e7():
     e7 = registry.lattice("E7")
-    a7 = qchar.a7_in_e7()
+    a7 = a7_in_e7()
     assert len(a7.roots) == 56 and all(e7.is_root(r) for r in a7.roots)
-    xi = np.array(qchar.XI, dtype=np.int64)
+    xi = np.array(XI, dtype=np.int64)
     assert not a7.is_root(xi)
     # xi is in the ambient lattice, 2*xi is in the sublattice, xi is not
     assert xi in e7 and 2 * xi in a7 and xi not in a7
@@ -240,7 +257,7 @@ def test_sublattice_embedding_e6():
     assert (l1[:, 7] == 0).all()
     assert l2[0].tolist() == [-2, 0, 0, 0, 0, 0, 0, 2]
     rl.RootLattice("A5@E6", "A", 5, 8, e6.scale_sq, l1)
-    assert np.array(qchar.XI, dtype=np.int64) in e6
+    assert np.array(XI, dtype=np.int64) in e6
 
 
 def test_norm_counts_known_thetas():
@@ -267,11 +284,30 @@ def test_norm_counts_zero_vector_counted_once_for_any_lattice_shift():
 
 
 def test_norm_counts_shifted_coset():
-    lat = qchar.a7_in_e7()
-    counts = rl.norm_counts(lat, 4, np.array(qchar.XI, dtype=np.int64))
+    lat = a7_in_e7()
+    counts = rl.norm_counts(lat, 4, np.array(XI, dtype=np.int64))
     # the shifted coset has no vectors of norm below 3/2 and none of norm 0
     assert all(n >= Fraction(3, 2) for n in counts)
     assert sum(c for n, c in counts.items() if n == min(counts)) > 0
+
+
+@pytest.mark.parametrize("tag", CATALOG)
+def test_cartan_theta_matches_built_model(tag):
+    # a theta series depends on the Gram matrix alone: the Cartan matrix of
+    # the tag's Dynkin type against the HNF basis of the coordinate model
+    lat = rl.build_lattice(tag)
+    kind, rank = dynkin.lattice_type(tag)
+    assert (kind, rank) == (lat.kind, lat.rank)
+    theta = dynkin.theta_counts(dynkin.cartan_matrix(kind, rank), 6)
+    assert theta == rl.norm_counts(lat, 6)
+    assert theta[Fraction(2)] == dynkin.root_count(kind, rank) == len(lat.roots)
+
+
+def test_omega4_coset_matches_xi_coset_of_e7_model():
+    want = rl.norm_counts(a7_in_e7(), 8, np.array(XI, dtype=np.int64))
+    got = dynkin.theta_counts(dynkin.cartan_matrix("A", 7), 8, qchar.OMEGA4)
+    assert got == want
+    assert min(got) == 2 and got[Fraction(2)] == 70
 
 
 def test_root_isometry_models():
@@ -356,30 +392,30 @@ def test_enumeration_matches_fraction_oracle(tag, bound):
     lat = rl.build_lattice(tag)
     gram = _inner_gram(lat)
     assert rl._basis_gram(lat) == gram
-    got = rl._enumerate_short(gram, Fraction(bound))
+    got = dynkin.short_vectors(gram, Fraction(bound))
     assert got == _fraction_enumerate_short(gram, Fraction(bound))
 
 
 @pytest.mark.parametrize("bound", [Fraction(5, 2), Fraction(4), Fraction(8)])
 def test_shifted_enumeration_matches_fraction_oracle(bound):
-    lat = qchar.a7_in_e7()
-    shift = lat.coords(np.array(qchar.XI, dtype=np.int64))
+    lat = a7_in_e7()
+    shift = lat.coords(np.array(XI, dtype=np.int64))
     assert any(c.denominator > 1 for c in shift)
     gram = _inner_gram(lat)
-    got = rl._enumerate_short(gram, bound, shift)
+    got = dynkin.short_vectors(gram, bound, shift)
     assert got and got == _fraction_enumerate_short(gram, bound, shift)
 
 
 def test_enumeration_rejects_indefinite_gram():
     for gram in ([[1, 2], [2, 1]], [[2, 0], [0, 0]], [[-1]]):
         with pytest.raises(rl.LatticeError, match="not positive definite"):
-            rl._enumerate_short(gram, Fraction(4))
+            dynkin.short_vectors(gram, Fraction(4))
 
 
 def test_enumeration_leaves_out_origin_only_for_zero_shift():
-    assert rl._enumerate_short([[1]], Fraction(1), [Fraction(0)]) == \
-        rl._enumerate_short([[1]], Fraction(1)) == [((-1,), 1), ((1,), 1)]
-    assert rl._enumerate_short([[1]], Fraction(1), [1]) == \
+    assert dynkin.short_vectors([[1]], Fraction(1), [Fraction(0)]) == \
+        dynkin.short_vectors([[1]], Fraction(1)) == [((-1,), 1), ((1,), 1)]
+    assert dynkin.short_vectors([[1]], Fraction(1), [1]) == \
         [((-2,), 1), ((-1,), 0), ((0,), 1)]
 
 
@@ -425,4 +461,9 @@ def test_enumeration_matches_brute_force(data):
     shift = data.draw(st.none() | st.lists(_rational, min_size=n, max_size=n))
     gram = [[Fraction(x, scale) for x in row] for row in g_int]
     expected = _brute_force_short(g_int, scale, bound, shift)
-    assert rl._enumerate_short(gram, bound, shift) == expected
+    assert dynkin.short_vectors(gram, bound, shift) == expected
+    # the counting leaf: the same norms, the origin counted when it is there
+    counts = Counter(norm for _, norm in expected)
+    if not any(shift or ()) and bound >= 0:
+        counts[Fraction(0)] += 1
+    assert dynkin.theta_counts(gram, bound, shift) == counts
