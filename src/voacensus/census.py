@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import gf2code, rootlat
+from . import CheckError, gf2code, rootlat
 from .gf2code import BinaryCode, HammingEmbedding
 from .griess import GriessAlgebra, GriessElement
 
@@ -25,7 +25,7 @@ class CensusError(ValueError):
     pass
 
 
-class CensusCheckError(CensusError):
+class CensusCheckError(CensusError, CheckError):
     """A computed census failed one of its mathematical invariants."""
 
 

@@ -19,7 +19,7 @@ import os
 import sys
 import time
 
-from . import __version__, registry
+from . import CheckError, __version__, registry
 
 
 _SERIES_HELP = ("minimal:m:r:s | vplus:TAG | vfull:TAG | w:l:j:k | man:N:2s | "
@@ -30,6 +30,12 @@ _SERIES_FIELDS = {form.split(":")[0]: form.count(":")
 # the largest character cutoff accepted: bigger ones exhaust memory or time
 # in the coefficient lists and alternating sums
 MAX_CUTOFF = 10_000
+# the largest lattice rank of a vfull/vplus series (the catalog goes to 12):
+# the theta count's exact LDL step grows as rank^3, and its enumeration
+# recurses once per coordinate, so a rank near the recursion limit would end
+# in a traceback.  The number of vectors counted still grows with rank and
+# cutoff together
+MAX_RANK = 32
 
 
 def _default_cutoff() -> int:
@@ -248,10 +254,15 @@ def _show_series(spec: str, cutoff: int) -> dict:
     if kind == "minimal":
         m, r, s = map(int, parts)
         series = qchar.minimal_character(m, r, s, cutoff)
-    elif kind == "vplus":
-        series = qchar.vplus_character(parts[0].upper(), cutoff)
-    elif kind == "vfull":
-        series = qchar.vfull_character(parts[0].upper(), cutoff)
+    elif kind in ("vplus", "vfull"):
+        from .dynkin import lattice_type
+        tag = parts[0].upper()
+        rank = lattice_type(tag)[1]
+        if rank > MAX_RANK:
+            raise registry.RegistryError(
+                f"lattice {tag} has rank {rank}, above the ceiling {MAX_RANK}")
+        character = qchar.vplus_character if kind == "vplus" else qchar.vfull_character
+        series = character(tag, cutoff)
     elif kind == "w":
         level, j, k = map(int, parts)
         series = qchar.w_character(level, j, k, cutoff)
@@ -317,10 +328,7 @@ def main(argv=None) -> int:
                   "error": str(exc)}
         # a failed sigma-table or census check is a check failure, not a
         # usage error
-        from .census import CensusCheckError
-        from .transpo import SigmaCheckError
-        checks = (SigmaCheckError, CensusCheckError)
-        code = 1 if isinstance(exc, checks) else 2
+        code = 1 if isinstance(exc, CheckError) else 2
     try:
         _emit(report, args.format, args.output)
         sys.stdout.flush()

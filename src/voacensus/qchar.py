@@ -433,7 +433,8 @@ def man_character(N: int, twos: int, upto: int) -> QSeries:
     the products of minimal_character(j, k_{j-1} + 1, k_j + 1), walked left to
     right: live[k] sums the partial products ending in label k.  The bound is
     that of the term-by-term sum: a chain that meets a zero factor stops, and
-    its bound at that point enters the result's.
+    its bound at that point enters the result's.  Only the last step depends
+    on `twos`, so the walk through step N - 1 is shared by every label.
     """
     if N < 1:
         raise QSeriesError(f"tower length {N} is below 1")
@@ -441,19 +442,33 @@ def man_character(N: int, twos: int, upto: int) -> QSeries:
         raise QSeriesError(f"label {twos} outside 0..{N + 1}")
     if twos % 2:
         raise QSeriesError("label must be even")
-    live = {0: one(upto)}
+    live, bound = _tower_prefix(N - 1, upto)
+    live, bound = _tower_step(live, bound, N, (twos,), upto)
+    return dict(live).get(twos, QSeries({}, upto)).truncate(bound)
+
+
+@lru_cache(maxsize=None)
+def _tower_prefix(n: int, upto: int) -> tuple[tuple[tuple[int, QSeries], ...], Fraction]:
+    """The tower walk through step n over every label: the (label, partial
+    sum) pairs still live, and the running bound of the chains stopped."""
+    live: tuple = ((0, one(upto)),)
     bound = Fraction(upto)
-    for j in range(1, N + 1):
-        step: dict[int, QSeries] = {}
-        for b in ((twos,) if j == N else range(0, j + 2, 2)):
-            for a, prefix in live.items():
-                prod = prefix * minimal_character(j, a + 1, b + 1, upto)
-                if prod.is_zero():
-                    bound = min(bound, prod.cutoff)
-                else:
-                    step[b] = step[b] + prod if b in step else prod
-        live = step
-    return live.get(twos, QSeries({}, upto)).truncate(bound)
+    for j in range(1, n + 1):
+        live, bound = _tower_step(live, bound, j, range(0, j + 2, 2), upto)
+    return live, bound
+
+
+def _tower_step(live, bound: Fraction, j: int, labels, upto: int):
+    """Multiply each live partial sum by the step-j factor into each label."""
+    step: dict[int, QSeries] = {}
+    for b in labels:
+        for a, prefix in live:
+            prod = prefix * minimal_character(j, a + 1, b + 1, upto)
+            if prod.is_zero():
+                bound = min(bound, prod.cutoff)
+            else:
+                step[b] = step[b] + prod if b in step else prod
+    return tuple(step.items()), bound
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +493,17 @@ def _coeff_check(name: str, series: QSeries, expo, expect: int) -> dict:
             "first_mismatch": None if got == expect else f"{expo} -> {got}"}
 
 
-def me7_display_character(upto: int) -> QSeries:
-    """The printed three-term commutant character over the rank-7 chain."""
+def me7_display_character(upto: int, man7=None) -> QSeries:
+    """The printed three-term commutant character over the rank-7 chain.
+
+    `man7`, if given, maps the labels 0, 4 and 8 to their rank-7 tower
+    characters at `upto`.
+    """
+    if man7 is None:
+        man7 = {twos: man_character(7, twos, upto) for twos in (0, 4, 8)}
     l0 = minimal_character(2, 1, 1, upto)      # c = 7/10, h = 0
     l35 = minimal_character(2, 1, 3, upto)     # h = 3/5
-    return (man_character(7, 0, upto) * l0 + man_character(7, 4, upto) * l35 +
-            man_character(7, 8, upto) * l0).truncate(upto)
+    return (man7[0] * l0 + man7[4] * l35 + man7[8] * l0).truncate(upto)
 
 
 _ME6_LINES = (
@@ -503,16 +523,21 @@ def _minimal_at_weight(m: int, h: Fraction, upto: int) -> QSeries:
     raise QSeriesError(f"weight {h} not in the degree-{m} table")
 
 
-def _me6_block(parts, upto: int) -> QSeries:
-    """Sum of (c=25/28 at h1) * (Ising at h2) over one line of _ME6_LINES."""
-    return sum((_minimal_at_weight(5, h1, upto) * _minimal_at_weight(1, h2, upto)
-                for h1, h2 in parts), QSeries({}, upto))
+def _me6_blocks(upto: int) -> dict[int, QSeries]:
+    """Label -> sum of (c=25/28 at h1) * (Ising at h2) over its line of
+    _ME6_LINES."""
+    return {twos: sum((_minimal_at_weight(5, h1, upto) * _minimal_at_weight(1, h2, upto)
+                       for h1, h2 in parts), QSeries({}, upto))
+            for twos, parts in _ME6_LINES}
 
 
-def me6_display_character(upto: int) -> QSeries:
-    """The printed four-line commutant character over the rank-6 chain."""
-    return sum((man_character(5, twos, upto) * _me6_block(parts, upto)
-                for twos, parts in _ME6_LINES), QSeries({}, upto))
+def me6_display_character(upto: int, blocks=None) -> QSeries:
+    """The printed four-line commutant character over the rank-6 chain;
+    `blocks`, if given, is `_me6_blocks(upto)`."""
+    if blocks is None:
+        blocks = _me6_blocks(upto)
+    return sum((man_character(5, twos, upto) * block for twos, block in blocks.items()),
+               QSeries({}, upto))
 
 
 def com_ma4_display_character(upto: int) -> QSeries:
@@ -532,10 +557,13 @@ def com_ma4_display_character(upto: int) -> QSeries:
                QSeries({}, upto))
 
 
-def com_ma4_substituted_character(upto: int) -> QSeries:
-    """The same commutant assembled through the nested branching rule."""
-    return sum((minimal_character(5, 1, twos + 1, upto) * _me6_block(parts, upto)
-                for twos, parts in _ME6_LINES), QSeries({}, upto))
+def com_ma4_substituted_character(upto: int, blocks=None) -> QSeries:
+    """The same commutant assembled through the nested branching rule;
+    `blocks`, if given, is `_me6_blocks(upto)`."""
+    if blocks is None:
+        blocks = _me6_blocks(upto)
+    return sum((minimal_character(5, 1, twos + 1, upto) * block
+                for twos, block in blocks.items()), QSeries({}, upto))
 
 
 def u_factor_character(twos: int, upto: int) -> QSeries:
@@ -570,36 +598,37 @@ def verify_decompositions(depth: int = 8) -> list[dict]:
         checks.append(_check(f"tower_resolution_A{N}",
                              vfull_character(f"A{N}", upto), rhs, bound=depth))
 
-    # rank-7 chain inside the sum-zero model
+    # rank-7 chain inside the sum-zero model: the coset, the E7 resolution,
+    # the U factors and the ME7 display share these labels and branching series
+    labels = range(0, 10, 2)
+    man7 = {twos: man_character(7, twos, upto) for twos in labels}
+    w8 = {twos: w_character(8, twos, 8, upto) for twos in labels}
+    w08 = {twos: w_character(8, twos, 0, upto) + w8[twos] for twos in labels}
     coset = _coset_a7_character(upto)
-    rhs = QSeries({}, upto)
-    for twos in range(0, 10, 2):
-        rhs = rhs + man_character(7, twos, upto) * w_character(8, twos, 8, upto)
+    rhs = sum((man7[twos] * w8[twos] for twos in labels), QSeries({}, upto))
     checks.append(_check("shifted_coset_A7", coset, rhs,
                          bound=coset.min_exponent() + depth))
 
-    rhs_full = QSeries({}, upto)
-    for twos in range(0, 10, 2):
-        rhs_full = rhs_full + man_character(7, twos, upto) * (
-            w_character(8, twos, 0, upto) + w_character(8, twos, 8, upto))
+    rhs_full = sum((man7[twos] * w08[twos] for twos in labels), QSeries({}, upto))
     checks.append(_check("E7_resolution", vfull_character("E7", upto), rhs_full,
                          bound=depth))
 
-    for twos in range(0, 10, 2):
-        lhs = w_character(8, twos, 0, upto) + w_character(8, twos, 8, upto)
-        checks.append(_check(f"U_factor_{twos}", lhs, u_factor_character(twos, upto),
-                             bound=lhs.min_exponent() + depth))
-    checks.append(_check("U0_equals_U8", u_factor_character(0, upto),
-                         u_factor_character(8, upto), bound=depth))
+    u = {twos: u_factor_character(twos, upto) for twos in labels}
+    for twos in labels:
+        checks.append(_check(f"U_factor_{twos}", w08[twos], u[twos],
+                             bound=w08[twos].min_exponent() + depth))
+    checks.append(_check("U0_equals_U8", u[0], u[8], bound=depth))
 
     # the q^2 checks need upto >= 3 (me7 at upto 2 is valid through 12/7)
     dim_upto = max(upto, 3)
-    me7 = me7_display_character(dim_upto)
+    me7 = me7_display_character(dim_upto, man7 if dim_upto == upto else None)
     checks.append(_coeff_check("ME7_dim2", me7, 2, 63))
     checks.append(_coeff_check("ME7_vacuum", me7, 0, 1))
     checks.append(_coeff_check("ME7_dim1", me7, 1, 0))
 
-    me6 = me6_display_character(dim_upto)
+    # the ME6 display and the substituted MA4 commutant share the ME6 blocks
+    blocks = _me6_blocks(upto)
+    me6 = me6_display_character(dim_upto, blocks if dim_upto == upto else None)
     checks.append(_coeff_check("ME6_dim2", me6, 2, 36))
     checks.append(_coeff_check("ME6_vacuum", me6, 0, 1))
     checks.append(_coeff_check("ME6_dim1", me6, 1, 0))
@@ -608,27 +637,20 @@ def verify_decompositions(depth: int = 8) -> list[dict]:
                    "compared_up_to": str(me6.cutoff), "first_mismatch": None})
 
     checks.append(_check("com_MA4_eight_terms", com_ma4_display_character(upto),
-                         com_ma4_substituted_character(upto), bound=depth))
+                         com_ma4_substituted_character(upto, blocks), bound=depth))
 
     # branching symmetry at level 4, all labels, to depth 10
     sym_upto = max(upto, depth + 2, 10)
-    sym_ok = True
+    w4 = {(j, k): w_character(4, j, k, sym_upto)
+          for j in range(5) for k in range(8) if (j + k) % 2 == 0}
     mism = None
-    for j in range(5):
-        for k in range(0, 8):
-            if (j + k) % 2:
-                continue
-            k2 = (k + 4) % 8
-            m = w_character(4, j, k, sym_upto).first_mismatch(
-                w_character(4, 4 - j, k2, sym_upto))
-            if m is not None:
-                sym_ok = False
-                mism = f"(j={j},k={k}) at {m}"
-                break
-        if not sym_ok:
+    for (j, k), series in w4.items():
+        m = series.first_mismatch(w4[4 - j, (k + 4) % 8])
+        if m is not None:
+            mism = f"(j={j},k={k}) at {m}"
             break
     checks.append({"identity": "branching_symmetry_level4",
-                   "status": "pass" if sym_ok else "fail",
+                   "status": "pass" if mism is None else "fail",
                    "compared_up_to": str(sym_upto), "first_mismatch": mism})
 
     checks.append(_coeff_check("vplus_E8_dim2", vplus_character("E8", 3), 2, 156))

@@ -2,9 +2,10 @@
 
 The CLI and the test suite resolve every object through this module, so the
 same cached instances back both.  All constructions are deterministic.
-Codes need only `gf2code`; numpy and the lattice, Griess and census modules
-are imported by the functions that use them, so resolving a code or the
-`RegistryError` class loads no numpy.
+Every module is imported by the functions that use it: `gf2code` by
+`code`, numpy and the lattice, Griess and census modules by the lattice and
+census resolvers.  So a `characters` job, which reads only `RegistryError`,
+loads no code module, and resolving a code loads `gf2code` and no numpy.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from . import gf2code
-
 if TYPE_CHECKING:
     from . import census as census_mod
+    from . import gf2code
     from . import rootlat
     from .griess import GriessAlgebra, GriessElement
 
@@ -31,6 +31,7 @@ CODE_TAGS = ("hamming8", "rm14", "rm24", "cn2", "cn3", "cn4",
 @lru_cache(maxsize=None)
 def code(tag: str) -> gf2code.BinaryCode:
     """Resolve a catalog code tag (or read `file:PATH`)."""
+    from . import gf2code
     if tag[:5].lower() == "file:":
         try:
             with open(tag[5:], "r", encoding="ascii") as fh:

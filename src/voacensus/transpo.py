@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import CheckError
 from .census import GRAM_32ND, GRAM_ZERO, CensusError, IsingCensus
 from .griess import SigmaImageError
 
@@ -20,8 +21,8 @@ class TranspoError(ValueError):
     pass
 
 
-class SigmaCheckError(TranspoError):
-    """A sigma-table failed a mathematical check (CLI exit 1, not 2)."""
+class SigmaCheckError(TranspoError, CheckError):
+    """A sigma-table failed a mathematical check."""
 
 
 def identity_perm(n: int) -> np.ndarray:

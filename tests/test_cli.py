@@ -3,12 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from voacensus import census, cli, gf2code, registry, transpo
+from voacensus import census, cli, dynkin, gf2code, registry, transpo
 from voacensus.census import IsingCensus
 from voacensus.griess import GriessAlgebra, SigmaImageError
 
@@ -253,6 +254,26 @@ def test_cutoff_above_ceiling_is_usage_error(cutoff, obj, via_env):
     assert data["ok"] is False and "ceiling" in data["error"]
 
 
+def test_lattice_rank_above_ceiling_is_usage_error(capsys):
+    # refused from the tag alone: no Cartan matrix is built
+    t0 = time.perf_counter()
+    assert cli.main(["characters", "show", "vfull:A1200", "--cutoff", "2"]) == 2
+    assert time.perf_counter() - t0 < 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False
+    assert data["error"] == "lattice A1200 has rank 1200, above the ceiling 32"
+    assert cli.main(["characters", "show", f"vplus:D{cli.MAX_RANK + 1}"]) == 2
+    assert "above the ceiling" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_lattice_rank_ceiling_admits_the_catalog():
+    catalog = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(2, 13)]
+    catalog += ["E6", "E7", "E8", "E8H", "D4C", "D6C", "D8C", "D30"]
+    assert max(dynkin.lattice_type(tag)[1] for tag in catalog) <= cli.MAX_RANK
+    assert cli.main(["characters", "show", f"vfull:A{cli.MAX_RANK}",
+                     "--cutoff", "2"]) == 0
+
+
 def test_negative_degree_is_usage_error():
     code, data = invoke_json(["characters", "show", "minimal:-1:1:1"])
     assert code == 2
@@ -260,22 +281,29 @@ def test_negative_degree_is_usage_error():
 
 
 def test_numpy_free_commands():
-    # a fresh interpreter: numpy stays unloaded where no array is needed
+    # a fresh interpreter: numpy stays unloaded where no array is needed, and
+    # no characters job, failed or not, loads the code module
     script = """
 import contextlib, io, sys
 from voacensus import cli
 assert "numpy" not in sys.modules, "import"
-for argv in (["characters", "show", "man:6:4"],
-             ["characters", "show", "minimal:2:1:3"],
-             ["characters", "show", "w:4:1:3"],
-             ["characters", "show", "affine:2:1"],
-             ["characters", "verify", "--cutoff", "4"],
-             ["characters", "show", "vfull:E8"],
-             ["characters", "show", "vplus:E7"],
-             ["code", "rm24"]):
+for argv, code in ((["characters", "show", "man:6:4"], 0),
+                   (["characters", "show", "minimal:2:1:3"], 0),
+                   (["characters", "show", "w:4:1:3"], 0),
+                   (["characters", "show", "affine:2:1"], 0),
+                   (["characters", "verify", "--cutoff", "4"], 0),
+                   (["characters", "show", "vfull:E8"], 0),
+                   (["characters", "show", "vplus:E7"], 0),
+                   (["characters", "show", "vfull:F4"], 2),
+                   (["characters", "show", "vfull:A1200", "--cutoff", "2"], 2),
+                   (["code", "rm24"], 0)):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
+        assert cli.main(argv) == code, argv
     assert "numpy" not in sys.modules, argv
+    assert "voacensus.census" not in sys.modules, argv
+    if argv[0] == "characters":
+        assert "voacensus.gf2code" not in sys.modules, argv
+assert "voacensus.gf2code" in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)

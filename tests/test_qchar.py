@@ -310,18 +310,52 @@ def _man_by_tuples(N, twos, upto):
 
 
 def test_man_character_chain_sum_matches_tuple_oracle():
-    cases = [(N, twos, upto) for N in range(1, 7) for twos in range(0, N + 2, 2)
-             for upto in (2, 5, 8)]
-    cases += [(7, twos, 4) for twos in (0, 4, 8)]
-    for N, twos, upto in cases:
-        got = qc.man_character(N, twos, upto)
-        want = _man_by_tuples(N, twos, upto)
-        assert (got.items(), got.cutoff) == (want.items(), want.cutoff), \
-            (N, twos, upto)
+    # every label of a rank reads one cached walk through step N - 1: asked
+    # for in ascending order, in descending order or alone, each label gives
+    # the oracle's series and bound
+    for N in range(1, 8):
+        for upto in ((2, 4) if N == 7 else (2, 5, 8)):
+            labels = range(0, N + 2, 2)
+            want = {twos: _man_by_tuples(N, twos, upto) for twos in labels}
+            for order in [list(labels), list(reversed(labels))] + [[t] for t in labels]:
+                qc._tower_prefix.cache_clear()
+                for twos in order:
+                    got = qc.man_character(N, twos, upto)
+                    assert (got.items(), got.cutoff) == \
+                        (want[twos].items(), want[twos].cutoff), (N, twos, upto, order)
     # chains that meet a zero factor set these bounds
     assert qc.man_character(6, 4, 2).cutoff == Fraction(12, 7)
     assert qc.man_character(6, 6, 2).cutoff == Fraction(12, 7)
     assert qc.man_character(7, 4, 4).cutoff == Fraction(22, 7)
+
+
+def _count_products(monkeypatch):
+    """Clear the tower walks and count QSeries products from here on."""
+    qc._tower_prefix.cache_clear()
+    calls = [0]
+    mul = qc.QSeries.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+    monkeypatch.setattr(qc.QSeries, "__mul__", counting)
+    return calls
+
+
+def test_verify_computes_each_series_once(monkeypatch):
+    # one tower walk per rank, and each branching series computed once and
+    # read by every check that needs it: 223 products at this depth
+    calls = _count_products(monkeypatch)
+    checks = qc.verify_decompositions(4)
+    assert all(c["status"] == "pass" for c in checks)
+    assert calls[0] <= 250
+
+
+@pytest.mark.parametrize("N, twos, products", [(6, 0, 37), (4, 2, 15)])
+def test_single_label_makes_no_extra_products(monkeypatch, N, twos, products):
+    calls = _count_products(monkeypatch)
+    qc.man_character(N, twos, 8)
+    assert calls[0] == products
 
 
 def test_display_characters():
