@@ -44,6 +44,15 @@ class SigmaImageError(GriessError):
         self.row = row
 
 
+def guard_dimension(rank: int, npairs: int) -> int:
+    """The dimension rank(rank+1)/2 + npairs of the algebra over a lattice
+    with `npairs` root pairs; GriessError past DIM_GUARD."""
+    dim = rank * (rank + 1) // 2 + npairs
+    if dim > DIM_GUARD:
+        raise GriessError(f"dimension {dim} exceeds guard {DIM_GUARD}")
+    return dim
+
+
 def _guard(bound: int) -> None:
     """Refuse int64 arithmetic whose results may reach `bound` in magnitude."""
     if bound >= INT_GUARD:
@@ -80,7 +89,8 @@ class GriessElement:
         The constructor's canonical form in a few array operations: each
         row divided by the gcd of its integers and its denominator, and its
         `mag` checked against INT_GUARD.  A row past the guard raises
-        SigmaImageError (a GriessError) naming the first one.
+        SigmaImageError (a GriessError) naming the first one.  Each element
+        holds copies of its rows, so keeping one keeps no batch array alive.
         """
         if (dens <= 0).any():
             raise GriessError("row denominators must be positive")
@@ -98,7 +108,7 @@ class GriessElement:
             if mag >= INT_GUARD:
                 raise SigmaImageError(row, "integer overflow guard tripped")
             el = cls.__new__(cls)
-            el.alg, el.cart, el.xv, el.den, el.mag = alg, cart, xv, den, mag
+            el.alg, el.cart, el.xv, el.den, el.mag = alg, cart.copy(), xv.copy(), den, mag
             out.append(el)
         return out
 
@@ -167,9 +177,7 @@ class GriessAlgebra:
         self.m, self.s2 = m, s2
         self.pairs = lattice.pairs
         self.npairs = lattice.npairs
-        self.dimension = lattice.rank * (lattice.rank + 1) // 2 + self.npairs
-        if self.dimension > DIM_GUARD:
-            raise GriessError(f"dimension {self.dimension} exceeds guard {DIM_GUARD}")
+        self.dimension = guard_dimension(lattice.rank, self.npairs)
         P = self.pairs
         # ordered pair-products landing on another pair: (p, q) -> r
         dots = (P @ P.T) // s2

@@ -68,8 +68,13 @@ def lattice_tags(spec: str) -> list[str]:
 
 @lru_cache(maxsize=None)
 def lattice(tag: str) -> rootlat.RootLattice:
-    from . import rootlat
+    """The model of a catalog tag.  Every lattice resolved here gets a
+    Griess algebra, so one past `griess.DIM_GUARD` is refused from its type
+    alone, before its roots are derived."""
+    from . import griess, rootlat
     try:
+        kind, rank = rootlat.lattice_type(tag)
+        griess.guard_dimension(rank, rootlat.root_count(kind, rank) // 2)
         return rootlat.build_lattice(tag)
     except rootlat.LatticeError as exc:
         raise RegistryError(str(exc)) from exc

@@ -3,14 +3,15 @@
 Every model stores vectors as integer numpy arrays together with a
 ``scale_sq`` divisor: the geometric inner product of stored vectors u, v is
 ``(u . v) / scale_sq``.  This keeps half-integer models (the E-series) in
-exact integer arithmetic.  All roots have geometric norm 2.
+exact integer arithmetic.  All roots have geometric norm 2.  A model is
+named by generators of its span; its roots are the norm-2 shell of that
+span, enumerated by `dynkin.short_vectors` on the span's HNF basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from math import lcm
 
 import numpy as np
@@ -214,121 +215,54 @@ class RootLattice:
         return next(cl for cl in self.mod2_classes() if cl.key == key)
 
 
+def _gram(basis: np.ndarray, scale_sq: int) -> list[list[Fraction]]:
+    """Gram matrix of a basis: the integer basis . basis^T over scale_sq."""
+    return [[Fraction(x, scale_sq) for x in row] for row in (basis @ basis.T).tolist()]
+
+
 def _basis_gram(lattice: RootLattice) -> list[list[Fraction]]:
-    """Gram matrix of the lattice basis: the integer basis . basis^T over scale_sq."""
-    return [[Fraction(x, lattice.scale_sq) for x in row]
-            for row in (lattice.basis @ lattice.basis.T).tolist()]
+    return _gram(lattice.basis, lattice.scale_sq)
 
 
-def _an_roots(n: int) -> np.ndarray:
-    roots = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i != j:
-                v = [0] * (n + 1)
-                v[i], v[j] = 1, -1
-                roots.append(v)
-    return np.array(roots, dtype=np.int64)
-
-
-def _dn_roots(n: int) -> np.ndarray:
-    roots = []
-    for i, j in combinations(range(n), 2):
-        for si, sj in product((1, -1), repeat=2):
-            v = [0] * n
-            v[i], v[j] = si, sj
-            roots.append(v)
-    return np.array(roots, dtype=np.int64)
-
-
-def _e8_roots() -> np.ndarray:
-    roots = []
-    for i, j in combinations(range(8), 2):
-        for si, sj in product((2, -2), repeat=2):
-            v = [0] * 8
-            v[i], v[j] = si, sj
-            roots.append(v)
-    for signs in product((1, -1), repeat=8):
-        if signs.count(-1) % 2 == 0:
-            roots.append(list(signs))
-    return np.array(roots, dtype=np.int64)
-
-
-def _e7_roots() -> np.ndarray:
-    """Sum-zero model in Q^8: integer or all-half coordinates."""
-    roots = []
-    for i in range(8):
-        for j in range(8):
-            if i != j:
-                v = [0] * 8
-                v[i], v[j] = 2, -2
-                roots.append(v)
-    for plus in combinations(range(8), 4):
-        v = [-1] * 8
-        for i in plus:
-            v[i] = 1
-        roots.append(v)
-    return np.array(roots, dtype=np.int64)
-
-
-def _e6_roots() -> np.ndarray:
-    """Model in Q^8 with x1+x8 = 0 and x2+...+x7 = 0."""
-    roots = []
-    for i in range(1, 7):
-        for j in range(1, 7):
-            if i != j:
-                v = [0] * 8
-                v[i], v[j] = 2, -2
-                roots.append(v)
-    roots.append([2, 0, 0, 0, 0, 0, 0, -2])
-    roots.append([-2, 0, 0, 0, 0, 0, 0, 2])
-    for s0 in (1, -1):
-        for plus in combinations(range(1, 7), 3):
-            v = [0] * 8
-            v[0], v[7] = s0, -s0
-            for i in range(1, 7):
-                v[i] = 1 if i in plus else -1
-            roots.append(v)
-    return np.array(roots, dtype=np.int64)
-
-
-def _code_frame_roots(code: gf2code.BinaryCode) -> np.ndarray:
-    """Norm-4 vectors of the integer lift of a doubly even code, as stored roots."""
-    n = code.length
-    roots = []
-    for i in range(n):
-        for s in (2, -2):
-            v = [0] * n
-            v[i] = s
-            roots.append(v)
-    for w in code.words():
-        if gf2code.weight(w) != 4:
-            continue
-        sup = [i for i in range(n) if (w >> i) & 1]
-        for signs in product((1, -1), repeat=4):
-            v = [0] * n
-            for i, s in zip(sup, signs):
-                v[i] = s
-            roots.append(v)
-    return np.array(roots, dtype=np.int64)
+def _shell_roots(scale_sq: int, generators) -> np.ndarray:
+    """The roots of the integer span of `generators`: its nonzero vectors of
+    norm <= 2, found by `short_vectors` on the Gram matrix of the span's
+    HNF basis and mapped back through that basis."""
+    basis = _hnf_basis(np.array(generators, dtype=np.int64))
+    coeffs = [x for x, _ in short_vectors(_gram(basis, scale_sq), 2)]
+    return np.array(coeffs, dtype=np.int64).reshape(-1, len(basis)) @ basis
 
 
 def build_lattice(tag: str) -> RootLattice:
-    """Build the coordinate model of a catalog tag (see `dynkin.lattice_type`)."""
+    """Build the coordinate model of a catalog tag (see `dynkin.lattice_type`).
+
+    Each model is named by generators of its span (README: "How the lattice
+    models are built"): simple roots, glue vectors, and for a code frame
+    2e_i plus the 0/1 lift of each code generator.
+    """
     tag = tag.upper()
     kind, rank = lattice_type(tag)
-    if tag == "E8H":
-        return RootLattice("E8H", "E", 8, 8, 2,
-                           _code_frame_roots(gf2code.hamming8_code()))
-    if kind == "E":
-        roots = {6: _e6_roots, 7: _e7_roots, 8: _e8_roots}[rank]()
-        return RootLattice(tag, "E", rank, 8, 4, roots)
-    if tag.endswith("C"):
-        code = gf2code.dual(gf2code.frame_pair_code(rank))
-        return RootLattice(tag, "D", rank, rank, 2, _code_frame_roots(code))
-    if kind == "A":
-        return RootLattice(tag, "A", rank, rank + 1, 1, _an_roots(rank))
-    return RootLattice(tag, "D", rank, rank, 1, _dn_roots(rank))
+    if tag == "E8H" or tag.endswith("C"):
+        code = (gf2code.hamming8_code() if tag == "E8H"
+                else gf2code.dual(gf2code.frame_pair_code(rank)))
+        n, scale_sq = code.length, 2
+        gens = [*2 * np.eye(n, dtype=np.int64),
+                *([(g >> i) & 1 for i in range(n)] for g in code.generators)]
+    else:
+        n = 8 if kind == "E" else rank + (kind == "A")
+        # row i is e_i - e_{i+1}; the last row, e_{n-1}, is used by no model
+        chain = np.eye(n, dtype=np.int64) - np.eye(n, k=1, dtype=np.int64)
+        if kind == "E":
+            # stored coordinates are twice the geometric ones
+            scale_sq, glue = 4, [1, 1, 1, 1, -1, -1, -1, -1]
+            gens = {8: [*2 * chain[:7], 2 * np.abs(chain[6]), [1] * 8],
+                    7: [*2 * chain[:7], glue],
+                    6: [*2 * chain[1:6], [2, 0, 0, 0, 0, 0, 0, -2], glue]}[rank]
+        else:
+            scale_sq, gens = 1, list(chain[:-1])
+            if kind == "D":
+                gens.append(np.abs(chain[n - 2]))  # e_{n-2} + e_{n-1}
+    return RootLattice(tag, kind, rank, n, scale_sq, _shell_roots(scale_sq, gens))
 
 
 def norm_counts(lattice: RootLattice, bound, shift=None) -> dict[Fraction, int]:

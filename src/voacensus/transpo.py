@@ -155,8 +155,8 @@ def sigma_permutations(census: IsingCensus) -> SigmaTable:
                 known[z] = True
                 fresh_rows.append(z)
             frontier = np.concatenate(fresh_rows)
-    # the partner mask and the last images (views of one stacked batch) go
-    # before the checks' temporaries come, which keeps the peak lower
+    # the partner mask and the last batch of images go before the checks'
+    # temporaries come, which keeps the peak lower
     partners = images = image = None
     return SigmaTable(table, census.gram, seeds)
 

@@ -274,6 +274,17 @@ def test_lattice_rank_ceiling_admits_the_catalog():
                      "--cutoff", "2"]) == 0
 
 
+@pytest.mark.parametrize("args", [["griess", "build", "D200"],
+                                  ["census", "lattice", "D40"]])
+def test_oversized_algebra_is_refused_before_its_lattice(args):
+    # the dimension comes from the tag's type; D200's lattice alone would
+    # take minutes to build
+    proc = subprocess.run(RUN + args, capture_output=True, text=True, timeout=1)
+    assert proc.returncode == 2
+    data = json.loads(proc.stdout)
+    assert data["ok"] is False and data["error"].endswith("exceeds guard 512")
+
+
 def test_negative_degree_is_usage_error():
     code, data = invoke_json(["characters", "show", "minimal:-1:1:1"])
     assert code == 2

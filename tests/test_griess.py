@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voacensus import exact, registry
+from voacensus import exact, registry, rootlat
 from voacensus.census import GRAM_32ND, GRAM_ZERO, gram_from_elements
-from voacensus.griess import (INT_GUARD, GriessElement, GriessError, SigmaImageError,
-                              verify_orthogonal_split, verify_twist_chain)
+from voacensus.griess import (INT_GUARD, GriessAlgebra, GriessElement, GriessError,
+                              SigmaImageError, verify_orthogonal_split,
+                              verify_twist_chain)
 from voacensus.registry import algebra
 
 import transpo_oracle
@@ -23,6 +24,24 @@ def test_dimensions():
     assert algebra("E8").dimension == 36 + 120
     assert algebra("A2").dimension == 3 + 3
     assert algebra("E6").dimension == 21 + 36
+
+
+def test_dimension_guard_refuses_before_building(monkeypatch):
+    # D18 is the largest D admitted (171 + 306 = 477); D19 has 190 + 342
+    assert max(algebra(tag).dimension for tag in CATALOG) == algebra("D12").dimension == 210
+    lattice = rootlat.build_lattice("D19")
+    with pytest.raises(GriessError, match="^dimension 532 exceeds guard 512$"):
+        GriessAlgebra(lattice)
+
+    def refuse(tag):
+        raise AssertionError(f"built {tag}")
+
+    monkeypatch.setattr(rootlat, "build_lattice", refuse)
+    for tag in ("D19", "A23", "D200"):
+        with pytest.raises(GriessError, match="exceeds guard 512$"):
+            registry.lattice(tag)
+        with pytest.raises(GriessError, match="exceeds guard 512$"):
+            algebra(tag)
 
 
 def test_commutative_and_invariant_a2():
@@ -274,6 +293,13 @@ def test_from_rows_matches_constructor():
     want = _rows_by_constructor(GriessElement, alg, carts, xvs, dens)
     assert [(g.key(), g.mag) for g in got] == [(g.key(), g.mag) for g in want]
     assert GriessElement.from_rows(alg, carts[:0], xvs[:0], dens[:0]) == []
+
+
+def test_batch_elements_own_their_rows():
+    # a kept element must not hold a view of its batch's stacked arrays
+    alg, e, partners, _ = _point_with_partners()
+    for out in (alg.sigma_images(e, partners), alg.products(e, partners)):
+        assert out and all(g.cart.base is None and g.xv.base is None for g in out)
 
 
 def test_from_rows_guards_each_row():

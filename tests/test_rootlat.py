@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations, product
 from math import isqrt
 
 import numpy as np
@@ -8,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voacensus import dynkin, qchar, registry
+from voacensus import dynkin, gf2code, qchar, registry
 from voacensus import rootlat as rl
 from voacensus.exact import inverse
 
@@ -28,6 +29,54 @@ def test_root_counts(tag, count):
     assert lat.coxeter_number * lat.rank == count
     norms = (lat.roots * lat.roots).sum(axis=1)
     assert (norms == 2 * lat.scale_sq).all()
+
+
+def _vector(n, entries):
+    v = [0] * n
+    for i, x in entries:
+        v[i] = x
+    return tuple(v)
+
+
+def _set_builder_roots(tag):
+    """The stored roots of a model, by its textbook description: A_n =
+    {e_i - e_j}, D_n = {+-e_i +-e_j}, E8 = {2(+-e_i +-e_j)} with the
+    (+-1)^8 of an even number of -1, E7 and E6 the E8 roots with x.1 = 0 and
+    with x_0 + x_7 = x_1 + ... + x_6 = 0, and a code frame {+-2e_i} with
+    +-1 on the support of each weight-4 codeword."""
+    kind, rank = dynkin.lattice_type(tag)
+    if tag == "E8H" or tag.endswith("C"):
+        code = (gf2code.hamming8_code() if tag == "E8H"
+                else gf2code.dual(gf2code.frame_pair_code(rank)))
+        n = code.length
+        supports = [[i for i in range(n) if w >> i & 1]
+                    for w in code.words() if gf2code.weight(w) == 4]
+        return ({_vector(n, [(i, s)]) for i in range(n) for s in (2, -2)} |
+                {_vector(n, zip(sup, signs)) for sup in supports
+                 for signs in product((1, -1), repeat=4)})
+    if kind == "A":
+        return {_vector(rank + 1, [(i, 1), (j, -1)])
+                for i, j in permutations(range(rank + 1), 2)}
+    if kind == "D":
+        return {_vector(rank, [(i, si), (j, sj)])
+                for i, j in combinations(range(rank), 2)
+                for si, sj in product((1, -1), repeat=2)}
+    e8 = {_vector(8, [(i, si), (j, sj)]) for i, j in combinations(range(8), 2)
+          for si, sj in product((2, -2), repeat=2)}
+    e8 |= {x for x in product((1, -1), repeat=8) if x.count(-1) % 2 == 0}
+    if rank == 7:
+        return {x for x in e8 if sum(x) == 0}
+    if rank == 6:
+        return {x for x in e8 if x[0] + x[7] == 0 and sum(x[1:7]) == 0}
+    return e8
+
+
+@pytest.mark.parametrize("tag", CATALOG + ["A20", "D20", "D12C"])
+def test_roots_match_set_builder_description(tag):
+    roots = rl.build_lattice(tag).roots.tolist()
+    want = _set_builder_roots(tag)
+    assert len(roots) == len(want) == dynkin.root_count(*dynkin.lattice_type(tag))
+    assert set(map(tuple, roots)) == want
 
 
 def test_coxeter_and_charges():
