@@ -107,8 +107,10 @@ class IsingCensus:
         if include_gram:
             legend = {"0": "0", "1": "1/32", "2": "1/4", "3": "unrealized"}
             out["gram_legend"] = legend
-            out["gram_dense"] = ["".join(str(int(x)) for x in row)
-                                 for row in self.gram]
+            # the codes are the digits 0-3: one ASCII string, cut into rows
+            n = len(self.gram)
+            text = (self.gram.astype(np.uint8) + ord("0")).tobytes().decode()
+            out["gram_dense"] = [text[i * n:(i + 1) * n] for i in range(n)]
         return out
 
 

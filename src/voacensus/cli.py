@@ -14,6 +14,7 @@ without numpy.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -345,4 +346,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # the report is out; the shutdown collection would only free, one by
+    # one, objects the OS reclaims with the process (numpy's functions and
+    # types above all), so freeze them out of its reach.  Only here: tests
+    # and the tracer call main() inside longer processes
+    gc.freeze()
+    sys.exit(code)

@@ -13,13 +13,20 @@ fixed-width type and its arithmetic would wrap silently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
 
-def _exact(x) -> Fraction:
-    return Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
+_ZERO = Fraction(0)
+
+
+def _int_row(row) -> tuple[list[int], int]:
+    """Integers R and a denominator d with row == R / d entry by entry."""
+    row = [x if isinstance(x, (int, Fraction)) else
+           int(x) if isinstance(x, np.integer) else Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 def rref(rows, ncols=None) -> tuple[list[list[Fraction]], list[int]]:
@@ -29,11 +36,25 @@ def rref(rows, ncols=None) -> tuple[list[list[Fraction]], list[int]]:
     by default); the columns after them are carried along, as in an
     augmented matrix.  Rows that end up zero are dropped, so the pivot rows
     come first and any remaining rows are zero on the first `ncols` columns.
+
+    Each row's denominators are cleared once and the elimination runs on
+    Python ints, each updated row divided by the gcd of its entries.  An
+    integer row is a nonzero multiple of the row Fraction Gauss-Jordan holds
+    at that point, so the pivots and zero patterns agree; a pivot row is
+    divided by its pivot only when it is read off.  With carried columns
+    each row also keeps the Fraction it is scaled by, so that a row left
+    past the pivots keeps its exact value.
     """
-    work = [[_exact(x) for x in row] for row in rows]
+    work, scale = [], []
+    for row in rows:
+        ints, den = _int_row(row)
+        work.append(ints)
+        scale.append(Fraction(1, den))
     if not work:
         return [], []
-    ncols = len(work[0]) if ncols is None else ncols
+    width = len(work[0])
+    ncols = width if ncols is None else ncols
+    carried = ncols < width
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -41,16 +62,26 @@ def rref(rows, ncols=None) -> tuple[list[list[Fraction]], list[int]]:
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        top = work[r] = [x * inv for x in work[r]]
+        scale[r], scale[piv] = scale[piv], scale[r]
+        top = work[r]
         for i, row in enumerate(work):
             f = row[c]
             if f and i != r:
-                work[i] = [x - f * y if y else x for x, y in zip(row, top)]
+                g = gcd(top[c], f)
+                p, f = top[c] // g, f // g
+                new = [p * x - f * y for x, y in zip(row, top)]
+                g = gcd(*new) or 1
+                work[i] = [x // g for x in new] if g > 1 else new
+                if carried and i > r:
+                    scale[i] = scale[i] * g / p
         pivots.append(c)
         if len(pivots) == len(work):
             break
-    return [row for row in work if any(row)], pivots
+    out = [[Fraction(x, row[c]) if x else _ZERO for x in row]
+           for row, c in zip(work, pivots)]
+    out += [[s * x if x else _ZERO for x in row]
+            for row, s in zip(work[len(pivots):], scale[len(pivots):]) if any(row)]
+    return out, pivots
 
 
 def kernel(rows) -> list[list[Fraction]]:

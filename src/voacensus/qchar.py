@@ -412,7 +412,11 @@ def w_character(level: int, spin: int, charge: int, upto) -> QSeries:
         return QSeries({}, Fraction(upto))
     h = Fraction(spin * (spin + 2), 4 * (level + 2))
     offset = h - Fraction(charge * charge, 4 * level)
-    depth = int(Fraction(upto) - offset) + 1
+    # one depth for every charge of this spin, deep enough for the lowest
+    # offset (the largest charge of its parity), so that all charges share
+    # one cached affine character; each result is cut at `upto` below
+    top = 2 * level - 2 + spin % 2
+    depth = int(Fraction(upto) - h + Fraction(top * top, 4 * level)) + 1
     two = affine_sl2_character(level, spin, depth)
     sliced = two.z_slice(charge)
     series = sliced * euler_power(1, depth)
@@ -588,13 +592,17 @@ def verify_decompositions(depth: int = 8) -> list[dict]:
     """
     checks: list[dict] = []
     upto = depth + 2
+    # the level-4 branching symmetry is checked through sym_upto
+    sym_upto = max(upto, 10)
 
-    # tower resolution of the doubled A-series lattices
+    # tower resolution of the doubled A-series lattices; the branching series
+    # are taken at sym_upto, so that level 4 shares its cached characters with
+    # the symmetry check, and the sum keeps the bound `upto` of its first term
     for N in (2, 3):
         rhs = QSeries({}, upto)
         for twos in range(0, N + 2, 2):
             rhs = rhs + man_character(N, twos, upto) * \
-                w_character(N + 1, twos, 0, upto)
+                w_character(N + 1, twos, 0, sym_upto)
         checks.append(_check(f"tower_resolution_A{N}",
                              vfull_character(f"A{N}", upto), rhs, bound=depth))
 
@@ -640,7 +648,6 @@ def verify_decompositions(depth: int = 8) -> list[dict]:
                          com_ma4_substituted_character(upto, blocks), bound=depth))
 
     # branching symmetry at level 4, all labels, to depth 10
-    sym_upto = max(upto, depth + 2, 10)
     w4 = {(j, k): w_character(4, j, k, sym_upto)
           for j in range(5) for k in range(8) if (j + k) % 2 == 0}
     mism = None

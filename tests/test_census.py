@@ -528,6 +528,18 @@ def test_gram_law_violation_is_check_error():
         cz.gram_from_elements([c.elements[i] + c.elements[j]])
 
 
+def test_gram_text_rows():
+    # the digit strings are the codes entry by entry, unrealized (3) included
+    raw = cz.code_census(registry.code("rm24"))
+    rows = raw.to_json()["gram_dense"]
+    assert "3" in rows[16]
+    assert rows == ["".join(str(int(x)) for x in row) for row in raw.gram]
+    assert "gram_dense" not in raw.to_json(include_gram=False)
+    empty = cz.IsingCensus([], None, np.zeros((0, 0), dtype=np.int8), "empty")
+    data = empty.to_json()
+    assert data["count"] == 0 and data["gram_dense"] == []
+
+
 def test_census_json():
     data = registry.census("lattice:A2").to_json()
     assert data["count"] == 6

@@ -109,6 +109,8 @@ def test_characters_verify_cutoff_zero():
 @pytest.mark.parametrize("args,exit_code", [
     (["characters", "show", "minimal:0:1:1"], 0),
     (["census", "code", "no_such_tag"], 2),
+    (["census", "lattice", "E6", "--gram"], 0),
+    (["fischer", "--census", "hamming24"], 1),
 ])
 def test_closed_stdout_exits_without_traceback(args, exit_code):
     proc = subprocess.Popen(RUN + args, stdout=subprocess.PIPE,
@@ -501,6 +503,50 @@ def test_griess_verify_subcommands():
 def test_main_in_process():
     assert cli.main(["census", "lattice", "A2"]) == 0
     assert cli.main(["census", "code", "unknown!"]) == 2
+
+
+def test_main_leaves_the_collector_unfrozen():
+    # the freeze belongs to the process exit, not to main(): tests and the
+    # benchmark's tracer run main() inside longer processes
+    import gc
+    assert cli.main(["census", "lattice", "A2"]) == 0
+    assert cli.main(["census", "code", "unknown!"]) == 2
+    assert gc.get_freeze_count() == 0
+
+
+# runs the module as `python -m` does and reports the collector at exit
+_RUN_AS_MAIN = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+sys.argv = ["voacensus.cli", *sys.argv[1:]]
+runpy.run_module("voacensus.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("args,exit_code", [
+    (["census", "lattice", "A2"], 0),
+    (["fischer", "--census", "hamming24"], 1),
+    (["census", "code", "no_such_tag"], 2),
+])
+def test_module_run_freezes_the_heap_before_exit(args, exit_code):
+    proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == exit_code
+    assert json.loads(proc.stdout)["ok"] is (exit_code == 0)
+    assert "Traceback" not in proc.stderr
+    frozen = re.search(r"^frozen (\d+)$", proc.stderr, re.M)
+    assert int(frozen.group(1)) > 0
+
+
+def test_output_file_report_is_complete(tmp_path):
+    path = tmp_path / "report.json"
+    proc = subprocess.run(RUN + ["--output", str(path), "census", "lattice", "E6",
+                                 "--gram"], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == ""
+    text = path.read_text()
+    assert text.endswith("}\n")
+    _, want = invoke(["census", "lattice", "E6", "--gram"])
+    assert WALL_TIME.sub("", text) == WALL_TIME.sub("", want)
 
 
 def test_code_emission_roundtrip(tmp_path):

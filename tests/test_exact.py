@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_oracle import fraction_rref
 from voacensus import exact, registry
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "voacensus"
@@ -46,6 +47,37 @@ def test_rref_matches_sympy(rows):
     want, want_pivots = sympy.Matrix(rows).rref()
     assert pivots == list(want_pivots)
     assert red == _sympy_rows(want)[:len(want_pivots)]
+
+
+@st.composite
+def mixed_matrix(draw):
+    """Rational matrices as Fraction rows or np.int64 arrays, often rank
+    deficient, with a pivot-column bound of None or 0..cols."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        entry = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    else:
+        entry = st.integers(-(1 << 40), 1 << 40) | st.integers(-3, 3)
+    mat = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows))
+    if rows > 1 and draw(st.booleans()):
+        # a combination of earlier rows, so some rows reduce to zero
+        k = draw(st.integers(1, rows - 1))
+        mat[k] = [2 * a - b for a, b in zip(mat[0], mat[k - 1])]
+    if isinstance(mat[0][0], int) and draw(st.booleans()):
+        mat = np.array(mat, dtype=np.int64)
+    ncols = draw(st.none() | st.integers(0, cols))
+    return mat, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_matrix())
+def test_rref_matches_fraction_elimination(case):
+    # the integer elimination returns what the Fraction one did, including
+    # the rows left past the pivots when columns are carried
+    mat, ncols = case
+    assert exact.rref(mat, ncols) == fraction_rref(mat, ncols)
 
 
 @settings(max_examples=150, deadline=None)

@@ -351,6 +351,30 @@ def test_verify_computes_each_series_once(monkeypatch):
     assert calls[0] <= 250
 
 
+def test_verify_asks_one_affine_character_per_level_and_spin():
+    # 2 spins at level 3, 5 at level 4 and 5 at level 8; every charge of a
+    # spin reads the same cached character
+    qc.affine_sl2_character.cache_clear()
+    qc.verify_decompositions(4)
+    assert qc.affine_sl2_character.cache_info().misses == 12
+
+
+def test_w_character_matches_its_own_charge_depth():
+    # the shared depth gives the series a depth fitted to the charge gives
+    for level in (1, 2, 3, 4, 8):
+        for spin in range(level + 1):
+            h = Fraction(spin * (spin + 2), 4 * (level + 2))
+            for charge in range(spin % 2, 2 * level, 2):
+                for upto in (0, Fraction(5, 2), 6):
+                    offset = h - Fraction(charge * charge, 4 * level)
+                    depth = int(upto - offset) + 1
+                    two = qc.affine_sl2_character(level, spin, depth)
+                    want = (two.z_slice(charge) * qc.euler_power(1, depth)) \
+                        .shift(offset).truncate(upto)
+                    got = qc.w_character(level, spin, charge, upto)
+                    assert (got.items(), got.cutoff) == (want.items(), want.cutoff)
+
+
 @pytest.mark.parametrize("N, twos, products", [(6, 0, 37), (4, 2, 15)])
 def test_single_label_makes_no_extra_products(monkeypatch, N, twos, products):
     calls = _count_products(monkeypatch)
