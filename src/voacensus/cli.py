@@ -32,10 +32,9 @@ _SERIES_FIELDS = {form.split(":")[0]: form.count(":")
 # in the coefficient lists and alternating sums
 MAX_CUTOFF = 10_000
 # the largest lattice rank of a vfull/vplus series (the catalog goes to 12):
-# the theta count's exact LDL step grows as rank^3, and its enumeration
-# recurses once per coordinate, so a rank near the recursion limit would end
-# in a traceback.  The number of vectors counted still grows with rank and
-# cutoff together
+# an A_n theta series takes about rank^2 * cutoff^1.5 steps, one int list per
+# residue of the coordinate sum, and the Euler product is rank-fold, so
+# vfull:A32 takes seconds at cutoff 1000
 MAX_RANK = 32
 
 
@@ -139,6 +138,9 @@ def run(args) -> dict:
         from . import transpo
         spec = args.censusspec
         if args.orthogonal_to:
+            if ":" in spec or spec.strip().lower() in registry.CENSUS_ALIASES:
+                raise registry.RegistryError(
+                    f"--census {spec!r} with --orthogonal-to: expected a bare lattice tag")
             spec = f"commutant:{spec}:{args.orthogonal_to}"
         c = registry.census(spec)
         table = registry.sigma_table(spec)

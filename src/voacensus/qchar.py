@@ -7,8 +7,8 @@ coefficients at exponents <= cutoff are correct, larger exponents are
 unknown.  No floating point appears anywhere.
 
 The lattice characters (`vfull`, `vplus`, the rank-7 coset) read their
-theta series off the Cartan matrix of the Dynkin type (`dynkin`), so every
-character here runs without numpy.
+theta series off the Dynkin type (`dynkin.theta`), so every character here
+runs without numpy.
 """
 
 from __future__ import annotations
@@ -278,18 +278,18 @@ def minimal_character(m: int, r: int, s: int, upto: int) -> QSeries:
 def vfull_character(tag: str, upto: int) -> QSeries:
     """Graded dimension of the doubled-lattice vertex algebra.
 
-    The theta series comes from the Cartan matrix of the tag's Dynkin type;
-    its norm-2 count must be the root count of that type.
+    The theta series comes from the tag's Dynkin type; its norm-2 count
+    must be the root count of that type.
     """
     kind, rank = dynkin.lattice_type(tag)
-    counts = dynkin.theta_counts(dynkin.cartan_matrix(kind, rank), max(upto, 2))
-    roots, expected = counts.get(Fraction(2), 0), dynkin.root_count(kind, rank)
+    counts = dynkin.theta(kind, rank, max(upto, 2))
+    roots, expected = counts.get(2, 0), dynkin.root_count(kind, rank)
     if roots != expected:
         raise dynkin.LatticeError(f"{tag}: expected {expected} roots, counted {roots}")
     return _lattice_character(counts, rank, upto)
 
 
-def _lattice_character(counts: dict[Fraction, int], rank: int, upto: int) -> QSeries:
+def _lattice_character(counts: dict[int, int], rank: int, upto: int) -> QSeries:
     """The theta series with these norm counts over the rank-fold Euler product."""
     theta = QSeries(counts, upto)
     return (theta * euler_power(-rank, upto)).truncate(upto)
@@ -665,12 +665,9 @@ def verify_decompositions(depth: int = 8) -> list[dict]:
     return checks
 
 
-# the glue [4] of A7 in E7: the fundamental weight omega_4 in simple-root
-# coordinates, so that E7 = A7 + (omega_4 + A7)
-OMEGA4 = (Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(3, 2), 1, Fraction(1, 2))
-
-
 def _coset_a7_character(upto: int) -> QSeries:
-    """Graded dimension of the omega_4-shifted rank-7 lattice coset module."""
-    counts = dynkin.theta_counts(dynkin.cartan_matrix("A", 7), upto, OMEGA4)
+    """Graded dimension of the omega_4-shifted rank-7 lattice coset module:
+    E7 is A7 and the coset omega_4 + A7, so it counts E7 less A7."""
+    a7 = dynkin.theta("A", 7, upto)
+    counts = {norm: c - a7.get(norm, 0) for norm, c in dynkin.theta("E", 7, upto).items()}
     return _lattice_character(counts, 7, upto)

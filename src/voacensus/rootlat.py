@@ -5,19 +5,20 @@ Every model stores vectors as integer numpy arrays together with a
 ``(u . v) / scale_sq``.  This keeps half-integer models (the E-series) in
 exact integer arithmetic.  All roots have geometric norm 2.  A model is
 named by generators of its span; its roots are the norm-2 shell of that
-span, enumerated by `dynkin.short_vectors` on the span's HNF basis.
+span, enumerated by `short_vectors` on the span's HNF basis.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
 from . import gf2code
-from .dynkin import LatticeError, lattice_type, root_count, short_vectors, theta_counts
+from .dynkin import LatticeError, lattice_type, root_count
 from .exact import inverse, rref
 
 
@@ -233,6 +234,71 @@ def _shell_roots(scale_sq: int, generators) -> np.ndarray:
     return np.array(coeffs, dtype=np.int64).reshape(-1, len(basis)) @ basis
 
 
+def short_vectors(gram, bound, shift=None) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Every (x, norm) with x an integer tuple and norm(x + shift) <= bound,
+    for an exact rational Gram matrix and optional rational shift.
+
+    Fincke-Pohst on integers (README: "How lattice vectors are enumerated").
+    Sorted by x; when the shift is zero, x = 0 is left out.
+    """
+    bound = Fraction(bound)
+    n = len(gram)
+    s = lcm(*(Fraction(x).denominator for row in gram for x in row))
+    shift = [Fraction(0)] * n if shift is None else [Fraction(c) for c in shift]
+    m = lcm(*(c.denominator for c in shift))
+    # reversed, so that coordinate 0 is the outermost level and the tuples
+    # come out sorted; y = m (x + shift) is integral, s m^2 norm = y g y^T
+    g = [[int(Fraction(x) * s) for x in row[::-1]] for row in gram[::-1]]
+    t = [int(c * m) for c in shift[::-1]]
+    L = [[Fraction(0)] * n for _ in range(n)]
+    D = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            L[i][j] = (g[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
+        D[i] = g[i][i] - sum((L[i][k] ** 2 * D[k] for k in range(i)), Fraction(0))
+        if D[i] <= 0:
+            raise LatticeError("Gram matrix is not positive definite")
+    # s m^2 norm = sum D_i z_i^2 with z_i = y_i + sum_{k>i} L_ki y_k; the
+    # integer T_i = den_i z_i has weight D_i / den_i^2, all weights and the
+    # bound scaled by one integer
+    dens = [lcm(*(L[k][i].denominator for k in range(i + 1, n))) for i in range(n)]
+    weights = [D[i] / (dens[i] * m) ** 2 for i in range(n)]
+    scale = lcm(Fraction(bound * s).denominator, *(w.denominator for w in weights))
+    levels = []  # T_i = step x_i + base + sum of c x_k over (k, c) in coef
+    for i in range(n):
+        lint = [int(L[k][i] * dens[i]) for k in range(n)]
+        base = dens[i] * t[i] + sum(lint[k] * t[k] for k in range(i + 1, n))
+        coef = [(k, m * lint[k]) for k in range(i + 1, n) if lint[k]]
+        levels.append((dens[i] * m, base, coef, int(weights[i] * scale)))
+    budget = int(bound * s * scale)
+    skip_origin = not any(t)
+    xs = [0] * n
+    found: list[tuple[tuple[int, ...], int]] = []
+
+    def rec(i: int, rem: int):
+        step, base, coef, w = levels[i]
+        b = base + sum(c * xs[k] for k, c in coef)
+        r = isqrt(rem // w)
+        lo, hi = -((r + b) // step), (r - b) // step + 1
+        if i:
+            for x in range(lo, hi):
+                xs[i] = x
+                T = step * x + b
+                rec(i - 1, rem - w * T * T)
+        else:
+            origin = skip_origin and not any(xs[1:])
+            for x in range(lo, hi):
+                if x or not origin:
+                    xs[0] = x
+                    T = step * x + b
+                    found.append((tuple(xs[::-1]), rem - w * T * T))
+
+    if budget >= 0:
+        rec(n - 1, budget)
+    norms = {left: Fraction(budget - left, s * scale) for left in {left for _, left in found}}
+    return [(x, norms[left]) for x, left in found]
+
+
 def build_lattice(tag: str) -> RootLattice:
     """Build the coordinate model of a catalog tag (see `dynkin.lattice_type`).
 
@@ -266,13 +332,13 @@ def build_lattice(tag: str) -> RootLattice:
 
 
 def norm_counts(lattice: RootLattice, bound, shift=None) -> dict[Fraction, int]:
-    """Counts of (shift + L)-vectors by geometric norm, up to `bound` inclusive.
-
-    `shift` is an ambient vector in the rational span of the lattice; when
-    the coset holds the zero vector and `bound` >= 0, it counts with norm 0.
-    """
+    """Counts of (shift + L)-vectors by geometric norm, up to `bound` inclusive,
+    for an ambient `shift` in the rational span; the zero vector counts too."""
     coords = None if shift is None else lattice.coords(shift)
-    return theta_counts(_basis_gram(lattice), bound, coords)
+    counts = Counter(norm for _, norm in short_vectors(_basis_gram(lattice), bound, coords))
+    if bound >= 0 and not any(coords or ()):
+        counts[Fraction(0)] += 1
+    return counts
 
 
 def root_isometry(src: RootLattice, dst: RootLattice) -> np.ndarray | None:

@@ -257,7 +257,7 @@ def test_cutoff_above_ceiling_is_usage_error(cutoff, obj, via_env):
 
 
 def test_lattice_rank_above_ceiling_is_usage_error(capsys):
-    # refused from the tag alone: no Cartan matrix is built
+    # refused from the tag alone: no theta series is counted
     t0 = time.perf_counter()
     assert cli.main(["characters", "show", "vfull:A1200", "--cutoff", "2"]) == 2
     assert time.perf_counter() - t0 < 1
@@ -274,6 +274,17 @@ def test_lattice_rank_ceiling_admits_the_catalog():
     assert max(dynkin.lattice_type(tag)[1] for tag in catalog) <= cli.MAX_RANK
     assert cli.main(["characters", "show", f"vfull:A{cli.MAX_RANK}",
                      "--cutoff", "2"]) == 0
+
+
+@pytest.mark.parametrize("spec,cutoff", [("vfull:D12", 20), ("vfull:A32", 6),
+                                         ("vfull:E8", 30), ("vplus:D30", 4)])
+def test_lattice_characters_take_bounded_time(spec, cutoff):
+    # one int list per residue of the coordinate sum: no lattice vector is
+    # enumerated, so time grows polynomially in rank and cutoff
+    proc = subprocess.run(RUN + ["characters", "show", spec, "--cutoff", str(cutoff)],
+                          capture_output=True, text=True, timeout=1)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["cutoff"] == str(cutoff)
 
 
 @pytest.mark.parametrize("args", [["griess", "build", "D200"],
@@ -327,7 +338,7 @@ def test_sublattice_jobs_build_each_catalog_lattice_once():
     # a fresh interpreter, so the suite's registry caches stay as they are:
     # the jobs that read alpha0 or the A5 + A1 off E8 and E6 build each of
     # those lattices once, in the registry; `characters verify` reads its
-    # E7 and A7 off Cartan matrices and builds no lattice
+    # E7 and A7 thetas off their Dynkin types and builds no lattice
     script = """
 import collections, contextlib, io
 from voacensus import cli, rootlat
@@ -384,6 +395,25 @@ def test_malformed_census_spec_is_usage_error(args, message, capsys):
     assert cli.main(args) == 2
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is False and message in data["error"]
+
+
+@pytest.mark.parametrize("spec", ["lattice:E8", "code:rm24", "commutant:E8:wtilde", "me8"])
+def test_orthogonal_to_needs_a_bare_lattice_tag(spec, capsys):
+    assert cli.main(["group", "--census", spec, "--orthogonal-to", "wtilde"]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False
+    assert data["error"] == (f"--census {spec!r} with --orthogonal-to: "
+                             "expected a bare lattice tag")
+
+
+def test_orthogonal_to_filters_a_bare_lattice_tag(capsys):
+    reports = []
+    for args in (["--census", "E8", "--orthogonal-to", "wtilde"],
+                 ["--census", "commutant:E8:wtilde"]):
+        assert cli.main(["group", *args, "--inductive"]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["results"])
+    assert reports[0] == reports[1]
+    assert reports[0]["point_count"] == 255
 
 
 def test_failed_sigma_check_exits_1(monkeypatch):

@@ -208,9 +208,9 @@ def test_vplus_vacuum_and_dims():
 def test_vfull_refuses_a_cartan_matrix_of_the_wrong_type(monkeypatch):
     # the norm-2 count of the theta series is checked against the root count
     # of the tag's type, also below cutoff 2
-    cartan = qc.dynkin.cartan_matrix
-    monkeypatch.setattr(qc.dynkin, "cartan_matrix",
-                        lambda kind, rank: cartan("A", rank))
+    theta = qc.dynkin.theta
+    monkeypatch.setattr(qc.dynkin, "theta",
+                        lambda kind, rank, upto: theta("A", rank, upto))
     with pytest.raises(qc.dynkin.LatticeError,
                        match="D4: expected 24 roots, counted 20"):
         qc.vfull_character("D4", 0)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -9,9 +10,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voacensus import dynkin, gf2code, qchar, registry
+from voacensus import dynkin, gf2code, registry
 from voacensus import rootlat as rl
 from voacensus.exact import inverse
+
+import theta_oracle
 
 CATALOG = ([f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(2, 13)] +
            ["E6", "E7", "E8", "E8H", "D4C", "D6C", "D8C"])
@@ -152,7 +155,7 @@ def _mod2_classes_per_vector(lat):
     """Oracle: the coset classification `mod2_classes` made one vector at a
     time, bucketing each short vector under its tuple key."""
     buckets = {}
-    for coeffs, norm in dynkin.short_vectors(rl._basis_gram(lat), Fraction(4)):
+    for coeffs, norm in rl.short_vectors(rl._basis_gram(lat), Fraction(4)):
         key = tuple(c % 2 for c in coeffs)
         vec = tuple(int(x) for x in np.asarray(coeffs, dtype=np.int64) @ lat.basis)
         buckets.setdefault(key, []).append((vec, int(norm)))
@@ -342,21 +345,63 @@ def test_norm_counts_shifted_coset():
 
 @pytest.mark.parametrize("tag", CATALOG)
 def test_cartan_theta_matches_built_model(tag):
-    # a theta series depends on the Gram matrix alone: the Cartan matrix of
-    # the tag's Dynkin type against the HNF basis of the coordinate model
+    # a theta series depends on the Dynkin type alone: the type's textbook
+    # coordinate model against the HNF basis of the catalog model
     lat = rl.build_lattice(tag)
     kind, rank = dynkin.lattice_type(tag)
     assert (kind, rank) == (lat.kind, lat.rank)
-    theta = dynkin.theta_counts(dynkin.cartan_matrix(kind, rank), 6)
+    theta = dynkin.theta(kind, rank, 6)
     assert theta == rl.norm_counts(lat, 6)
-    assert theta[Fraction(2)] == dynkin.root_count(kind, rank) == len(lat.roots)
+    assert theta[2] == dynkin.root_count(kind, rank) == len(lat.roots)
+
+
+def _coset_theta(upto):
+    """The counts of the coset omega_4 + A7: those of E7 less those of A7."""
+    a7 = dynkin.theta("A", 7, upto)
+    coset = {n: c - a7.get(n, 0) for n, c in dynkin.theta("E", 7, upto).items()}
+    return {n: c for n, c in coset.items() if c}
 
 
 def test_omega4_coset_matches_xi_coset_of_e7_model():
     want = rl.norm_counts(a7_in_e7(), 8, np.array(XI, dtype=np.int64))
-    got = dynkin.theta_counts(dynkin.cartan_matrix("A", 7), 8, qchar.OMEGA4)
+    got = _coset_theta(8)
     assert got == want
-    assert min(got) == 2 and got[Fraction(2)] == 70
+    assert min(got) == 2 and got[2] == 70
+
+
+_TYPES = ([("A", n) for n in range(1, 21)] + [("D", n) for n in range(2, 21)] +
+          [("E", n) for n in (6, 7, 8)])
+
+
+@pytest.mark.parametrize("kind,rank", _TYPES)
+def test_theta_matches_cartan_oracle(kind, rank):
+    # Fincke-Pohst on the Cartan matrix counts the same lattice
+    cartan = theta_oracle.cartan_matrix(kind, rank)
+    for bound in range(9 if rank <= 12 else 5):
+        assert dynkin.theta(kind, rank, bound) == theta_oracle.theta_counts(cartan, bound)
+
+
+def test_coset_theta_matches_omega4_oracle():
+    cartan = theta_oracle.cartan_matrix("A", 7)
+    for bound in range(2, 9):
+        assert _coset_theta(bound) == \
+            theta_oracle.theta_counts(cartan, bound, theta_oracle.OMEGA4)
+
+
+def test_theta_below_zero_is_empty():
+    assert all(dynkin.theta(kind, rank, -1) == {} for kind, rank in _TYPES)
+
+
+def test_theta_memory_is_linear_in_rank_and_bound():
+    # one int list per residue of the coordinate sum mod n+1; a dict keyed on
+    # the exact sum peaks near 2 MiB here
+    tracemalloc.start()
+    try:
+        dynkin.theta("A", 8, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_root_isometry_models():
@@ -441,7 +486,7 @@ def test_enumeration_matches_fraction_oracle(tag, bound):
     lat = rl.build_lattice(tag)
     gram = _inner_gram(lat)
     assert rl._basis_gram(lat) == gram
-    got = dynkin.short_vectors(gram, Fraction(bound))
+    got = rl.short_vectors(gram, Fraction(bound))
     assert got == _fraction_enumerate_short(gram, Fraction(bound))
 
 
@@ -451,20 +496,20 @@ def test_shifted_enumeration_matches_fraction_oracle(bound):
     shift = lat.coords(np.array(XI, dtype=np.int64))
     assert any(c.denominator > 1 for c in shift)
     gram = _inner_gram(lat)
-    got = dynkin.short_vectors(gram, bound, shift)
+    got = rl.short_vectors(gram, bound, shift)
     assert got and got == _fraction_enumerate_short(gram, bound, shift)
 
 
 def test_enumeration_rejects_indefinite_gram():
     for gram in ([[1, 2], [2, 1]], [[2, 0], [0, 0]], [[-1]]):
         with pytest.raises(rl.LatticeError, match="not positive definite"):
-            dynkin.short_vectors(gram, Fraction(4))
+            rl.short_vectors(gram, Fraction(4))
 
 
 def test_enumeration_leaves_out_origin_only_for_zero_shift():
-    assert dynkin.short_vectors([[1]], Fraction(1), [Fraction(0)]) == \
-        dynkin.short_vectors([[1]], Fraction(1)) == [((-1,), 1), ((1,), 1)]
-    assert dynkin.short_vectors([[1]], Fraction(1), [1]) == \
+    assert rl.short_vectors([[1]], Fraction(1), [Fraction(0)]) == \
+        rl.short_vectors([[1]], Fraction(1)) == [((-1,), 1), ((1,), 1)]
+    assert rl.short_vectors([[1]], Fraction(1), [1]) == \
         [((-2,), 1), ((-1,), 0), ((0,), 1)]
 
 
@@ -510,9 +555,9 @@ def test_enumeration_matches_brute_force(data):
     shift = data.draw(st.none() | st.lists(_rational, min_size=n, max_size=n))
     gram = [[Fraction(x, scale) for x in row] for row in g_int]
     expected = _brute_force_short(g_int, scale, bound, shift)
-    assert dynkin.short_vectors(gram, bound, shift) == expected
-    # the counting leaf: the same norms, the origin counted when it is there
+    assert rl.short_vectors(gram, bound, shift) == expected
+    # the counting oracle: the same norms, the origin counted when it is there
     counts = Counter(norm for _, norm in expected)
     if not any(shift or ()) and bound >= 0:
         counts[Fraction(0)] += 1
-    assert dynkin.theta_counts(gram, bound, shift) == counts
+    assert theta_oracle.theta_counts(gram, bound, shift) == counts
