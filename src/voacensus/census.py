@@ -140,21 +140,16 @@ def _lattice_points(lattice: rootlat.RootLattice, algebra: GriessAlgebra):
     """The labeled points of a lattice census and their elements, in order.
 
     For every root pair both frame vectors; for rank-8 E-type lattices also
-    the 2^8 twists of wtilde, labeled by cosets mod 2.
+    the 2^8 twists of wtilde, labeled by cosets mod 2: one `point_batch`.
     """
-    points: list[IsingPoint] = []
-    elements: list[GriessElement] = []
-    for p in range(lattice.npairs):
-        points.append(IsingPoint("wminus", (p,)))
-        elements.append(algebra.w_vector(p, -1).element)
-    for p in range(lattice.npairs):
-        points.append(IsingPoint("wplus", (p,)))
-        elements.append(algebra.w_vector(p, 1).element)
+    n = lattice.npairs
+    points = [IsingPoint(kind, (p,)) for kind in ("wminus", "wplus") for p in range(n)]
+    classes, wt = [], None
     if lattice.kind == "E" and lattice.rank == 8:
-        wt = algebra.conformal_wtilde().element
-        for cl in lattice.mod2_classes():
-            points.append(IsingPoint("twist", (cl.key, cl.kind)))
-            elements.append(algebra.phi_twist(cl.representative, wt))
+        classes, wt = lattice.mod2_classes(), algebra.conformal_wtilde().element
+        points += [IsingPoint("twist", (cl.key, cl.kind)) for cl in classes]
+    elements = algebra.point_batch(np.tile(np.arange(n), 2), np.repeat([-1, 1], n),
+                                   [cl.representative for cl in classes], wt)
     return points, elements
 
 

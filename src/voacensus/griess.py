@@ -219,8 +219,7 @@ class GriessAlgebra:
 
     # -- constructors ---------------------------------------------------------
     def zero(self) -> GriessElement:
-        return GriessElement(self, np.zeros((self.m, self.m), dtype=np.int64),
-                             np.zeros(self.npairs, dtype=np.int64), 1)
+        return self._sum_pairs([])
 
     def from_quadratic(self, u, v) -> GriessElement:
         """The element u_(-1)v_(-1)1 for stored lattice vectors u, v."""
@@ -230,9 +229,7 @@ class GriessAlgebra:
                              np.zeros(self.npairs, dtype=np.int64), 2)
 
     def pair_element(self, p: int) -> GriessElement:
-        xv = np.zeros(self.npairs, dtype=np.int64)
-        xv[p] = 1
-        return GriessElement(self, np.zeros((self.m, self.m), dtype=np.int64), xv, 1)
+        return self._sum_pairs([p])
 
     def _build_omega(self, basis: np.ndarray, gram_inverse) -> GriessElement:
         # omega = (s2/2) * projection onto the span of `basis`, as an exact
@@ -244,18 +241,33 @@ class GriessAlgebra:
 
     def w_vector(self, root_or_pair, sign: int) -> ConformalVector:
         """The frame vector (1/8) a a + (sign/4) pair over a root a."""
-        if sign not in (1, -1):
-            raise GriessError("sign must be +1 or -1")
         p = root_or_pair if isinstance(root_or_pair, int) \
             else self.lattice.pair_of(root_or_pair)
-        if not 0 <= p < self.npairs:
-            raise GriessError(f"pair index {p} is outside 0..{self.npairs - 1}")
-        r = self.pairs[p]
-        cart = np.outer(r, r)
-        xv = np.zeros(self.npairs, dtype=np.int64)
-        xv[p] = 2 * sign
-        e = GriessElement(self, cart, xv, 8)
-        return ConformalVector(e, Fraction(1, 2))
+        return ConformalVector(self.point_batch([p], [sign])[0], Fraction(1, 2))
+
+    def point_batch(self, ps, signs, xs=(), v=None) -> list[GriessElement]:
+        """The frame vectors (1/8) a a + (signs[k]/4) pair over the pairs
+        ps[k] (a a is the pair's `_pair_outer` row), then the twists phi_x(v)
+        for x in `xs` (v's pair vector times `twist_signs(x)`): one batch."""
+        ps, signs = np.asarray(ps, dtype=np.int64), np.asarray(signs, dtype=np.int64)
+        if not np.isin(signs, (1, -1)).all():
+            raise GriessError("sign must be +1 or -1")
+        bad = ps[(ps < 0) | (ps >= self.npairs)]
+        if len(bad):
+            raise GriessError(f"pair index {bad[0]} is outside 0..{self.npairs - 1}")
+        xvs = np.zeros((len(ps), self.npairs), dtype=np.int64)
+        xvs[np.arange(len(ps)), ps] = 2 * signs
+        carts, dens = [self._pair_outer[ps]], [np.full(len(ps), 8)]
+        if len(xs):
+            if v.alg is not self:
+                raise GriessError("element belongs to a different algebra")
+            if not (self.lattice.kind == "E" and self.lattice.rank == 8):
+                raise GriessError("twist automorphisms require a rank-8 E-type lattice")
+            xvs = np.concatenate([xvs, v.xv * self.twist_signs(xs)])
+            carts.append(np.broadcast_to(v.cart, (len(xs), self.m, self.m)))
+            dens.append(np.full(len(xs), v.den))
+        return GriessElement.from_rows(self, np.concatenate(carts), xvs,
+                                       np.concatenate(dens))
 
     def _sum_pairs(self, pair_indices) -> GriessElement:
         xv = np.zeros(self.npairs, dtype=np.int64)
@@ -310,16 +322,23 @@ class GriessAlgebra:
         """Numerators (carts, pair vectors) of e f over e.den f.den s2^2 for
         the f stacked as carts B and pair vectors X: the structure constants
         on the whole stack, the pair products (p, q) -> r as X @ M for
-        M[q, r] = s2^2 a[p] (0 where no p exists)."""
-        s2, m, npairs = self.s2, self.m, self.npairs
-        s4 = s2 * s2
+        M[q, r] = s2^2 a[p] (0 where no p exists).  Terms with a factor a[p]
+        run over e's pair support nz, X @ M over M's nonzero rows and columns:
+        only zero terms are left out (README: "How Griess products are computed")."""
+        s2, m, npairs, s4 = self.s2, self.m, self.npairs, self.s2 * self.s2
         A, a = e.cart, e.xv
+
+        def support(mask):  # all of it as a slice: a dense factor indexes views
+            return slice(None) if mask.all() else np.flatnonzero(mask)
+        nz = support(a != 0)
         outer = self._pair_outer.reshape(npairs, m * m)
         cart = (2 * s2 * (A @ B + B @ A)
-                + 2 * s4 * ((a * X) @ outer).reshape(-1, m, m))
+                + 2 * s4 * ((a[nz] * X[:, nz]) @ outer[nz]).reshape(-1, m, m))
+        xv = 2 * (outer @ A.ravel()) * X
+        xv[:, nz] += 2 * (B.reshape(-1, m * m) @ outer[nz].T) * a[nz]
         pair_pair = np.append(s4 * a, 0)[self._pair_source]
-        xv = (2 * (outer @ A.ravel()) * X + 2 * (B.reshape(-1, m * m) @ outer.T) * a
-              + X @ pair_pair)
+        rows, cols = support(pair_pair.any(axis=1)), support(pair_pair.any(axis=0))
+        xv[:, cols] += X[:, rows] @ pair_pair[rows][:, cols]
         return cart, xv
 
     def inner(self, a: GriessElement, b: GriessElement) -> Fraction:
@@ -351,20 +370,15 @@ class GriessAlgebra:
 
     # -- twist automorphisms ----------------------------------------------------
     def twist_signs(self, x) -> np.ndarray:
-        """Signs (-1)^<x, a_p> over pairs, for a lattice vector x."""
-        x = np.asarray(x, dtype=np.int64)
-        dots = (self.pairs @ x)
+        """Signs (-1)^<x, a_p> over pairs, one row per lattice vector x."""
+        dots = np.asarray(x, dtype=np.int64) @ self.pairs.T
         if (dots % self.s2).any():
             raise GriessError("twist argument pairs non-integrally with roots")
         return np.where((dots // self.s2) % 2 == 0, 1, -1).astype(np.int64)
 
     def phi_twist(self, x, v: GriessElement) -> GriessElement:
         """Sign-flip automorphism: fixes quadratics, scales pair p by (-1)^<x,a_p>."""
-        if v.alg is not self:
-            raise GriessError("element belongs to a different algebra")
-        if not (self.lattice.kind == "E" and self.lattice.rank == 8):
-            raise GriessError("twist automorphisms require a rank-8 E-type lattice")
-        return GriessElement(self, v.cart.copy(), v.xv * self.twist_signs(x), v.den)
+        return self.point_batch([], [], [x], v)[0]
 
     # -- sigma rule -------------------------------------------------------------
     def sigma_image(self, e: GriessElement, f: GriessElement) -> GriessElement:

@@ -92,8 +92,8 @@ def alpha0() -> tuple:
 
 
 def constraint_element(alg: GriessAlgebra, name: str) -> GriessElement:
-    """Constraint vectors for commutant filters: wtilde | s | phi:alpha0."""
-    import numpy as np
+    """Constraint vectors for commutant filters: wtilde | s | phi:alpha0, the
+    twist of wtilde by the largest root of `alg`'s lattice (`alpha0()` on E8)."""
     name = name.strip().lower()
     if name == "wtilde":
         return alg.conformal_wtilde().element
@@ -101,7 +101,7 @@ def constraint_element(alg: GriessAlgebra, name: str) -> GriessElement:
         return alg.conformal_s().element
     if name == "phi:alpha0":
         wt = alg.conformal_wtilde().element
-        return alg.phi_twist(np.array(alpha0(), dtype=np.int64), wt)
+        return alg.phi_twist(alg.lattice.roots[-1], wt)
     raise RegistryError(f"unknown constraint {name!r}")
 
 

@@ -164,45 +164,66 @@ class RootLattice:
         except LatticeError:
             return False
 
+    def norm4_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(basis coordinates, vectors, norms) of the nonzero vectors of
+        norm <= 4: the roots, then the sums of orthogonal root pairs with
+        duplicates removed exactly (1-D `np.unique` on each row's bytes in
+        the narrowest integer type that holds them: no packed key to wrap),
+        their coordinates summed by linearity.  Complete on E8: W(E8) is
+        transitive on the 2,160 norm-4 vectors, keeps orthogonal roots
+        orthogonal, and (2,0^7) = (1,1,0^6) + (1,-1,0^6).  On any lattice a
+        missed vector fails the class checks of `mod2_classes`: the sums
+        are closed under negation, so a frame class that lost a minimal
+        vector has fewer than 16, and one that lost them all leaves fewer
+        than 2^rank classes."""
+        roots = self.roots
+        num, den = self.gram_inverse
+        coeffs = roots @ (num @ self.basis).T // den
+        i, j = np.nonzero(np.triu(roots @ roots.T == 0))
+        narrow = roots.astype(np.min_scalar_type(-2 * int(np.abs(roots).max())))
+        sums = narrow[i] + narrow[j]
+        _, first = np.unique(sums.view(np.dtype((np.void, sums.itemsize * self.ambient)))
+                             .ravel(), return_index=True)
+        i, j = i[first], j[first]
+        return (np.concatenate([coeffs, coeffs[i] + coeffs[j]]),
+                np.concatenate([roots, roots[i] + roots[j]]),
+                np.repeat([2, 4], [len(roots), len(i)]))
+
     def mod2_classes(self) -> list[Mod2Class]:
         """The 2^rank cosets of 2L, classified by minimal-norm vectors.
 
-        One array pass over the vectors of norm <= 4: their coordinates
-        mod 2 packed into one integer key per vector (first coordinate
-        highest, so keys sort as the coordinate tuples do), and one sort by
-        key, norm and vector; each key's minimal vectors are then the first
-        run of its group, already in order.
+        One sort of `norm4_vectors` by (coordinates mod 2, norm, vector)
+        puts each class's minimal vectors first in its run (none lies in
+        2L, of minimum 8); the checks run over all classes at once and
+        raise the first failure in key order.
         """
-        found = short_vectors(_basis_gram(self), 4)
-        coeffs = np.array([c for c, _ in found], dtype=np.int64).reshape(-1, self.rank)
-        norms = np.array([int(n) for _, n in found], dtype=np.int64)
-        vecs = coeffs @ self.basis
+        coeffs, vecs, norms = self.norm4_vectors()
         parity = coeffs & 1
-        keys = parity @ (1 << np.arange(self.rank - 1, -1, -1, dtype=np.int64))
-        order = np.lexsort([*vecs.T[::-1], norms, keys])
-        keys, norms, vecs, parity = keys[order], norms[order], vecs[order], parity[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        ends = np.append(starts[1:], len(keys))
+        order = np.lexsort([*vecs.T[::-1], norms, *parity.T[::-1]])
+        parity, norms, vecs = parity[order], norms[order], vecs[order]
+        starts = np.flatnonzero(np.diff(parity, axis=0, prepend=-1).any(axis=1))
+        roots_in = np.add.reduceat(norms == 2, starts)
+        counts = np.where(roots_in > 0, roots_in, np.diff(starts, append=len(norms)))
+        frames = np.flatnonzero((roots_in == 0) & (counts == 16))
+        arr = vecs[starts[frames][:, None] + np.arange(16)]
+        gram = np.einsum("fim,fjm->fij", arr, arr) // self.scale_sq
+        bad = counts != np.where(roots_in > 0, 2, 16)
+        bad[frames] = ~np.isin(gram, [-4, 0, 4]).all(axis=(1, 2))
+        if bad.any():
+            k = int(np.argmax(bad))
+            if roots_in[k]:
+                raise LatticeError(f"root-pair class with {counts[k]} minimal vectors")
+            if counts[k] != 16:
+                raise LatticeError(f"frame class with {counts[k]} minimal vectors")
+            raise LatticeError("frame class minimal vectors are not a frame")
         classes = [Mod2Class(tuple([0] * self.rank), "zero",
                              tuple([0] * self.ambient), ())]
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            if not keys[lo]:
-                continue
-            min_norm = int(norms[lo])
-            count = int(np.count_nonzero(norms[lo:hi] == min_norm))
-            arr = vecs[lo:lo + count]
-            if min_norm == 2:
-                kind = "root-pair"
-                if count != 2:
-                    raise LatticeError(f"root-pair class with {count} minimal vectors")
-            else:
-                kind = "frame"
-                if count != 16:
-                    raise LatticeError(f"frame class with {count} minimal vectors")
-                if not np.isin((arr @ arr.T) // self.scale_sq, [-4, 0, 4]).all():
-                    raise LatticeError("frame class minimal vectors are not a frame")
-            mins = tuple(map(tuple, arr.tolist()))
-            classes.append(Mod2Class(tuple(parity[lo].tolist()), kind, mins[-1], mins))
+        rows = list(map(tuple, vecs.tolist()))
+        for key, lo, count, paired in zip(parity[starts].tolist(), starts.tolist(),
+                                          counts.tolist(), roots_in.tolist()):
+            mins = tuple(rows[lo:lo + count])
+            classes.append(Mod2Class(tuple(key), "root-pair" if paired else "frame",
+                                     mins[-1], mins))
         if len(classes) != 1 << self.rank:
             raise LatticeError(f"found {len(classes)} cosets, expected {1 << self.rank}")
         return classes

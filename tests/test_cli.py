@@ -54,6 +54,29 @@ def test_census_commutant_report():
     assert data["results"]["count"] == 255
 
 
+def test_phi_alpha0_on_e8h_census_matches_e8():
+    # phi:alpha0 twists by the largest root of the algebra's own lattice, so
+    # on the isometric E8H model the commutant has E8's counts
+    counts = {}
+    for tag in ("E8", "E8H"):
+        code, data = invoke_json(
+            ["census", "commutant", tag, "--orthogonal-to", "phi:alpha0"])
+        assert code == 0
+        counts[tag] = data["results"]["counts_by_tag"]
+    assert counts["E8H"] == counts["E8"] == {"twist": 135, "wminus": 64, "wplus": 56}
+
+
+def test_phi_alpha0_on_e8h_group_matches_uc():
+    results = {}
+    for spec in ("uc", "commutant:E8H:wtilde,phi:alpha0"):
+        code, data = invoke_json(["group", "--census", spec, "--inductive"])
+        assert code == 0
+        results[spec] = data["results"]
+    assert results["commutant:E8H:wtilde,phi:alpha0"] == results["uc"]
+    assert (results["uc"]["point_count"], results["uc"]["group_order"],
+            results["uc"]["line_count"]) == (136, "394813440", 1632)
+
+
 def test_group_report():
     code, data = invoke_json(["group", "--census", "me7"])
     assert code == 0

@@ -317,6 +317,129 @@ def test_from_rows_guards_each_row():
         GriessElement.from_rows(alg, carts, xvs, np.array([1, 0, 3]))
 
 
+KERNEL_TAGS = ["E8", "E8H", "D4C", "A2"]
+
+
+def _left_factors(alg):
+    """Left factors by pair support: none (omega, zero), one pair (w-, w+),
+    every pair (wtilde, and on a rank-8 E model a twist of it)."""
+    wt = alg.conformal_wtilde().element
+    out = {"omega": alg.omega, "zero": alg.zero(),
+           "w-": alg.w_vector(0, -1).element,
+           "w+": alg.w_vector(alg.npairs - 1, 1).element, "wtilde": wt}
+    if alg.lattice.kind == "E" and alg.lattice.rank == 8:
+        out["twist"] = alg.phi_twist(alg.lattice.roots[0], wt)
+    support = {name: np.count_nonzero(e.xv) for name, e in out.items()}
+    assert support == {"omega": 0, "zero": 0, "w-": 1, "w+": 1,
+                       **{name: alg.npairs for name in ("wtilde", "twist")
+                          if name in out}}
+    return out
+
+
+@pytest.mark.parametrize("tag", KERNEL_TAGS)
+def test_products_on_each_pair_support_match_structure_constants(tag):
+    alg = algebra(tag)
+    lefts = _left_factors(alg)
+    rights = alg._basis_elements() + list(lefts.values())
+    for name, e in lefts.items():
+        got = alg.products(e, rights)
+        want = [transpo_oracle.pair_product(alg, e, f) for f in rights]
+        assert [(g.key(), g.mag) for g in got] == [(w.key(), w.mag) for w in want], name
+
+
+@pytest.mark.parametrize("tag", KERNEL_TAGS)
+def test_sigma_images_on_each_pair_support_match_structure_constants(tag):
+    c = registry.census(f"lattice:{tag}")
+    alg = c.algebra
+    lefts = _left_factors(alg)
+    for name, e in lefts.items():
+        if name in ("omega", "zero"):
+            # no Ising vector: the rule is refused at the first partner
+            f = c.elements[0]
+            with pytest.raises(SigmaImageError,
+                               match=f"^inner product {alg.inner(e, f)} admits") as exc:
+                alg.sigma_images(e, [f])
+            assert exc.value.row == 0
+            continue
+        if e.inner(e) != Fraction(1, 4):
+            continue        # wtilde off the rank-8 E models
+        s = c.element_index(e)
+        partners = [c.elements[j] for j in np.flatnonzero(c.gram[s] == GRAM_32ND)]
+        assert partners
+        got = alg.sigma_images(e, partners)
+        want = [transpo_oracle.product_sigma_image(alg, e, f) for f in partners]
+        assert [(g.key(), g.mag) for g in got] == [(w.key(), w.mag) for w in want], name
+
+
+def test_kernel_refuses_a_large_operand_before_arithmetic(monkeypatch):
+    alg = algebra("E8")
+    e = alg.w_vector(0, 1).element
+    f = alg.w_vector(1, 1).element
+    big = f + Fraction(1, 2 ** 45) * alg.omega
+    assert alg.product_gain * e.mag * big.mag >= INT_GUARD
+
+    def refuse(*args):
+        raise AssertionError("product arithmetic before the int64 bound")
+
+    monkeypatch.setattr(GriessAlgebra, "_product_numerators", refuse)
+    with pytest.raises(GriessError, match="too large"):
+        alg.products(e, [f, big])
+    with pytest.raises(SigmaImageError, match="too large") as exc:
+        alg.sigma_images(e, [f, big])
+    assert exc.value.row == 1
+
+
+def _w_by_constructor(alg, p, sign):
+    """Oracle: a frame vector from the GriessElement constructor."""
+    r = alg.pairs[p]
+    xv = np.zeros(alg.npairs, dtype=np.int64)
+    xv[p] = 2 * sign
+    return GriessElement(alg, np.outer(r, r), xv, 8)
+
+
+def _twist_by_constructor(alg, x, v):
+    """Oracle: phi_x(v) from the constructor, its signs on Python ints."""
+    s2 = alg.lattice.scale_sq
+    dots = [sum(a * b for a, b in zip(x, r)) for r in alg.pairs.tolist()]
+    assert all(d % s2 == 0 for d in dots)
+    signs = np.array([1 if (d // s2) % 2 == 0 else -1 for d in dots], dtype=np.int64)
+    return GriessElement(alg, v.cart.copy(), v.xv * signs, v.den)
+
+
+@pytest.mark.parametrize("tag", CATALOG)
+def test_point_batch_frame_vectors_match_one_at_a_time(tag):
+    alg = algebra(tag)
+    n = alg.npairs
+    got = alg.point_batch(np.tile(np.arange(n), 2), np.repeat([-1, 1], n))
+    for want in ([alg.w_vector(p, s).element for s in (-1, 1) for p in range(n)],
+                 [_w_by_constructor(alg, p, s) for s in (-1, 1) for p in range(n)]):
+        assert [(g.key(), g.mag) for g in got] == [(w.key(), w.mag) for w in want]
+    with pytest.raises(GriessError, match="sign must be"):
+        alg.point_batch([0, 1], [1, 0])
+    with pytest.raises(GriessError, match=f"pair index {n} is outside"):
+        alg.point_batch([0, n], [1, 1])
+
+
+@pytest.mark.parametrize("tag", ["E8", "E8H"])
+def test_point_batch_twists_match_one_at_a_time(tag):
+    alg = algebra(tag)
+    wt = alg.conformal_wtilde().element
+    reps = [cl.representative for cl in alg.lattice.mod2_classes()]
+    got = alg.point_batch([], [], reps, wt)
+    for want in ([alg.phi_twist(x, wt) for x in reps],
+                 [_twist_by_constructor(alg, x, wt) for x in reps]):
+        assert [(g.key(), g.mag) for g in got] == [(w.key(), w.mag) for w in want]
+    mixed = alg.point_batch([3, 5], [1, -1], reps[:4], wt)
+    assert mixed == [_w_by_constructor(alg, 3, 1), _w_by_constructor(alg, 5, -1),
+                     *got[:4]]
+    # (1, 0^7) meets a root at 1/2 in both models
+    off = (1, 0, 0, 0, 0, 0, 0, 0)
+    for call in (lambda: alg.point_batch([0], [1], [reps[1], off], wt),
+                 lambda: alg.phi_twist(off, wt)):
+        with pytest.raises(GriessError, match="pairs non-integrally with roots"):
+            call()
+
+
 def test_pair_targets_match_pair_of():
     for tag in CATALOG:
         alg = algebra(tag)

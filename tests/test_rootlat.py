@@ -193,7 +193,8 @@ def test_mod2_classes_match_per_vector_oracle(tag):
     assert all(type(x) is int for cl in got for x in cl.key + cl.representative)
 
 
-@pytest.mark.parametrize("tag", ["A1", "A2", "A3", "D2", "D4", "D8", "E6", "E7", "D6C"])
+@pytest.mark.parametrize("tag", ["A1", "A2", "A3", "D2", "D4", "D8", "E6", "E7", "D6C",
+                                 "D10C", "D12"])
 def test_mod2_classes_errors_match_per_vector_oracle(tag):
     lat = rl.build_lattice(tag)
     try:
@@ -204,6 +205,18 @@ def test_mod2_classes_errors_match_per_vector_oracle(tag):
         assert str(got.value) == str(exc)
     else:
         assert lat.mod2_classes() == want
+
+
+@pytest.mark.parametrize("tag", [f"A{n}" for n in range(1, 13)]
+                         + [f"D{n}" for n in range(2, 13)] + ["E6", "E7", "E8", "E8H"]
+                         + [f"D{n}C" for n in range(4, 13, 2)])
+def test_norm4_vectors_from_roots_match_enumeration(tag):
+    lat = rl.build_lattice(tag)
+    coeffs, vecs, norms = lat.norm4_vectors()
+    assert (coeffs @ lat.basis == vecs).all()
+    got = sorted(zip(map(tuple, coeffs.tolist()), norms.tolist()))
+    want = [(x, int(n)) for x, n in rl.short_vectors(rl._basis_gram(lat), 4)]
+    assert got == want
 
 
 def test_mod2_frame_classes_are_frames():
