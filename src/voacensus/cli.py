@@ -31,10 +31,12 @@ _SERIES_FIELDS = {form.split(":")[0]: form.count(":")
 # the largest character cutoff accepted: bigger ones exhaust memory or time
 # in the coefficient lists and alternating sums
 MAX_CUTOFF = 10_000
-# the largest lattice rank of a vfull/vplus series (the catalog goes to 12):
-# an A_n theta series takes about rank^2 * cutoff^1.5 steps, one int list per
-# residue of the coordinate sum, and the Euler product is rank-fold, so
-# vfull:A32 takes seconds at cutoff 1000
+# the largest lattice rank of a vfull/vplus series (the catalog goes to 12)
+# and the largest N of a man:N:2s tower (the catalog's go to 7): an A_n theta
+# series takes about rank^2 * cutoff^1.5 steps, one int list per residue of
+# the coordinate sum, and the Euler product is rank-fold, so vfull:A32 takes
+# seconds at cutoff 1000; the tower walk grows faster than N^2 (man:64:0
+# takes about a second at cutoff 8, man:200:0 25 s)
 MAX_RANK = 32
 
 
@@ -59,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("census", help="count and classify census points")
     c.add_argument("kind", choices=("code", "lattice", "commutant"))
     c.add_argument("spec", help="code tag / lattice spec / lattice tag")
-    c.add_argument("--orthogonal-to", default="wtilde",
-                   help="comma list: wtilde, s, phi:alpha0 (commutant only)")
+    c.add_argument("--orthogonal-to", default=None,
+                   help="comma list: wtilde (the default), s, phi:alpha0 "
+                        "(commutant only)")
     c.add_argument("--gram", action="store_true", help="include the Gram matrix")
 
     g = sub.add_parser("group", help="involution group of a census")
@@ -125,8 +128,12 @@ def run(args) -> dict:
         report["results"] = {"code_text": text}
         report["raw"] = text
     elif args.command == "census":
+        if args.orthogonal_to is not None and args.kind != "commutant":
+            raise registry.RegistryError(
+                f"--orthogonal-to applies to census commutant only, not census {args.kind}")
+        constraints = "wtilde" if args.orthogonal_to is None else args.orthogonal_to
         spec = {"code": f"code:{args.spec}", "lattice": f"lattice:{args.spec}",
-                "commutant": f"commutant:{args.spec}:{args.orthogonal_to}"}[args.kind]
+                "commutant": f"commutant:{args.spec}:{constraints}"}[args.kind]
         c = registry.census(spec)
         report["inputs"] = {"spec": spec}
         report["results"] = c.to_json(include_gram=args.gram)
@@ -271,6 +278,9 @@ def _show_series(spec: str, cutoff: int) -> dict:
         series = qchar.w_character(level, j, k, cutoff)
     elif kind == "man":
         N, twos = map(int, parts)
+        if N > MAX_RANK:
+            raise registry.RegistryError(
+                f"tower man:{N} has rank {N}, above the ceiling {MAX_RANK}")
         series = qchar.man_character(N, twos, cutoff)
     else:
         level, j = map(int, parts)

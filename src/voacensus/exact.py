@@ -21,12 +21,13 @@ import numpy as np
 _ZERO = Fraction(0)
 
 
-def _int_row(row) -> tuple[list[int], int]:
-    """Integers R and a denominator d with row == R / d entry by entry."""
+def _int_row(row) -> list[int]:
+    """Integers R with row == R / d entry by entry, d the lcm of the
+    entries' denominators."""
     row = [x if isinstance(x, (int, Fraction)) else
            int(x) if isinstance(x, np.integer) else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row], den
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def rref(rows, ncols=None) -> tuple[list[list[Fraction]], list[int]]:
@@ -34,27 +35,20 @@ def rref(rows, ncols=None) -> tuple[list[list[Fraction]], list[int]]:
 
     Pivots are taken first-nonzero on the first `ncols` columns (all columns
     by default); the columns after them are carried along, as in an
-    augmented matrix.  Rows that end up zero are dropped, so the pivot rows
-    come first and any remaining rows are zero on the first `ncols` columns.
+    augmented matrix.  Only the pivot rows are returned: every other row
+    ends up zero on the first `ncols` columns and is dropped, whatever it
+    holds in the carried ones.
 
     Each row's denominators are cleared once and the elimination runs on
     Python ints, each updated row divided by the gcd of its entries.  An
     integer row is a nonzero multiple of the row Fraction Gauss-Jordan holds
     at that point, so the pivots and zero patterns agree; a pivot row is
-    divided by its pivot only when it is read off.  With carried columns
-    each row also keeps the Fraction it is scaled by, so that a row left
-    past the pivots keeps its exact value.
+    divided by its pivot only when it is read off.
     """
-    work, scale = [], []
-    for row in rows:
-        ints, den = _int_row(row)
-        work.append(ints)
-        scale.append(Fraction(1, den))
+    work = [_int_row(row) for row in rows]
     if not work:
         return [], []
-    width = len(work[0])
-    ncols = width if ncols is None else ncols
-    carried = ncols < width
+    ncols = len(work[0]) if ncols is None else ncols
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -62,7 +56,6 @@ def rref(rows, ncols=None) -> tuple[list[list[Fraction]], list[int]]:
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        scale[r], scale[piv] = scale[piv], scale[r]
         top = work[r]
         for i, row in enumerate(work):
             f = row[c]
@@ -72,16 +65,11 @@ def rref(rows, ncols=None) -> tuple[list[list[Fraction]], list[int]]:
                 new = [p * x - f * y for x, y in zip(row, top)]
                 g = gcd(*new) or 1
                 work[i] = [x // g for x in new] if g > 1 else new
-                if carried and i > r:
-                    scale[i] = scale[i] * g / p
         pivots.append(c)
         if len(pivots) == len(work):
             break
-    out = [[Fraction(x, row[c]) if x else _ZERO for x in row]
-           for row, c in zip(work, pivots)]
-    out += [[s * x if x else _ZERO for x in row]
-            for row, s in zip(work[len(pivots):], scale[len(pivots):]) if any(row)]
-    return out, pivots
+    return [[Fraction(x, row[c]) if x else _ZERO for x in row]
+            for row, c in zip(work, pivots)], pivots
 
 
 def kernel(rows) -> list[list[Fraction]]:

@@ -38,10 +38,6 @@ def weight(w: int) -> int:
     return bin(w).count("1")
 
 
-def dot2(a: int, b: int) -> int:
-    return weight(a & b) & 1
-
-
 def rref(rows: list[int]) -> tuple[int, ...]:
     """Reduced row-echelon form over GF(2); returns the nonzero rows."""
     rows = [r for r in rows]
@@ -102,13 +98,6 @@ class BinaryCode:
             if (w >> piv) & 1:
                 w ^= g
         return w == 0
-
-    def weight_enumerator(self) -> tuple[int, ...]:
-        """Counts of codewords by Hamming weight, indices 0..n."""
-        counts = [0] * (self.length + 1)
-        for w in self.words():
-            counts[weight(w)] += 1
-        return tuple(counts)
 
     def min_weight(self) -> int:
         if self.rank == 0:
@@ -195,23 +184,6 @@ def named_code(name: str, *params: int) -> BinaryCode:
     raise CodeError(f"unknown code name {name!r}")
 
 
-def d_construction(code: BinaryCode, level: int) -> BinaryCode:
-    """Coordinate-doubled dual construction of length 2n; level 1 adjoins gamma."""
-    if level not in (0, 1):
-        raise CodeError("level must be 0 or 1")
-    n = code.length
-    rows = []
-    for g in dual(code).generators:
-        w = 0
-        for i in range(n):
-            if (g >> i) & 1:
-                w |= 0b11 << (2 * i)
-        rows.append(w)
-    if level == 1:
-        rows.append(gamma_word(2 * n))
-    return BinaryCode.from_rows(2 * n, rows)
-
-
 def structure_code_dplus(n: int) -> BinaryCode:
     """The length-4n code realizing the census of the rank-2n even frame lattice."""
     base = cn_code(n)
@@ -227,9 +199,6 @@ def frame_pair_code(m: int) -> BinaryCode:
     return BinaryCode.from_rows(m, rows)
 
 
-HAMMING_ENUMERATOR = (1, 0, 0, 0, 14, 0, 0, 0, 1)
-
-
 @dataclass(frozen=True)
 class HammingEmbedding:
     """A 4-dimensional subcode of `parent` equivalent to the [8,4,4] code."""
@@ -241,12 +210,6 @@ class HammingEmbedding:
     @property
     def words(self) -> tuple[int, ...]:
         return tuple(sorted(BinaryCode(self.parent.length, self.subcode_generators).words()))
-
-    def restricted_enumerator(self) -> tuple[int, ...]:
-        counts = [0] * 9
-        for w in self.words:
-            counts[weight(w)] += 1
-        return tuple(counts)
 
 
 def hamming_embeddings(code: BinaryCode) -> list[HammingEmbedding]:

@@ -218,9 +218,6 @@ class GriessAlgebra:
         return f"GriessAlgebra({self.lattice.name}, dim={self.dimension})"
 
     # -- constructors ---------------------------------------------------------
-    def zero(self) -> GriessElement:
-        return self._sum_pairs([])
-
     def from_quadratic(self, u, v) -> GriessElement:
         """The element u_(-1)v_(-1)1 for stored lattice vectors u, v."""
         u = np.asarray(u, dtype=np.int64)
@@ -480,20 +477,6 @@ class GriessAlgebra:
         return ([self.from_quadratic(basis[i], basis[j])
                  for i in range(ell) for j in range(i, ell)]
                 + [self.pair_element(p) for p in range(self.npairs)])
-
-    def in_span(self, v: GriessElement, echelon: list[list[Fraction]]) -> bool:
-        """Membership of v in the row space of a reduced echelon basis.
-
-        In reduced form the coefficient of each row is v's entry at the
-        row's pivot, so v is in the span iff it equals that combination.
-        """
-        vec = self.expand(v)
-        combo = [Fraction(0)] * len(vec)
-        for row in echelon:
-            f = vec[next(i for i, x in enumerate(row) if x)]
-            if f:
-                combo = [a + f * b for a, b in zip(combo, row)]
-        return combo == vec
 
 
 def verify_twist_chain(algebra: GriessAlgebra, alpha0) -> dict:

@@ -238,10 +238,6 @@ def _alternating_terms(terms, bound):
         k += 1
 
 
-def unitary_central_charge(m: int) -> Fraction:
-    return 1 - Fraction(6, (m + 2) * (m + 3))
-
-
 def unitary_weight(m: int, r: int, s: int) -> Fraction:
     if m < 0:
         raise QSeriesError(f"degree {m} is negative")
@@ -421,10 +417,6 @@ def w_character(level: int, spin: int, charge: int, upto) -> QSeries:
     sliced = two.z_slice(charge)
     series = sliced * euler_power(1, depth)
     return series.shift(offset).truncate(upto)
-
-
-def parafermion_central_charge(level: int) -> Fraction:
-    return Fraction(2 * (level - 1), level + 2)
 
 
 # ---------------------------------------------------------------------------

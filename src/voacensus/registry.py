@@ -24,10 +24,6 @@ class RegistryError(ValueError):
     pass
 
 
-CODE_TAGS = ("hamming8", "rm14", "rm24", "cn2", "cn3", "cn4",
-             "dcode4", "dcode6", "dcode8")
-
-
 @lru_cache(maxsize=None)
 def code(tag: str) -> gf2code.BinaryCode:
     """Resolve a catalog code tag (or read `file:PATH`)."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gf2code
 from .dynkin import LatticeError, lattice_type, root_count
-from .exact import inverse, rref
+from .exact import inverse
 
 
 def _hnf_basis(rows: np.ndarray) -> np.ndarray:
@@ -114,29 +114,12 @@ class RootLattice:
     def coxeter_number(self) -> int:
         return len(self.roots) // self.rank
 
-    def inner(self, u, v) -> Fraction:
-        return Fraction(int(np.dot(u, v)), self.scale_sq)
-
-    def is_root(self, v) -> bool:
-        return tuple(v) in self.pair_index or tuple(-np.asarray(v)) in self.pair_index
-
     def pair_of(self, v) -> int:
         t = tuple(int(x) for x in v)
         m = max(t, tuple(-x for x in t))
         if m not in self.pair_index:
             raise LatticeError(f"{v} is not a root of {self.name}")
         return self.pair_index[m]
-
-    def weyl_reflect(self, alpha, v) -> np.ndarray:
-        """v - <v, alpha> alpha for a root alpha; exact integer output."""
-        alpha = np.asarray(alpha, dtype=np.int64)
-        if not self.is_root(alpha):
-            raise LatticeError(f"{alpha} is not a root of {self.name}")
-        v = np.asarray(v, dtype=np.int64)
-        num = int(np.dot(v, alpha))
-        if num % self.scale_sq:
-            raise LatticeError("reflection argument is not a lattice vector")
-        return v - (num // self.scale_sq) * alpha
 
     def coords(self, v) -> tuple[Fraction, ...]:
         """Coordinates of v in the lattice basis B (exact).
@@ -227,14 +210,6 @@ class RootLattice:
         if len(classes) != 1 << self.rank:
             raise LatticeError(f"found {len(classes)} cosets, expected {1 << self.rank}")
         return classes
-
-    def class_of(self, v) -> Mod2Class:
-        coeffs = self.coords(v)
-        if any(c.denominator != 1 for c in coeffs):
-            raise LatticeError(f"{v} is not in {self.name}")
-        key = tuple(int(c) % 2 for c in coeffs)
-        # mod2_classes holds all 2^rank keys
-        return next(cl for cl in self.mod2_classes() if cl.key == key)
 
 
 def _gram(basis: np.ndarray, scale_sq: int) -> list[list[Fraction]]:
@@ -360,60 +335,3 @@ def norm_counts(lattice: RootLattice, bound, shift=None) -> dict[Fraction, int]:
     if bound >= 0 and not any(coords or ()):
         counts[Fraction(0)] += 1
     return counts
-
-
-def root_isometry(src: RootLattice, dst: RootLattice) -> np.ndarray | None:
-    """An exact linear map (as a Fraction matrix) carrying src roots onto dst roots.
-
-    Backtracking over images of a root basis of src, constrained by pairwise
-    inner products.  Returns T with (stored src vector) @ T = stored dst vector.
-    """
-    if src.rank != dst.rank or len(src.roots) != len(dst.roots):
-        return None
-    basis: list[np.ndarray] = []
-    for r in src.roots:
-        cand = basis + [r]
-        if len(rref(cand)[1]) == len(cand):
-            basis.append(r)
-        if len(basis) == src.rank:
-            break
-    gram = [[src.inner(a, b) for b in basis] for a in basis]
-    dst_roots = [np.asarray(r) for r in dst.roots]
-    dst_set = {tuple(r) for r in dst.roots.tolist()}
-    images: list[np.ndarray] = []
-
-    def extend(k: int) -> bool:
-        if k == len(basis):
-            return True
-        for cand in dst_roots:
-            if all(dst.inner(cand, images[i]) == gram[k][i] for i in range(k)):
-                images.append(cand)
-                if extend(k + 1):
-                    return True
-                images.pop()
-        return False
-
-    if not extend(0):
-        return None
-    # basis @ T = images: the RREF of [basis | images] puts row c of T at
-    # each pivot column c; T is zero on the other rows
-    red, pivots = rref([[*b, *im] for b, im in zip(basis, images)], src.ambient)
-    tmat = [[Fraction(0)] * dst.ambient for _ in range(src.ambient)]
-    for row, c in zip(red, pivots):
-        tmat[c] = row[src.ambient:]
-    # verify on all roots
-    for r in src.roots:
-        img = _apply_fraction_map(tmat, r)
-        if any(x.denominator != 1 for x in img) or tuple(int(x) for x in img) not in dst_set:
-            return None
-    return tmat
-
-
-def _apply_fraction_map(T, v):
-    m_dst = len(T[0])
-    out = [Fraction(0)] * m_dst
-    for x, row in zip(v, T):
-        if int(x):
-            for j in range(m_dst):
-                out[j] += int(x) * row[j]
-    return out

@@ -8,17 +8,30 @@ its own elimination onto the support.  Both are kept as they were; the
 translations take their sigma images from the product oracle.  `subcensus`
 restricts a built census to some of its points, as commutant censuses were
 built before they filtered the lattice points ahead of the Gram.
+`restricted_enumerator` counts an embedding's words by weight, to compare
+with `HAMMING_ENUMERATOR`.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from voacensus import gf2code
 from voacensus.census import CensusError, IsingCensus
 from voacensus.gf2code import BinaryCode, HammingEmbedding, weight
 
 from transpo_oracle import product_sigma_image
+
+
+# the weight enumerator of the [8,4,4] Hamming code, weights 0..8
+HAMMING_ENUMERATOR = (1, 0, 0, 0, 14, 0, 0, 0, 1)
+
+
+def restricted_enumerator(emb: HammingEmbedding) -> tuple[int, ...]:
+    """The weight enumerator of an embedding's 16 words, weights 0..8."""
+    counts = [0] * 9
+    for w in emb.words:
+        counts[weight(w)] += 1
+    return tuple(counts)
 
 
 def subcensus(census: IsingCensus, indices, source: str) -> IsingCensus:
@@ -111,7 +124,7 @@ def hamming_embeddings_by_trio(code: BinaryCode) -> list[HammingEmbedding]:
             counts = [0] * 9
             for x in key:
                 counts[weight(x)] += 1
-            if tuple(counts) != gf2code.HAMMING_ENUMERATOR:
+            if tuple(counts) != HAMMING_ENUMERATOR:
                 continue
             support = tuple(i for i in range(code.length) if (w >> i) & 1)
             found[key] = HammingEmbedding(code, cand.generators, support)

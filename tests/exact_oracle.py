@@ -4,6 +4,8 @@ This is the elimination `exact.rref` ran before it cleared denominators and
 eliminated on integers, kept as it was: every row is normalised by its
 pivot and every update is a Fraction combination.  It shares no arithmetic
 with `exact`, so the tests compare the two on random rational matrices.
+`in_span` tests membership of a Griess element in the row space of a
+kernel basis that `exact.kernel` returned.
 """
 
 from __future__ import annotations
@@ -40,3 +42,19 @@ def fraction_rref(rows, ncols=None) -> tuple[list[list[Fraction]], list[int]]:
         if len(pivots) == len(work):
             break
     return [row for row in work if any(row)], pivots
+
+
+def in_span(alg, v, echelon: list[list[Fraction]]) -> bool:
+    """Membership of the element v of `alg` in the row space of a reduced
+    echelon basis over its labeled basis.
+
+    In reduced form the coefficient of each row is v's entry at the
+    row's pivot, so v is in the span iff it equals that combination.
+    """
+    vec = alg.expand(v)
+    combo = [Fraction(0)] * len(vec)
+    for row in echelon:
+        f = vec[next(i for i, x in enumerate(row) if x)]
+        if f:
+            combo = [a + f * b for a, b in zip(combo, row)]
+    return combo == vec

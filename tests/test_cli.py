@@ -54,6 +54,27 @@ def test_census_commutant_report():
     assert data["results"]["count"] == 255
 
 
+@pytest.mark.parametrize("kind, spec", [("code", "hamming8"), ("lattice", "E8")])
+def test_orthogonal_to_outside_census_commutant_is_usage_error(kind, spec):
+    proc = subprocess.run(RUN + ["census", kind, spec, "--orthogonal-to", "bogus"],
+                          capture_output=True, text=True, timeout=1)
+    assert proc.returncode == 2 and proc.stderr == ""
+    data = json.loads(proc.stdout)
+    assert data["ok"] is False
+    assert data["error"] == f"--orthogonal-to applies to census commutant only, not census {kind}"
+
+
+def test_census_commutant_defaults_to_wtilde(capsys):
+    reports = []
+    for extra in ([], ["--orthogonal-to", "wtilde"]):
+        assert cli.main(["census", "commutant", "E8", *extra]) == 0
+        reports.append(WALL_TIME.sub("", capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    data = json.loads(reports[0])
+    assert data["inputs"] == {"spec": "commutant:E8:wtilde"}
+    assert data["results"]["counts_by_tag"] == {"twist": 135, "wminus": 120}
+
+
 def test_phi_alpha0_on_e8h_census_matches_e8():
     # phi:alpha0 twists by the largest root of the algebra's own lattice, so
     # on the isometric E8H model the commutant has E8's counts
@@ -291,6 +312,18 @@ def test_lattice_rank_above_ceiling_is_usage_error(capsys):
     assert "above the ceiling" in json.loads(capsys.readouterr().out)["error"]
 
 
+def test_tower_rank_above_ceiling_is_usage_error(capsys):
+    # refused before the tower walk starts; man:200:0 would take 25 s
+    proc = subprocess.run(RUN + ["characters", "show", f"man:{cli.MAX_RANK + 1}:0"],
+                          capture_output=True, text=True, timeout=1)
+    assert proc.returncode == 2 and proc.stderr == ""
+    data = json.loads(proc.stdout)
+    assert data["ok"] is False
+    assert data["error"] == "tower man:33 has rank 33, above the ceiling 32"
+    assert cli.main(["characters", "show", f"man:{cli.MAX_RANK}:0"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def test_lattice_rank_ceiling_admits_the_catalog():
     catalog = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(2, 13)]
     catalog += ["E6", "E7", "E8", "E8H", "D4C", "D6C", "D8C", "D30"]
@@ -413,6 +446,7 @@ def test_empty_lattice_tag_is_usage_error():
     (["census", "commutant", "E8", "--orthogonal-to", "wtilde,"], "commutant:<lattice>"),
     (["census", "lattice", "E8+"], "empty summand"),
     (["group", "--census", "lattice:+E8"], "empty summand"),
+    (["census", "commutant", "E8", "--orthogonal-to", ""], "commutant:<lattice>"),
 ])
 def test_malformed_census_spec_is_usage_error(args, message, capsys):
     assert cli.main(args) == 2

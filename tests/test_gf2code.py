@@ -6,11 +6,18 @@ import census_oracle as oracle
 from voacensus import gf2code as gc
 from voacensus import registry
 
+# the catalog code tags (README: "CLI")
+CODE_TAGS = ("hamming8", "rm14", "rm24", "cn2", "cn3", "cn4",
+             "dcode4", "dcode6", "dcode8")
+
 
 def test_hamming8_weight_enumerator():
     h8 = gc.named_code("hamming8")
     assert h8.length == 8 and h8.rank == 4
-    assert h8.weight_enumerator() == (1, 0, 0, 0, 14, 0, 0, 0, 1)
+    counts = [0] * (h8.length + 1)
+    for w in h8.words():
+        counts[gc.weight(w)] += 1
+    assert tuple(counts) == (1, 0, 0, 0, 14, 0, 0, 0, 1)
 
 
 def test_hamming8_self_dual():
@@ -25,13 +32,6 @@ def test_reed_muller_duality():
     assert gc.dual(rm14) == rm24
     assert gc.dual(rm24) == rm14
     assert rm24.min_weight() == 4
-
-
-def test_d_construction_matches_first_order():
-    h8 = gc.named_code("hamming8")
-    assert gc.d_construction(h8, 1) == gc.named_code("reed_muller", 1, 4)
-    d0 = gc.d_construction(h8, 0)
-    assert d0.rank == gc.dual(h8).rank
 
 
 def test_zero_full_duality():
@@ -49,18 +49,6 @@ def test_named_code_errors():
         gc.named_code("zero", 0)
 
 
-def test_d_construction_index():
-    # index 2 exactly when the alternating word is outside the doubled dual
-    for name, params in (("hamming8", ()), ("cn", (2,)), ("full", (4,))):
-        c = gc.named_code(name, *params)
-        d0 = gc.d_construction(c, 0)
-        d1 = gc.d_construction(c, 1)
-        assert all(g in d1 for g in d0.generators)
-        gamma = gc.gamma_word(2 * c.length)
-        index = 1 << (d1.rank - d0.rank)
-        assert index == (1 if gamma in d0 else 2)
-
-
 def test_embeddings_rm24():
     rm24 = gc.named_code("reed_muller", 2, 4)
     embs = gc.hamming_embeddings(rm24)
@@ -71,7 +59,7 @@ def test_embeddings_rm24():
         for i in e.support:
             support_word |= 1 << i
         assert support_word in rm14
-        assert e.restricted_enumerator() == gc.HAMMING_ENUMERATOR
+        assert oracle.restricted_enumerator(e) == oracle.HAMMING_ENUMERATOR
 
 
 def test_embeddings_hamming_and_dplus():
@@ -92,7 +80,7 @@ def test_min_weight_two_paths():
         d = gc.dual(c)
         direct = d.min_weight()
         null = [v for v in range(1, 1 << c.length)
-                if all(gc.dot2(v, g) == 0 for g in c.generators)]
+                if all((gc.weight(v & g) & 1) == 0 for g in c.generators)]
         assert direct == min(gc.weight(v) for v in null)
 
 
@@ -139,7 +127,7 @@ def test_words_closed_under_addition(code):
 
 
 # the catalog and structure_code_dplus(5), (6), which pair with D10C, D12C
-@pytest.mark.parametrize("tag", [*registry.CODE_TAGS, "dcode10", "dcode12"])
+@pytest.mark.parametrize("tag", [*CODE_TAGS, "dcode10", "dcode12"])
 def test_hamming_embeddings_match_trio_oracle(tag):
     code = registry.code(tag)
     assert gc.hamming_embeddings(code) == oracle.hamming_embeddings_by_trio(code)

@@ -136,3 +136,8 @@ def irreducible_dims(c_num: int, c_den: int, h_num: int, h_den: int,
                      depth: int) -> tuple[int, ...]:
     vm = VermaModule(Fraction(c_num, c_den), Fraction(h_num, h_den))
     return tuple(vm.irreducible_dim(n) for n in range(depth + 1))
+
+
+def unitary_central_charge(m: int) -> Fraction:
+    """c = 1 - 6/((m+2)(m+3)) of the degree-m unitary minimal model."""
+    return 1 - Fraction(6, (m + 2) * (m + 3))
