@@ -1,10 +1,11 @@
 """Censuses of central-charge-1/2 idempotents and their exact Gram data.
 
 A census is an ordered list of labeled points together with (optionally) a
-realization of every point in a Griess algebra.  Pairwise inner products of
-distinct points are always 0 or 1/32; the Gram matrix is therefore stored as
-a small integer code matrix (0 -> 0, 1 -> 1/32, 2 -> 1/4 on the diagonal,
-3 -> not computable without a realization).
+realization of every point in a Griess algebra, one row of an `ElementBatch`
+each.  Pairwise inner products of distinct points are always 0 or 1/32; the
+Gram matrix is therefore stored as a small integer code matrix (0 -> 0,
+1 -> 1/32, 2 -> 1/4 on the diagonal, 3 -> not computable without a
+realization).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import CheckError, gf2code, rootlat
 from .gf2code import BinaryCode, HammingEmbedding
-from .griess import GriessAlgebra, GriessElement
+from .griess import ElementBatch, GriessAlgebra, GriessElement
 
 GRAM_ZERO, GRAM_32ND, GRAM_QUARTER, GRAM_UNKNOWN = 0, 1, 2, 3
 
@@ -27,6 +28,14 @@ class CensusError(ValueError):
 
 class CensusCheckError(CensusError, CheckError):
     """A computed census failed one of its mathematical invariants."""
+
+
+class MissingPointError(CensusError):
+    """A looked-up element is not a census point; `row` indexes the first."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,7 @@ class IsingCensus:
     """Ordered points, optional realizations, and the coded Gram matrix."""
 
     def __init__(self, points: list[IsingPoint],
-                 elements: list[GriessElement] | None,
+                 elements: ElementBatch | None,
                  gram: np.ndarray, source: str,
                  frame_size: int | None = None,
                  algebra: GriessAlgebra | None = None,
@@ -87,15 +96,19 @@ class IsingCensus:
             out[p.kind] = out.get(p.kind, 0) + 1
         return dict(sorted(out.items()))
 
-    def element_index(self, e: GriessElement) -> int:
+    def element_index(self, rows: ElementBatch) -> np.ndarray:
+        """The census position of each row of `rows`, looked up by its row
+        bytes in one dict per census; MissingPointError names the first row
+        that is not a census point."""
         if self.elements is None:
             raise CensusError("census carries no realizations")
         if self._elem_index is None:
-            self._elem_index = {el.key(): i for i, el in enumerate(self.elements)}
-        try:
-            return self._elem_index[e.key()]
-        except KeyError:
-            raise CensusError("element is not a census point") from None
+            self._elem_index = {k: i for i, k in enumerate(self.elements.row_bytes())}
+        pos = [self._elem_index.get(k, -1) for k in rows.row_bytes()]
+        if -1 in pos:
+            row = pos.index(-1)
+            raise MissingPointError(row, f"row {row} is not a census point")
+        return np.array(pos, dtype=np.int64)
 
     def to_json(self, include_gram: bool = True) -> dict:
         out = {
@@ -114,11 +127,11 @@ class IsingCensus:
         return out
 
 
-def gram_from_elements(elements: list[GriessElement]) -> np.ndarray:
+def gram_from_elements(elements: ElementBatch) -> np.ndarray:
     """Coded Gram matrix of realized points; validates the 0 / 1-32 / 1-4 law."""
-    if not elements:
+    if not len(elements):
         return np.zeros((0, 0), dtype=np.int8)
-    num, den = elements[0].alg.inner_numerators(elements, elements)
+    num, den = elements.alg.inner_numerators(elements, elements)
     gram = np.full(num.shape, -1, dtype=np.int8)
     gram[num == 0] = GRAM_ZERO
     gram[32 * num == den] = GRAM_32ND
@@ -171,10 +184,10 @@ def commutant_filter(lattice: rootlat.RootLattice, algebra: GriessAlgebra,
     census is built").
     """
     points, elements = _lattice_points(lattice, algebra)
-    num, _ = algebra.inner_numerators(elements, constraints)
-    idx = np.flatnonzero(~num.any(axis=1)).tolist()
-    kept = [elements[i] for i in idx]
-    return IsingCensus([points[i] for i in idx], kept, gram_from_elements(kept),
+    num, _ = algebra.inner_numerators(elements, ElementBatch.of(algebra, constraints))
+    idx = np.flatnonzero(~num.any(axis=1))
+    kept = elements[idx]
+    return IsingCensus([points[i] for i in idx.tolist()], kept, gram_from_elements(kept),
                        source, frame_size=2 * lattice.rank, algebra=algebra)
 
 
@@ -257,7 +270,7 @@ def code_census(code: BinaryCode, realize: IsingCensus | None = None,
         i, j = map(int, bad[0])
         raise CensusCheckError(
             f"realized Gram entry ({i},{j}) differs from the code's")
-    return IsingCensus(points, [realize.elements[k] for k in index], realized,
+    return IsingCensus(points, realize.elements[index], realized,
                        f"code:{realize.algebra.lattice.name}", frame_size=code.length,
                        algebra=realize.algebra, embeddings=embeddings,
                        sources=[(realize, pos)])

@@ -59,58 +59,95 @@ def _guard(bound: int) -> None:
         raise GriessError("operands too large for exact int64 arithmetic")
 
 
-class GriessElement:
-    """An element: symmetric matrix `cart` + pair vector `xv`, over `den`."""
+class ElementBatch:
+    """Elements of one algebra as read-only int64 rows in canonical form:
+    `carts` (n, m, m), `xvs` (n, npairs), `dens` and `mags` (n).
 
-    __slots__ = ("alg", "cart", "xv", "den", "mag")
+    The constructor is the one place the canonical form is written: each
+    row divided by the gcd of its integers and its denominator, which must
+    be positive, and its `mag` (its largest integer, by which operations
+    bound their int64 results) checked against INT_GUARD.  A row past the
+    guard raises SigmaImageError (a GriessError) naming the first one.  An
+    integer index gives the GriessElement viewing that row; any other index
+    gives a sub-batch of the same rows, which are canonical already.
+    """
 
-    def __init__(self, alg: "GriessAlgebra", cart: np.ndarray, xv: np.ndarray,
-                 den: int):
-        self.alg = alg
-        if den < 0:
-            cart, xv, den = -cart, -xv, -den
-        g = int(np.gcd.reduce(np.concatenate(
-            [cart.ravel(), xv, np.array([den], dtype=np.int64)])))
-        g = g or 1
-        self.cart = (cart // g).astype(np.int64)
-        self.xv = (xv // g).astype(np.int64)
-        self.den = int(den // g)
-        # the largest integer held: operations bound their int64 results by it
-        self.mag = max(int(np.abs(self.cart).max(initial=0)),
-                       int(np.abs(self.xv).max(initial=0)), self.den)
-        if self.mag >= INT_GUARD:
-            raise GriessError("integer overflow guard tripped")
+    __slots__ = ("alg", "carts", "xvs", "dens", "mags")
 
-    @classmethod
-    def from_rows(cls, alg: "GriessAlgebra", carts: np.ndarray, xvs: np.ndarray,
-                  dens: np.ndarray) -> list["GriessElement"]:
-        """The elements carts[k], xvs[k] over dens[k] > 0, normalised row-wise.
-
-        The constructor's canonical form in a few array operations: each
-        row divided by the gcd of its integers and its denominator, and its
-        `mag` checked against INT_GUARD.  A row past the guard raises
-        SigmaImageError (a GriessError) naming the first one.  Each element
-        holds copies of its rows, so keeping one keeps no batch array alive.
-        """
+    def __init__(self, alg: "GriessAlgebra", carts, xvs, dens):
+        carts, xvs, dens = (np.asarray(x, dtype=np.int64) for x in (carts, xvs, dens))
         if (dens <= 0).any():
             raise GriessError("row denominators must be positive")
         k = len(dens)
         g = np.gcd(np.gcd(np.gcd.reduce(carts.reshape(k, alg.m * alg.m), axis=1),
                           np.gcd.reduce(xvs, axis=1)), dens)
-        carts = carts // g[:, None, None]
-        xvs = xvs // g[:, None]
-        dens = dens // g
+        carts, xvs, dens = carts // g[:, None, None], xvs // g[:, None], dens // g
         mags = np.maximum(np.maximum(np.abs(carts).max(axis=(1, 2), initial=0),
                                      np.abs(xvs).max(axis=1, initial=0)), dens)
-        out = []
-        for row, (cart, xv, den, mag) in enumerate(
-                zip(carts, xvs, dens.tolist(), mags.tolist())):
-            if mag >= INT_GUARD:
-                raise SigmaImageError(row, "integer overflow guard tripped")
-            el = cls.__new__(cls)
-            el.alg, el.cart, el.xv, el.den, el.mag = alg, cart.copy(), xv.copy(), den, mag
-            out.append(el)
-        return out
+        bad = np.flatnonzero(mags >= INT_GUARD)
+        if len(bad):
+            raise SigmaImageError(int(bad[0]), "integer overflow guard tripped")
+        self._set(alg, carts, xvs, dens, mags)
+
+    def _set(self, alg, carts, xvs, dens, mags) -> None:
+        self.alg, self.carts, self.xvs, self.dens, self.mags = alg, carts, xvs, dens, mags
+        for rows in (carts, xvs, dens, mags):
+            rows.flags.writeable = False
+
+    @classmethod
+    def of(cls, alg: "GriessAlgebra", elements) -> "ElementBatch":
+        """The batch of `elements`, one row each, in their order."""
+        return cls(alg, np.reshape([e.cart for e in elements], (-1, alg.m, alg.m)),
+                   np.reshape([e.xv for e in elements], (-1, alg.npairs)),
+                   [e.den for e in elements])
+
+    def __len__(self) -> int:
+        return len(self.dens)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            el = GriessElement.__new__(GriessElement)
+            # a negative index counts from the end; past it, IndexError ends
+            # iteration over the batch
+            el._view(self, range(len(self))[index])
+            return el
+        sub = ElementBatch.__new__(ElementBatch)
+        sub._set(self.alg, self.carts[index], self.xvs[index], self.dens[index],
+                 self.mags[index])
+        return sub
+
+    def row_bytes(self) -> list[bytes]:
+        """Each row's den, cart and pair vector as one bytes string: in the
+        canonical form, equal elements and only they have equal strings."""
+        k = len(self)
+        rows = np.concatenate([self.dens[:, None],
+                               self.carts.reshape(k, self.alg.m ** 2), self.xvs], axis=1)
+        return [row.tobytes() for row in rows]
+
+
+class GriessElement:
+    """An element: symmetric matrix `cart` + pair vector `xv`, over `den`.
+
+    A view of one row of an ElementBatch, read-only; the constructor
+    normalises through a one-row batch.
+    """
+
+    __slots__ = ("alg", "cart", "xv", "den", "mag", "_rows", "_row")
+
+    def __init__(self, alg: "GriessAlgebra", cart: np.ndarray, xv: np.ndarray,
+                 den: int):
+        self._view(ElementBatch(alg, np.asarray(cart)[None], np.asarray(xv)[None],
+                                [den]), 0)
+
+    def _view(self, rows: ElementBatch, row: int) -> None:
+        self.alg, self._rows, self._row = rows.alg, rows, row
+        self.cart, self.xv = rows.carts[row], rows.xvs[row]
+        self.den, self.mag = int(rows.dens[row]), int(rows.mags[row])
+
+    @property
+    def batch(self) -> ElementBatch:
+        """This element as a one-row batch."""
+        return self._rows[self._row:self._row + 1]
 
     # -- linear structure ---------------------------------------------------
     def __add__(self, other: "GriessElement") -> "GriessElement":
@@ -218,16 +255,6 @@ class GriessAlgebra:
         return f"GriessAlgebra({self.lattice.name}, dim={self.dimension})"
 
     # -- constructors ---------------------------------------------------------
-    def from_quadratic(self, u, v) -> GriessElement:
-        """The element u_(-1)v_(-1)1 for stored lattice vectors u, v."""
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        return GriessElement(self, np.outer(u, v) + np.outer(v, u),
-                             np.zeros(self.npairs, dtype=np.int64), 2)
-
-    def pair_element(self, p: int) -> GriessElement:
-        return self._sum_pairs([p])
-
     def _build_omega(self, basis: np.ndarray, gram_inverse) -> GriessElement:
         # omega = (s2/2) * projection onto the span of `basis`, as an exact
         # matrix; `gram_inverse` is inverse(basis @ basis.T)
@@ -242,7 +269,7 @@ class GriessAlgebra:
             else self.lattice.pair_of(root_or_pair)
         return ConformalVector(self.point_batch([p], [sign])[0], Fraction(1, 2))
 
-    def point_batch(self, ps, signs, xs=(), v=None) -> list[GriessElement]:
+    def point_batch(self, ps, signs, xs=(), v=None) -> ElementBatch:
         """The frame vectors (1/8) a a + (signs[k]/4) pair over the pairs
         ps[k] (a a is the pair's `_pair_outer` row), then the twists phi_x(v)
         for x in `xs` (v's pair vector times `twist_signs(x)`): one batch."""
@@ -263,8 +290,7 @@ class GriessAlgebra:
             xvs = np.concatenate([xvs, v.xv * self.twist_signs(xs)])
             carts.append(np.broadcast_to(v.cart, (len(xs), self.m, self.m)))
             dens.append(np.full(len(xs), v.den))
-        return GriessElement.from_rows(self, np.concatenate(carts), xvs,
-                                       np.concatenate(dens))
+        return ElementBatch(self, np.concatenate(carts), xvs, np.concatenate(dens))
 
     def _sum_pairs(self, pair_indices) -> GriessElement:
         xv = np.zeros(self.npairs, dtype=np.int64)
@@ -301,23 +327,20 @@ class GriessAlgebra:
 
     # -- products and forms ---------------------------------------------------
     def product(self, a: GriessElement, b: GriessElement) -> GriessElement:
-        return self.products(a, [b])[0]
+        return self.products(a, b.batch)[0]
 
-    def products(self, e: GriessElement, fs) -> list[GriessElement]:
-        """e f for every f in `fs`, after one bound on Python ints:
+    def products(self, e: GriessElement, fs: ElementBatch) -> ElementBatch:
+        """e f for every row f of `fs`, after one bound on Python ints:
         product_gain e.mag max f.mag dominates every integer formed."""
-        if not fs:
-            return []
-        _guard(self.product_gain * e.mag * max(f.mag for f in fs))
-        B = np.stack([f.cart for f in fs])
-        X = np.stack([f.xv for f in fs])
-        fden = np.array([f.den for f in fs], dtype=np.int64)
-        cart, xv = self._product_numerators(e, B, X)
-        return GriessElement.from_rows(self, cart, xv, self.s2 ** 2 * e.den * fden)
+        if not len(fs):
+            return fs
+        _guard(self.product_gain * e.mag * max(fs.mags.tolist()))
+        cart, xv = self._product_numerators(e, fs.carts, fs.xvs)
+        return ElementBatch(self, cart, xv, self.s2 ** 2 * e.den * fs.dens)
 
     def _product_numerators(self, e: GriessElement, B: np.ndarray, X: np.ndarray):
         """Numerators (carts, pair vectors) of e f over e.den f.den s2^2 for
-        the f stacked as carts B and pair vectors X: the structure constants
+        the rows f of carts B and pair vectors X: the structure constants
         on the whole stack, the pair products (p, q) -> r as X @ M for
         M[q, r] = s2^2 a[p] (0 where no p exists).  Terms with a factor a[p]
         run over e's pair support nz, X @ M over M's nonzero rows and columns:
@@ -344,7 +367,8 @@ class GriessAlgebra:
         num = 2 * int(np.trace(a.cart @ b.cart)) + 2 * s4 * int(a.xv @ b.xv)
         return Fraction(num, s4 * a.den * b.den)
 
-    def inner_numerators(self, es, fs) -> tuple[np.ndarray, np.ndarray]:
+    def inner_numerators(self, es: ElementBatch,
+                         fs: ElementBatch) -> tuple[np.ndarray, np.ndarray]:
         """int64 (num, den) with <es[i], fs[j]> = num[i, j] / den[i, j], unreduced.
 
         num = 2 tr(A_e A_f) + 2 s2^2 x_e . x_f, each partial sum at most
@@ -352,18 +376,15 @@ class GriessAlgebra:
         Checked first, on Python ints: 32 inner_gain max e.mag max f.mag, the
         32 so that callers may compare 32 num == den (<e, f> = 1/32) in int64.
         """
-        if not es or not fs:
+        if not len(es) or not len(fs):
             empty = np.zeros((len(es), len(fs)), dtype=np.int64)
             return empty, empty
-        _guard(32 * self.inner_gain * max(e.mag for e in es) * max(f.mag for f in fs))
-        s4 = self.s2 * self.s2
-        A = np.stack([e.cart.ravel() for e in es])
-        B = np.stack([f.cart.T.ravel() for f in fs])
-        X = np.stack([e.xv for e in es])
-        Y = np.stack([f.xv for f in fs])
-        num = 2 * (A @ B.T) + 2 * s4 * (X @ Y.T)
-        eden = np.array([e.den for e in es], dtype=np.int64)
-        return num, s4 * np.outer(eden, [f.den for f in fs])
+        _guard(32 * self.inner_gain * max(es.mags.tolist()) * max(fs.mags.tolist()))
+        s4, mm = self.s2 * self.s2, self.m * self.m
+        A = es.carts.reshape(-1, mm)
+        B = fs.carts.transpose(0, 2, 1).reshape(-1, mm)
+        num = 2 * (A @ B.T) + 2 * s4 * (es.xvs @ fs.xvs.T)
+        return num, s4 * np.outer(es.dens, fs.dens)
 
     # -- twist automorphisms ----------------------------------------------------
     def twist_signs(self, x) -> np.ndarray:
@@ -382,10 +403,10 @@ class GriessAlgebra:
         """Involution attached to e, applied to f (both norm-1/4 idempotents)."""
         if e == f or self.inner(e, f) == 0:
             return f
-        return self.sigma_images(e, [f])[0]
+        return self.sigma_images(e, f.batch)[0]
 
-    def sigma_images(self, e: GriessElement, fs) -> list[GriessElement]:
-        """sigma_e(f) = e + f - 4 e f for every f in `fs`, each at <e,f> = 1/32.
+    def sigma_images(self, e: GriessElement, fs: ElementBatch) -> ElementBatch:
+        """sigma_e(f) = e + f - 4 e f for every row f of `fs`, each at <e,f> = 1/32.
 
         The products e f come from `_product_numerators`.  A failed check
         raises SigmaImageError naming the first bad row, before the
@@ -399,18 +420,15 @@ class GriessAlgebra:
         e.den f.den s2^2 by (2 s2^2 + 4 product_gain) mu.  The norm check
         on a normalised image g is bounded by inner_gain g.mag^2.
         """
-        if not fs:
-            return []
+        if not len(fs):
+            return fs
         s4 = self.s2 * self.s2
         gain = self.inner_gain + 2 * s4 + 4 * self.product_gain
-        for row, f in enumerate(fs):
-            if gain * e.mag * f.mag >= INT_GUARD:
+        for row, mag in enumerate(fs.mags.tolist()):
+            if gain * e.mag * mag >= INT_GUARD:
                 raise SigmaImageError(
                     row, "operands too large for exact int64 arithmetic")
-        A, a = e.cart, e.xv
-        B = np.stack([f.cart for f in fs])
-        X = np.stack([f.xv for f in fs])
-        fden = np.array([f.den for f in fs], dtype=np.int64)
+        A, a, B, X, fden = e.cart, e.xv, fs.carts, fs.xvs, fs.dens
         ip = 2 * np.einsum("ij,kji->k", A, B) + 2 * s4 * (X @ a)
         for row, (num, den) in enumerate(zip(ip.tolist(), fden.tolist())):
             if 32 * num != s4 * e.den * den:
@@ -420,16 +438,15 @@ class GriessAlgebra:
         cart, xv = self._product_numerators(e, B, X)
         g_cart = A * (s4 * fden)[:, None, None] + B * (s4 * e.den) - 4 * cart
         g_xv = a * (s4 * fden)[:, None] + X * (s4 * e.den) - 4 * xv
-        images = GriessElement.from_rows(self, g_cart, g_xv, s4 * e.den * fden)
-        for row, g in enumerate(images):
-            if self.inner_gain * g.mag * g.mag >= INT_GUARD:
+        images = ElementBatch(self, g_cart, g_xv, s4 * e.den * fden)
+        for row, mag in enumerate(images.mags.tolist()):
+            if self.inner_gain * mag * mag >= INT_GUARD:
                 raise SigmaImageError(
                     row, "operands too large for exact int64 arithmetic")
-        G = np.stack([g.cart for g in images])
-        Y = np.stack([g.xv for g in images])
+        G, Y = images.carts, images.xvs
         norm = 2 * np.einsum("kij,kji->k", G, G) + 2 * s4 * np.einsum("kp,kp->k", Y, Y)
-        for row, (num, g) in enumerate(zip(norm.tolist(), images)):
-            if 4 * num != s4 * g.den * g.den:
+        for row, (num, den) in enumerate(zip(norm.tolist(), images.dens.tolist())):
+            if 4 * num != s4 * den * den:
                 raise SigmaImageError(
                     row, "sigma image is not a central-charge-1/2 candidate")
         return images
@@ -472,11 +489,17 @@ class GriessAlgebra:
         cols = [self.expand(g) for g in self.products(u, self._basis_elements())]
         return kernel(list(zip(*cols)))
 
-    def _basis_elements(self) -> list[GriessElement]:
-        basis, ell = self.lattice.basis, self.lattice.rank
-        return ([self.from_quadratic(basis[i], basis[j])
-                 for i in range(ell) for j in range(i, ell)]
-                + [self.pair_element(p) for p in range(self.npairs)])
+    def _basis_elements(self) -> ElementBatch:
+        """The labeled basis: the quadratics (b_i b_j^T + b_j b_i^T)/2 for
+        i <= j over the lattice basis b, then one row per pair vector."""
+        basis, npairs, m = self.lattice.basis, self.npairs, self.m
+        i, j = np.triu_indices(self.lattice.rank)
+        quad = np.einsum("ki,kj->kij", basis[i], basis[j])
+        carts = np.concatenate([quad + quad.transpose(0, 2, 1),
+                                np.zeros((npairs, m, m), dtype=np.int64)])
+        xvs = np.concatenate([np.zeros((len(i), npairs), dtype=np.int64),
+                              np.eye(npairs, dtype=np.int64)])
+        return ElementBatch(self, carts, xvs, np.repeat([2, 1], [len(i), npairs]))
 
 
 def verify_twist_chain(algebra: GriessAlgebra, alpha0) -> dict:

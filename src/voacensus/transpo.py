@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import CheckError
-from .census import GRAM_32ND, GRAM_ZERO, CensusError, IsingCensus
+from .census import GRAM_32ND, GRAM_ZERO, IsingCensus, MissingPointError
 from .griess import SigmaImageError
 
 
@@ -130,17 +130,14 @@ def sigma_permutations(census: IsingCensus) -> SigmaTable:
         s = int(np.argmin(known))
         js = np.flatnonzero(partners[s])
         try:
-            images = algebra.sigma_images(census.elements[s],
-                                          [census.elements[j] for j in js])
+            images = algebra.sigma_images(census.elements[s], census.elements[js])
+            table[s, js] = census.element_index(images)
         except SigmaImageError as exc:
             raise SigmaCheckError(
                 f"sigma image of ({s},{js[exc.row]}) failed: {exc}") from exc
-        for j, image in zip(js, images):
-            try:
-                table[s, j] = census.element_index(image)
-            except CensusError as exc:
-                raise SigmaCheckError(
-                    f"census not closed: image of ({s},{j}) is missing") from exc
+        except MissingPointError as exc:
+            raise SigmaCheckError(
+                f"census not closed: image of ({s},{js[exc.row]}) is missing") from exc
         known[s] = True
         seeds.append(s)
         frontier = np.flatnonzero(known)
@@ -157,7 +154,7 @@ def sigma_permutations(census: IsingCensus) -> SigmaTable:
             frontier = np.concatenate(fresh_rows)
     # the partner mask and the last batch of images go before the checks'
     # temporaries come, which keeps the peak lower
-    partners = images = image = None
+    partners = images = None
     return SigmaTable(table, census.gram, seeds)
 
 

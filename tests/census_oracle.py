@@ -37,7 +37,7 @@ def restricted_enumerator(emb: HammingEmbedding) -> tuple[int, ...]:
 def subcensus(census: IsingCensus, indices, source: str) -> IsingCensus:
     """The points of `census` at `indices`, in that order, with their Gram."""
     idx = list(indices)
-    elems = None if census.elements is None else [census.elements[i] for i in idx]
+    elems = None if census.elements is None else census.elements[idx]
     gram = census.gram[np.ix_(idx, idx)].copy()
     return IsingCensus([census.points[i] for i in idx], elems, gram, source,
                        frame_size=census.frame_size, algebra=census.algebra,

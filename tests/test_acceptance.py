@@ -17,7 +17,7 @@ from voacensus import gf2code as gc
 from voacensus import qchar, registry, rootlat
 from voacensus import transpo as tp
 from voacensus.census import GRAM_32ND, GRAM_QUARTER, GRAM_ZERO
-from voacensus.griess import verify_orthogonal_split, verify_twist_chain
+from voacensus.griess import ElementBatch, verify_orthogonal_split, verify_twist_chain
 
 OMEGA_10_PLUS = 2 ** 20 * (2 ** 5 - 1) * (2 ** 2 - 1) * (2 ** 4 - 1) \
     * (2 ** 6 - 1) * (2 ** 8 - 1)
@@ -181,7 +181,7 @@ def test_criterion_08_transposition_and_inductive():
     alg = full.algebra
     wt = alg.conformal_wtilde().element
     phiwt = alg.phi_twist(np.array(registry.alpha0(), dtype=np.int64), wt)
-    x, y = full.element_index(wt), full.element_index(phiwt)
+    x, y = full.element_index(ElementBatch.of(alg, [wt, phiwt])).tolist()
     ind = tp.inductive_structure(table.rows, x, y)
     ouc = tp.group_order(list(registry.sigma_table("uc").rows))
     ok = ok and len(ind["d2_points"]) == 136 and ind["d2_order"] == ouc

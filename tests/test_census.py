@@ -16,7 +16,7 @@ from voacensus import census as cz
 from voacensus import gf2code as gc
 from voacensus import registry
 from voacensus.census import GRAM_32ND, GRAM_QUARTER, GRAM_ZERO
-from voacensus.griess import GriessAlgebra, GriessError
+from voacensus.griess import ElementBatch, GriessAlgebra, GriessError
 
 
 def test_code_census_counts():
@@ -105,7 +105,7 @@ def test_census_closed_under_sigma():
     alg = c.algebra
     for i, j in np.argwhere(np.triu(c.gram == GRAM_32ND, k=1))[:60]:
         g = transpo_oracle.product_sigma_image(alg, c.elements[i], c.elements[j])
-        c.element_index(g)  # raises if missing
+        c.element_index(g.batch)  # raises if missing
 
 
 def test_sigma_type_check_cases():
@@ -161,9 +161,8 @@ def test_rm24_census_equals_lattice_census_gram():
     # points; entry-by-entry Gram agreement under the matching bijection
     code_c = registry.census("code:rm24")
     lat_c = registry.census("lattice:E8H")
-    mapping = [lat_c.element_index(e) for e in code_c.elements]
-    assert sorted(mapping) == list(range(496))
-    m = np.array(mapping)
+    m = lat_c.element_index(code_c.elements)
+    assert sorted(m.tolist()) == list(range(496))
     assert (code_c.gram == lat_c.gram[np.ix_(m, m)]).all()
 
 
@@ -217,16 +216,15 @@ def test_standard_e8_model_isomorphic_census():
             img = lattice_oracle.apply_fraction_map(T, e8.pairs[pt.data[0]])
             vec = np.array([int(x) for x in img], dtype=np.int64)
             sign = -1 if pt.kind == "wminus" else 1
-            mapping.append(dst.element_index(alg.w_vector(
-                e8h.pair_of(vec), sign).element))
+            mapping.append(alg.w_vector(e8h.pair_of(vec), sign).element)
         else:
             img = lattice_oracle.apply_fraction_map(
                 T, np.array(reps[pt.data[0]], dtype=np.int64))
             vec = np.array([int(x) for x in img], dtype=np.int64)
             wt = alg.conformal_wtilde().element
-            mapping.append(dst.element_index(alg.phi_twist(vec, wt)))
-    assert sorted(mapping) == list(range(496))
-    m = np.array(mapping)
+            mapping.append(alg.phi_twist(vec, wt))
+    m = dst.element_index(ElementBatch.of(alg, mapping))
+    assert sorted(m.tolist()) == list(range(496))
     assert (src.gram == dst.gram[np.ix_(m, m)]).all()
 
 
@@ -505,7 +503,7 @@ def test_corrupted_frame_row_is_refused(tag):
     # through coordinate 0 no longer returns to its anchor
     code = registry.code(tag)
     model, table = _paired(code)
-    frame = [model.element_index(e) for e in registry.census(f"code:{tag}").elements[:2]]
+    frame = model.element_index(registry.census(f"code:{tag}").elements[:2]).tolist()
     for row in (np.arange(len(model), dtype=table.rows.dtype), table.rows[frame[1]]):
         corrupted = copy.copy(table)
         corrupted.rows = table.rows.copy()
@@ -527,7 +525,7 @@ def test_gram_law_violation_is_check_error():
     c = registry.census("lattice:A2")
     i, j = map(int, np.argwhere(c.gram == GRAM_ZERO)[0])
     with pytest.raises(cz.CensusCheckError, match="outside"):
-        cz.gram_from_elements([c.elements[i] + c.elements[j]])
+        cz.gram_from_elements((c.elements[i] + c.elements[j]).batch)
 
 
 def test_gram_text_rows():

@@ -475,10 +475,8 @@ def test_orthogonal_to_filters_a_bare_lattice_tag(capsys):
 
 def test_failed_sigma_check_exits_1(monkeypatch):
     good = registry.census("ma3")
-    elems = list(good.elements)
-    elems[0], elems[1] = elems[1], elems[0]
-    swapped = IsingCensus(good.points, elems, good.gram, "swapped",
-                          algebra=good.algebra)
+    swapped = IsingCensus(good.points, good.elements[[1, 0, *range(2, len(good))]],
+                          good.gram, "swapped", algebra=good.algebra)
     # the Gram codes 1/32 for a pair whose elements are orthogonal
     with pytest.raises(transpo.SigmaCheckError,
                        match="inner product 0 admits no involution rule"):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from voacensus import exact, registry, rootlat
 from voacensus.census import GRAM_32ND, GRAM_ZERO, gram_from_elements
-from voacensus.griess import (INT_GUARD, GriessAlgebra, GriessElement, GriessError,
-                              SigmaImageError, verify_orthogonal_split,
+from voacensus.griess import (INT_GUARD, ElementBatch, GriessAlgebra, GriessElement,
+                              GriessError, SigmaImageError, verify_orthogonal_split,
                               verify_twist_chain)
 from voacensus.registry import algebra
 
@@ -20,6 +20,20 @@ from exact_oracle import in_span
 
 CATALOG = ([f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(2, 13)] +
            ["E6", "E7", "E8", "E8H", "D4C", "D6C", "D8C"])
+
+
+def _quadratic(alg, u, v):
+    """The element u_(-1)v_(-1)1 for stored lattice vectors u, v."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    return GriessElement(alg, np.outer(u, v) + np.outer(v, u),
+                         np.zeros(alg.npairs, dtype=np.int64), 2)
+
+
+def _pair_element(alg, p):
+    """The basis vector of root pair p."""
+    xv = np.zeros(alg.npairs, dtype=np.int64)
+    xv[p] = 1
+    return GriessElement(alg, np.zeros((alg.m, alg.m), dtype=np.int64), xv, 1)
 
 
 def test_dimensions():
@@ -81,7 +95,7 @@ def test_commutative_and_invariant_e8_sampled():
         assert (a * b).inner(c) == b.inner(a * c)
     # full commutativity scan on the pair-vector block: the 120 x 120
     # products, one stacked row per left factor, equal their transpose
-    pair_elems = [alg.pair_element(p) for p in range(alg.npairs)]
+    pair_elems = ElementBatch.of(alg, [_pair_element(alg, p) for p in range(alg.npairs)])
     table = [[ab.key() for ab in alg.products(a, pair_elems)] for a in pair_elems]
     assert table == [list(col) for col in zip(*table)]
 
@@ -181,7 +195,7 @@ def test_phi_product_preserving():
         assert alg.phi_twist(x, a).inner(alg.phi_twist(x, b)) == a.inner(b)
     for p in range(0, alg.npairs, 9):
         for q in range(0, alg.npairs, 9):
-            a, b = alg.pair_element(p), alg.pair_element(q)
+            a, b = _pair_element(alg, p), _pair_element(alg, q)
             assert alg.phi_twist(x, a * b) == \
                 alg.phi_twist(x, a) * alg.phi_twist(x, b)
 
@@ -226,28 +240,27 @@ def _point_with_partners():
     """e8full point 0, its 1/32 partners and the points orthogonal to it."""
     c = registry.census("e8full")
     row = c.gram[0]
-    return (c.algebra, c.elements[0],
-            [c.elements[j] for j in np.flatnonzero(row == GRAM_32ND)],
-            [c.elements[j] for j in np.flatnonzero(row == GRAM_ZERO)])
+    return (c.algebra, c.elements[0], c.elements[np.flatnonzero(row == GRAM_32ND)],
+            c.elements[np.flatnonzero(row == GRAM_ZERO)])
 
 
 def test_sigma_images_refuse_bad_rows():
     alg, e, partners, orthogonal = _point_with_partners()
     f, h = partners[:2]
-    assert [g.key() for g in alg.sigma_images(e, [f, h])] == \
+    assert [g.key() for g in alg.sigma_images(e, partners[:2])] == \
         [transpo_oracle.product_sigma_image(alg, e, x).key() for x in (f, h)]
-    assert alg.sigma_images(e, []) == []
+    assert len(alg.sigma_images(e, partners[:0])) == 0
     # a 0 pair in the batch is not taken for a fixed point
     with pytest.raises(SigmaImageError,
                        match="inner product 0 admits no involution rule") as exc:
-        alg.sigma_images(e, [f, orthogonal[0], h])
+        alg.sigma_images(e, ElementBatch.of(alg, [f, orthogonal[0], h]))
     assert exc.value.row == 1
     # f + z meets e at 1/32, but with z orthogonal to e, f and sigma_e(f)
     # its image sigma_e(f) + z has norm 1/2
     image = transpo_oracle.product_sigma_image(alg, e, f)
     z = next(z for z in orthogonal if z.inner(f) == 0 and z.inner(image) == 0)
     with pytest.raises(SigmaImageError, match="central-charge-1/2 candidate") as exc:
-        alg.sigma_images(e, [h, f + z])
+        alg.sigma_images(e, ElementBatch.of(alg, [h, f + z]))
     assert exc.value.row == 1
     # entries near 2^40 with <e, f> = 1/32 still: refused, not wrapped, and
     # before any arithmetic, so also behind a 0 pair
@@ -255,31 +268,51 @@ def test_sigma_images_refuse_bad_rows():
     assert big.inner(e) == Fraction(1, 32) and big.mag >= 2 ** 40
     for batch in ([f, big], [orthogonal[0], big]):
         with pytest.raises(SigmaImageError, match="too large") as exc:
-            alg.sigma_images(e, batch)
+            alg.sigma_images(e, ElementBatch.of(alg, batch))
         assert exc.value.row == 1
     with pytest.raises(GriessError, match="too large"):
         alg.sigma_image(e, big)
 
 
-def _rows_by_constructor(cls, alg, carts, xvs, dens):
-    """Oracle: each row normalised by its own GriessElement constructor."""
-    return [GriessElement(alg, c, x, d) for c, x, d in zip(carts, xvs, dens.tolist())]
+def _canonical_rows(carts, xvs, dens):
+    """Oracle: (den, cart, xv, mag) of each row on Python ints, divided by
+    the gcd of its integers and its denominator; mag its largest integer."""
+    out = []
+    for cart, xv, den in zip([np.ravel(c).tolist() for c in carts],
+                             np.asarray(xvs).tolist(), np.asarray(dens).tolist()):
+        g = gcd(*cart, *xv, den)
+        cart, xv, den = [x // g for x in cart], [x // g for x in xv], den // g
+        out.append((den, cart, xv, max(max(map(abs, cart + xv), default=0), den)))
+    return out
+
+
+def _rows(batch):
+    """(den, cart, xv, mag) of each row of a batch, for `_canonical_rows`."""
+    return list(zip(batch.dens.tolist(), [c.ravel().tolist() for c in batch.carts],
+                    batch.xvs.tolist(), batch.mags.tolist()))
 
 
 @pytest.mark.parametrize("spec", ["e8full", "me8", "uc", "code:rm24"])
-def test_row_normalised_sigma_images_match_constructor(spec, monkeypatch):
+def test_row_normalised_sigma_images_match_constructor(spec):
+    # the images' rows as the rule forms them, e + f - 4 e f over
+    # e.den f.den s2^2 on Python ints, then normalised by the oracle
     c = registry.census(spec)
-    rows = []
+    alg = c.algebra
+    s4 = alg.s2 ** 2
     for s in registry.sigma_table(spec).seeds:
-        partners = [c.elements[j] for j in np.flatnonzero(c.gram[s] == GRAM_32ND)]
-        rows.append((s, partners, c.algebra.sigma_images(c.elements[s], partners)))
-    monkeypatch.setattr(GriessElement, "from_rows", classmethod(_rows_by_constructor))
-    for s, partners, got in rows:
-        want = c.algebra.sigma_images(c.elements[s], partners)
-        assert [(g.key(), g.mag) for g in got] == [(g.key(), g.mag) for g in want]
+        e = c.elements[s]
+        partners = c.elements[np.flatnonzero(c.gram[s] == GRAM_32ND)]
+        cart, xv = alg._product_numerators(e, partners.carts, partners.xvs)
+        fden = partners.dens.astype(object)
+        g_cart = (e.cart.astype(object) * (s4 * fden)[:, None, None]
+                  + partners.carts.astype(object) * (s4 * e.den) - 4 * cart.astype(object))
+        g_xv = (e.xv.astype(object) * (s4 * fden)[:, None]
+                + partners.xvs.astype(object) * (s4 * e.den) - 4 * xv.astype(object))
+        want = _canonical_rows(g_cart, g_xv, s4 * e.den * fden)
+        assert _rows(alg.sigma_images(e, partners)) == want
 
 
-def test_from_rows_matches_constructor():
+def test_batch_matches_row_oracle():
     alg = algebra("D4")
     rng = np.random.default_rng(7)
     k, m, p = 40, alg.m, alg.npairs
@@ -291,32 +324,47 @@ def test_from_rows_matches_constructor():
     carts, xvs, dens = (carts * scale[:, None, None], xvs * scale[:, None],
                         dens * scale)
     carts[3], xvs[3] = 0, 0                 # the zero element over dens[3]
-    got = GriessElement.from_rows(alg, carts, xvs, dens)
-    want = _rows_by_constructor(GriessElement, alg, carts, xvs, dens)
-    assert [(g.key(), g.mag) for g in got] == [(g.key(), g.mag) for g in want]
-    assert GriessElement.from_rows(alg, carts[:0], xvs[:0], dens[:0]) == []
+    got = ElementBatch(alg, carts, xvs, dens)
+    assert _rows(got) == _canonical_rows(carts, xvs, dens)
+    assert _rows(got)[3] == (1, [0] * (m * m), [0] * p, 1)
+    # one row through the element constructor, and the empty batch
+    assert [(g.key(), g.mag) for g in got] == \
+        [(GriessElement(alg, c, x, d).key(), GriessElement(alg, c, x, d).mag)
+         for c, x, d in zip(carts, xvs, dens.tolist())]
+    empty = ElementBatch(alg, carts[:0], xvs[:0], dens[:0])
+    assert len(empty) == 0 and _rows(empty) == [] and list(empty) == []
 
 
-def test_batch_elements_own_their_rows():
-    # a kept element must not hold a view of its batch's stacked arrays
-    alg, e, partners, _ = _point_with_partners()
-    for out in (alg.sigma_images(e, partners), alg.products(e, partners)):
-        assert out and all(g.cart.base is None and g.xv.base is None for g in out)
-
-
-def test_from_rows_guards_each_row():
+def test_batch_guards_each_row():
     alg = algebra("A2")
     carts = np.zeros((3, alg.m, alg.m), dtype=np.int64)
     carts[:, 0, 0] = 1
     xvs = np.zeros((3, alg.npairs), dtype=np.int64)
     dens = np.array([1, 2 ** 62 + 1, 3], dtype=np.int64)
     with pytest.raises(SigmaImageError, match="overflow guard") as exc:
-        GriessElement.from_rows(alg, carts, xvs, dens)
+        ElementBatch(alg, carts, xvs, dens)
     assert exc.value.row == 1
     with pytest.raises(GriessError, match="overflow guard"):
         GriessElement(alg, carts[1], xvs[1], 2 ** 62 + 1)
     with pytest.raises(GriessError, match="positive"):
-        GriessElement.from_rows(alg, carts, xvs, np.array([1, 0, 3]))
+        ElementBatch(alg, carts, xvs, np.array([1, 0, 3]))
+    # the element constructor took a 0 denominator silently
+    with pytest.raises(GriessError, match="positive"):
+        GriessElement(alg, carts[0], xvs[0], 0)
+
+
+def test_census_points_are_read_only():
+    # the points view their census's rows: an in-place write must not reach
+    # the cached census every later job reads
+    me8 = registry.census("me8")
+    point = me8.elements[0]
+    with pytest.raises(ValueError, match="read-only"):
+        point.cart[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        point.xv[0] = 1
+    for rows in (me8.elements.carts, me8.elements.xvs, me8.elements.dens,
+                 me8.elements.mags, me8.elements[[2, 0]].carts):
+        assert not rows.flags.writeable
 
 
 KERNEL_TAGS = ["E8", "E8H", "D4C", "A2"]
@@ -342,7 +390,7 @@ def _left_factors(alg):
 def test_products_on_each_pair_support_match_structure_constants(tag):
     alg = algebra(tag)
     lefts = _left_factors(alg)
-    rights = alg._basis_elements() + list(lefts.values())
+    rights = ElementBatch.of(alg, [*alg._basis_elements(), *lefts.values()])
     for name, e in lefts.items():
         got = alg.products(e, rights)
         want = [transpo_oracle.pair_product(alg, e, f) for f in rights]
@@ -360,13 +408,13 @@ def test_sigma_images_on_each_pair_support_match_structure_constants(tag):
             f = c.elements[0]
             with pytest.raises(SigmaImageError,
                                match=f"^inner product {alg.inner(e, f)} admits") as exc:
-                alg.sigma_images(e, [f])
+                alg.sigma_images(e, f.batch)
             assert exc.value.row == 0
             continue
         if e.inner(e) != Fraction(1, 4):
             continue        # wtilde off the rank-8 E models
-        s = c.element_index(e)
-        partners = [c.elements[j] for j in np.flatnonzero(c.gram[s] == GRAM_32ND)]
+        s = int(c.element_index(e.batch)[0])
+        partners = c.elements[np.flatnonzero(c.gram[s] == GRAM_32ND)]
         assert partners
         got = alg.sigma_images(e, partners)
         want = [transpo_oracle.product_sigma_image(alg, e, f) for f in partners]
@@ -385,9 +433,9 @@ def test_kernel_refuses_a_large_operand_before_arithmetic(monkeypatch):
 
     monkeypatch.setattr(GriessAlgebra, "_product_numerators", refuse)
     with pytest.raises(GriessError, match="too large"):
-        alg.products(e, [f, big])
+        alg.products(e, ElementBatch.of(alg, [f, big]))
     with pytest.raises(SigmaImageError, match="too large") as exc:
-        alg.sigma_images(e, [f, big])
+        alg.sigma_images(e, ElementBatch.of(alg, [f, big]))
     assert exc.value.row == 1
 
 
@@ -432,7 +480,7 @@ def test_point_batch_twists_match_one_at_a_time(tag):
                  [_twist_by_constructor(alg, x, wt) for x in reps]):
         assert [(g.key(), g.mag) for g in got] == [(w.key(), w.mag) for w in want]
     mixed = alg.point_batch([3, 5], [1, -1], reps[:4], wt)
-    assert mixed == [_w_by_constructor(alg, 3, 1), _w_by_constructor(alg, 5, -1),
+    assert list(mixed) == [_w_by_constructor(alg, 3, 1), _w_by_constructor(alg, 5, -1),
                      *got[:4]]
     # (1, 0^7) meets a root at 1/2 in both models
     off = (1, 0, 0, 0, 0, 0, 0, 0)
@@ -500,7 +548,7 @@ def test_element_json_roundtrip():
     alg = algebra("A3")
     with pytest.raises(GriessError, match="outside the root span"):
         alg.expand(_diagonal_element(alg, 1))
-    off = alg.from_quadratic(np.ones(4, dtype=np.int64), alg.lattice.basis[0])
+    off = _quadratic(alg, np.ones(4, dtype=np.int64), alg.lattice.basis[0])
     with pytest.raises(GriessError, match="outside the root span"):
         (off + alg.conformal_wtilde().element).to_json()
 
@@ -552,14 +600,14 @@ def test_int64_wrap_is_refused():
     with pytest.raises(GriessError, match="too large"):
         e40 + GriessElement(alg, e40.cart, e40.xv, 2 ** 23 + 1)
     with pytest.raises(GriessError, match="too large"):
-        gram_from_elements([e40, e40])
+        gram_from_elements(ElementBatch.of(alg, [e40, e40]))
 
 
 def test_inner_numerators_match_inner_on_e8_census():
     c = registry.census("lattice:E8")
     cons = [registry.constraint_element(c.algebra, name)
             for name in ("wtilde", "s", "phi:alpha0")]
-    nums, dens = c.algebra.inner_numerators(c.elements, cons)
+    nums, dens = c.algebra.inner_numerators(c.elements, ElementBatch.of(c.algebra, cons))
     assert nums.shape == dens.shape == (len(c), 3)
     for e, num_row, den_row in zip(c.elements, nums.tolist(), dens.tolist()):
         assert [Fraction(n, d) for n, d in zip(num_row, den_row)] == \
@@ -612,7 +660,7 @@ def test_product_and_inner_match_object_reference(case):
     alg, a, b = case
     s4 = alg.s2 * alg.s2
     got_prod, got_inner = alg.product(a, b), alg.inner(a, b)
-    stacked = alg.products(a, [b, a])
+    stacked = alg.products(a, ElementBatch.of(alg, [b, a]))
     pair = transpo_oracle.pair_product(alg, a, b)
     for got, (x, y) in ((got_prod, (a, b)), (stacked[0], (a, b)), (pair, (a, b)),
                         (stacked[1], (a, a))):
@@ -625,10 +673,11 @@ def test_product_and_inner_match_object_reference(case):
         + 2 * s4 * a.xv.astype(object).dot(b.xv.astype(object))
     assert got_inner == Fraction(num, s4 * a.den * b.den)
     if 32 * alg.inner_gain * a.mag * b.mag < INT_GUARD:
-        nums, dens = alg.inner_numerators([a, b], [b, a])
+        nums, dens = alg.inner_numerators(ElementBatch.of(alg, [a, b]),
+                                          ElementBatch.of(alg, [b, a]))
         assert [[Fraction(int(n), int(d)) for n, d in zip(*row)]
                 for row in zip(nums, dens)] == \
             [[alg.inner(e, f) for f in (b, a)] for e in (a, b)]
     else:
         with pytest.raises(GriessError, match="too large"):
-            alg.inner_numerators([a], [b])
+            alg.inner_numerators(a.batch, b.batch)

@@ -7,8 +7,14 @@ of its own definition.  A name that only the tests reach belongs in
 `tests/`.  Exempt are dunders, the functions `perfbench/tracer.py` wraps by
 name (its TARGETS), and the pinned names below, each with its reason.
 
+A use is matched to a definition by bare name, so a dead method passes when
+another definition of its name is called.  Every definition whose bare name
+`src/` defines more than once is therefore pinned in SHARED, with the `src/`
+use of each, and a new or vanished shared name fails the test until it is
+reviewed and pinned.
+
 Run as a script, this prints the names the scan exempts, one per line with
-its reason.
+its reason, then the shared names.
 """
 
 import ast
@@ -30,6 +36,25 @@ PINNED = {
     ("census", "sigma_type_check"):
         "the paper's parity rule: a Hamming block is of sigma type when every "
         "codeword meets its support evenly (ROADMAP item 4)",
+}
+
+# (module, qualified name) of a definition whose bare name is defined more
+# than once in src/ -> its own src/ use, which the bare-name scan cannot tell
+# from the others'
+SHARED = {
+    ("census", "IsingPoint.to_json"): "IsingCensus.to_json, point by point",
+    ("census", "IsingCensus.to_json"): "cli: the census report",
+    ("exact", "rref"): "exact.inverse and exact.kernel: the rational elimination",
+    ("gf2code", "rref"): "BinaryCode.from_rows and hamming_embeddings: GF(2) bases",
+    ("gf2code", "BinaryCode.words"): "min_weight, hamming_embeddings, sigma_type_check",
+    ("gf2code", "HammingEmbedding.words"): "census._coset_reps and the embedding order",
+    ("griess", "GriessElement.inner"): "cli griess inner and build, the verify reports",
+    ("griess", "GriessAlgebra.inner"): "GriessElement.inner and sigma_image",
+    ("griess", "GriessElement.is_zero"): "verify_orthogonal_split",
+    ("qchar", "QSeries.is_zero"): "the tower step of qchar",
+    ("griess", "GriessElement.coords"): "GriessElement.to_json",
+    ("rootlat", "RootLattice.coords"): "RootLattice membership and the theta shift",
+    ("griess", "GriessElement.to_json"): "cli griess product",
 }
 
 
@@ -82,6 +107,17 @@ def uncalled() -> list[tuple[str, str]]:
                         for m, line in used.get(name, ()))]
 
 
+def shared() -> set[tuple[str, str]]:
+    """(module, qualname) of every non-dunder definition whose bare name
+    src/ defines more than once."""
+    defs = [(mod, qual, name) for mod, qual, name, *_ in _scan()[0]
+            if not (name.startswith("__") and name.endswith("__"))]
+    counts: dict[str, int] = {}
+    for _, _, name in defs:
+        counts[name] = counts.get(name, 0) + 1
+    return {(mod, qual) for mod, qual, name in defs if counts[name] > 1}
+
+
 def exemptions(names) -> dict[tuple[str, str], str]:
     """Those of the uncalled `names` the scan lets stand, with the reason
     for each."""
@@ -97,6 +133,14 @@ def test_every_src_name_has_a_src_caller():
     assert left == [], "defined in src/ but used only outside it: " + ", ".join(left)
 
 
+def test_shared_names_are_pinned():
+    # a dead method whose name another definition shares passes the scan
+    # above: each shared name is pinned with its own use, and a new one fails
+    found, pinned = shared(), set(SHARED)
+    assert (sorted(found - pinned), sorted(pinned - found)) == ([], []), \
+        "(shared names without a pin, pins of names no longer shared)"
+
+
 def test_pinned_names_are_defined_and_uncalled():
     # a pinned name that is gone or has gained a src/ caller is a stale pin
     defined = {(mod, qual) for mod, qual, *_ in _scan()[0]}
@@ -107,3 +151,5 @@ def test_pinned_names_are_defined_and_uncalled():
 if __name__ == "__main__":
     for (mod, qual), reason in sorted(exemptions(uncalled()).items()):
         print(f"{mod}.{qual}: {reason}")
+    for mod, qual in sorted(shared()):
+        print(f"{mod}.{qual}: shared name; used by {SHARED.get((mod, qual), 'UNPINNED')}")

@@ -131,7 +131,7 @@ def _product_table(c):
         return table
     for i, j in np.argwhere(np.triu(c.gram == GRAM_32ND, k=1)):
         img = oracle.product_sigma_image(c.algebra, c.elements[i], c.elements[j])
-        table[i, j] = table[j, i] = c.element_index(img)
+        table[i, j] = table[j, i] = c.element_index(img.batch)[0]
     return table
 
 
@@ -157,7 +157,7 @@ def test_closure_table_matches_product_oracle(spec):
 def test_seed_rows_match_product_oracle(spec):
     c = registry.census(spec)
     for s in registry.sigma_table(spec).seeds:
-        partners = [c.elements[j] for j in np.flatnonzero(c.gram[s] == GRAM_32ND)]
+        partners = c.elements[np.flatnonzero(c.gram[s] == GRAM_32ND)]
         got = c.algebra.sigma_images(c.elements[s], partners)
         want = [oracle.product_sigma_image(c.algebra, c.elements[s], f)
                 for f in partners]
