@@ -20,6 +20,10 @@ from .gf2code import BinaryCode, HammingEmbedding
 from .griess import ElementBatch, GriessAlgebra, GriessElement
 
 GRAM_ZERO, GRAM_32ND, GRAM_QUARTER, GRAM_UNKNOWN = 0, 1, 2, 3
+# rows per block of an n x n stage of a realized census (its Gram here, the
+# sigma-table checks in `transpo`): a stage holds its int8 or int32 result
+# and block-sized temporaries, never an n x n int64 one
+BLOCK_ROWS = 64
 
 
 class CensusError(ValueError):
@@ -128,19 +132,26 @@ class IsingCensus:
 
 
 def gram_from_elements(elements: ElementBatch) -> np.ndarray:
-    """Coded Gram matrix of realized points; validates the 0 / 1-32 / 1-4 law."""
-    if not len(elements):
-        return np.zeros((0, 0), dtype=np.int8)
-    num, den = elements.alg.inner_numerators(elements, elements)
-    gram = np.full(num.shape, -1, dtype=np.int8)
-    gram[num == 0] = GRAM_ZERO
-    gram[32 * num == den] = GRAM_32ND
-    gram[4 * num == den] = GRAM_QUARTER
-    if (gram < 0).any():
-        i, j = map(int, np.argwhere(gram < 0)[0])
-        raise CensusCheckError(
-            f"inner product of points {i},{j} is {Fraction(int(num[i, j]), int(den[i, j]))},"
-            " outside {0, 1/32, 1/4}")
+    """Coded Gram matrix of realized points; validates the 0 / 1-32 / 1-4 law.
+
+    Classified BLOCK_ROWS rows at a time, from `inner_numerators(block,
+    elements)`; the blocks run in row order, so the error names the first
+    bad pair (i, j) in row-major order.
+    """
+    n = len(elements)
+    gram = np.empty((n, n), dtype=np.int8)
+    for lo in range(0, n, BLOCK_ROWS):
+        num, den = elements.alg.inner_numerators(elements[lo:lo + BLOCK_ROWS], elements)
+        block = gram[lo:lo + BLOCK_ROWS]
+        block.fill(-1)
+        block[num == 0] = GRAM_ZERO
+        block[32 * num == den] = GRAM_32ND
+        block[4 * num == den] = GRAM_QUARTER
+        if (block < 0).any():
+            i, j = map(int, np.argwhere(block < 0)[0])
+            raise CensusCheckError(
+                f"inner product of points {lo + i},{j} is "
+                f"{Fraction(int(num[i, j]), int(den[i, j]))}, outside {{0, 1/32, 1/4}}")
     if not (np.diag(gram) == GRAM_QUARTER).all():
         raise CensusCheckError("a census point does not have norm 1/4")
     return gram
@@ -186,7 +197,8 @@ def commutant_filter(lattice: rootlat.RootLattice, algebra: GriessAlgebra,
     points, elements = _lattice_points(lattice, algebra)
     num, _ = algebra.inner_numerators(elements, ElementBatch.of(algebra, constraints))
     idx = np.flatnonzero(~num.any(axis=1))
-    kept = elements[idx]
+    # with every point kept, the batch itself: an index would copy it
+    kept = elements if len(idx) == len(elements) else elements[idx]
     return IsingCensus([points[i] for i in idx.tolist()], kept, gram_from_elements(kept),
                        source, frame_size=2 * lattice.rank, algebra=algebra)
 

@@ -38,6 +38,12 @@ MAX_CUTOFF = 10_000
 # seconds at cutoff 1000; the tower walk grows faster than N^2 (man:64:0
 # takes about a second at cutoff 8, man:200:0 25 s)
 MAX_RANK = 32
+# the largest level of a w:l:j:k or affine:l:j series (the catalog's go to
+# 8): each affine depth slice is about as wide as the level, and a w:
+# character runs to a depth of about cutoff + level, so at cutoff 8 w:64:0:0
+# takes 0.2 s, w:256:0:0 0.9 s and w:500:0:0 about 4 s; at cutoff 1000
+# affine:2:0 takes 2 s, affine:64:32 8 s and affine:500:250 28 s
+MAX_LEVEL = 64
 
 
 def _default_cutoff() -> int:
@@ -275,6 +281,7 @@ def _show_series(spec: str, cutoff: int) -> dict:
         series = character(tag, cutoff)
     elif kind == "w":
         level, j, k = map(int, parts)
+        _check_level(spec, level)
         series = qchar.w_character(level, j, k, cutoff)
     elif kind == "man":
         N, twos = map(int, parts)
@@ -284,11 +291,18 @@ def _show_series(spec: str, cutoff: int) -> dict:
         series = qchar.man_character(N, twos, cutoff)
     else:
         level, j = map(int, parts)
+        _check_level(spec, level)
         two = qchar.affine_sl2_character(level, j, cutoff)
         series = two.specialize_z1()
     return {"object": spec, "denom": series.denom,
             "cutoff": str(series.cutoff),
             "terms": [[str(e), c] for e, c in series.items()]}
+
+
+def _check_level(spec: str, level: int) -> None:
+    if level > MAX_LEVEL:
+        raise registry.RegistryError(
+            f"{spec} has level {level}, above the ceiling {MAX_LEVEL}")
 
 
 def _emit(report: dict, fmt: str, output) -> None:

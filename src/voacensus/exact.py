@@ -8,17 +8,68 @@ coordinates over a lattice or quadratic basis are read off a Gram inverse
 Entries may be Python ints, Fractions or numpy integers; numpy integers are
 turned into Python ints first, because Fraction(np.int64(x)) keeps the
 fixed-width type and its arithmetic would wrap silently.
+
+`int_product` is the one integer matrix product of `griess` and `rootlat`:
+it checks its bound before it multiplies, and takes BLAS where float64 is
+exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
 
 _ZERO = Fraction(0)
+# int64 arithmetic is refused when a result may reach this in magnitude
+INT_GUARD = 1 << 62
+# every integer of magnitude up to 2^53 is a float64
+FLOAT_EXACT = 1 << 53
+
+
+def _product_dtype(bound: int, error: type[Exception]) -> type:
+    """The dtype a product runs in when every partial sum it forms is at
+    most `bound` in magnitude: float64 below 2^53, where each partial sum is
+    an integer float64 holds exactly, in any summation order; int64 below
+    INT_GUARD; past that, `error`."""
+    if bound >= INT_GUARD:
+        raise error("operands too large for exact int64 arithmetic")
+    return np.float64 if bound < FLOAT_EXACT else np.int64
+
+
+def _mag(x: np.ndarray) -> int:
+    """The largest |entry| of an integer array, on Python ints (abs of the
+    int64 minimum would wrap)."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+def int_product(a, b, subscripts: str | None = None, *,
+                error: type[Exception]) -> np.ndarray:
+    """a @ b, or np.einsum(subscripts, a, b), of integer arrays, as int64.
+
+    The bound k max|a| max|b|, k the number of terms in each output sum (the
+    inner length of a matmul; the product of the summed labels' sizes of an
+    einsum), dominates every partial sum, and is computed on Python ints
+    before anything is multiplied.  It alone picks the path (see
+    `_product_dtype`): below 2^53 the operands go to float64 and a matmul to
+    BLAS, whose thread count and summation order cannot change an exact
+    result; below INT_GUARD the product runs in int64.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if subscripts is None:
+        k = a.shape[-1]
+    else:
+        inputs, out = subscripts.split("->")
+        sizes = {}
+        for labels, x in zip(inputs.split(","), (a, b)):
+            sizes.update(zip(labels, x.shape))
+        k = prod(size for label, size in sizes.items() if label not in out)
+    dtype = _product_dtype(k * _mag(a) * _mag(b), error)
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    out = np.matmul(a, b) if subscripts is None else np.einsum(subscripts, a, b)
+    return out.astype(np.int64, copy=False)
 
 
 def _int_row(row) -> list[int]:

@@ -5,7 +5,9 @@ symmetric Heisenberg quadratics plus one vector per root pair {a, -a}.
 Elements are stored as an integer symmetric ambient matrix (the quadratic
 part, in stored lattice coordinates) plus an integer vector over root pairs,
 over a common positive denominator.  All products, bilinear forms and kernels
-are exact; numpy is used only as an integer container.
+are exact: numpy holds the integers, and every matrix product of them is an
+`exact.int_product`, which checks its bound first and runs in float64 only
+where every partial sum is an integer below 2^53.
 
 Structure constants (s2 = metric divisor of stored coordinates):
   quad x quad:   2(AB + BA)/s2
@@ -21,19 +23,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 import numpy as np
 
-from .exact import inverse, kernel
+from .exact import INT_GUARD, int_product, inverse, kernel
 from .rootlat import LatticeError, RootLattice, _hnf_basis
 
 DIM_GUARD = 512
-INT_GUARD = 1 << 62
 
 
 class GriessError(ValueError):
     pass
+
+
+# every integer matrix product here: bounded first, on BLAS where exact
+_product = partial(int_product, error=GriessError)
 
 
 class SigmaImageError(GriessError):
@@ -217,7 +223,7 @@ class GriessAlgebra:
         self.dimension = guard_dimension(lattice.rank, self.npairs)
         P = self.pairs
         # ordered pair-products landing on another pair: (p, q) -> r
-        dots = (P @ P.T) // s2
+        dots = _product(P, P.T) // s2
         tp, tq = np.nonzero(np.abs(dots) == 1)
         # the root p - <p,q> q, signed as `pair_of` signs it (first nonzero
         # entry positive); 512 rows at a time, since whole-table temporaries
@@ -243,7 +249,7 @@ class GriessAlgebra:
             raise LatticeError(f"{lattice.name}: a pair product has two sources")
         self._pair_source = source
         self._tp, self._tq, self._tr = tp, tq, targets
-        self._pair_outer = np.einsum("pi,pj->pij", P, P)
+        self._pair_outer = _product(P, P, "pi,pj->pij")
         # |integer| of a product / inner numerator <= gain * a.mag * b.mag
         pmax = int(np.abs(P).max(initial=0))
         self.product_gain = (4 * s2 * m + 2 * s2 * s2 * self.npairs * pmax ** 2
@@ -257,9 +263,9 @@ class GriessAlgebra:
     # -- constructors ---------------------------------------------------------
     def _build_omega(self, basis: np.ndarray, gram_inverse) -> GriessElement:
         # omega = (s2/2) * projection onto the span of `basis`, as an exact
-        # matrix; `gram_inverse` is inverse(basis @ basis.T)
+        # matrix; `gram_inverse` is inverse(basis basis^T)
         num, den = gram_inverse
-        proj_num = basis.T @ num @ basis  # projection * den
+        proj_num = _product(_product(basis.T, num), basis)  # projection * den
         return GriessElement(self, (self.s2 * proj_num).astype(np.int64),
                              np.zeros(self.npairs, dtype=np.int64), 2 * den)
 
@@ -320,7 +326,7 @@ class GriessAlgebra:
         """(s, wtilde) of an embedded indecomposable root sublattice."""
         sub = np.array([np.asarray(r, dtype=np.int64) for r in sub_roots])
         sub_basis = _hnf_basis(sub)
-        omega_sub = self._build_omega(sub_basis, inverse(sub_basis @ sub_basis.T))
+        omega_sub = self._build_omega(sub_basis, inverse(_product(sub_basis, sub_basis.T)))
         pair_ids = sorted({self.lattice.pair_of(r) for r in sub})
         return self._conformal_pair(omega_sub, pair_ids, len(sub_basis),
                                     len(sub) // len(sub_basis))
@@ -352,19 +358,20 @@ class GriessAlgebra:
             return slice(None) if mask.all() else np.flatnonzero(mask)
         nz = support(a != 0)
         outer = self._pair_outer.reshape(npairs, m * m)
-        cart = (2 * s2 * (A @ B + B @ A)
-                + 2 * s4 * ((a[nz] * X[:, nz]) @ outer[nz]).reshape(-1, m, m))
-        xv = 2 * (outer @ A.ravel()) * X
-        xv[:, nz] += 2 * (B.reshape(-1, m * m) @ outer[nz].T) * a[nz]
+        cart = (2 * s2 * (_product(A, B) + _product(B, A))
+                + 2 * s4 * _product(a[nz] * X[:, nz], outer[nz]).reshape(-1, m, m))
+        xv = 2 * _product(outer, A.ravel()) * X
+        xv[:, nz] += 2 * _product(B.reshape(-1, m * m), outer[nz].T) * a[nz]
         pair_pair = np.append(s4 * a, 0)[self._pair_source]
         rows, cols = support(pair_pair.any(axis=1)), support(pair_pair.any(axis=0))
-        xv[:, cols] += X[:, rows] @ pair_pair[rows][:, cols]
+        xv[:, cols] += _product(X[:, rows], pair_pair[rows][:, cols])
         return cart, xv
 
     def inner(self, a: GriessElement, b: GriessElement) -> Fraction:
         _guard(self.inner_gain * a.mag * b.mag)
         s4 = self.s2 * self.s2
-        num = 2 * int(np.trace(a.cart @ b.cart)) + 2 * s4 * int(a.xv @ b.xv)
+        num = (2 * int(np.trace(_product(a.cart, b.cart)))
+               + 2 * s4 * int(_product(a.xv, b.xv)))
         return Fraction(num, s4 * a.den * b.den)
 
     def inner_numerators(self, es: ElementBatch,
@@ -383,13 +390,13 @@ class GriessAlgebra:
         s4, mm = self.s2 * self.s2, self.m * self.m
         A = es.carts.reshape(-1, mm)
         B = fs.carts.transpose(0, 2, 1).reshape(-1, mm)
-        num = 2 * (A @ B.T) + 2 * s4 * (es.xvs @ fs.xvs.T)
+        num = 2 * _product(A, B.T) + 2 * s4 * _product(es.xvs, fs.xvs.T)
         return num, s4 * np.outer(es.dens, fs.dens)
 
     # -- twist automorphisms ----------------------------------------------------
     def twist_signs(self, x) -> np.ndarray:
         """Signs (-1)^<x, a_p> over pairs, one row per lattice vector x."""
-        dots = np.asarray(x, dtype=np.int64) @ self.pairs.T
+        dots = _product(np.asarray(x, dtype=np.int64), self.pairs.T)
         if (dots % self.s2).any():
             raise GriessError("twist argument pairs non-integrally with roots")
         return np.where((dots // self.s2) % 2 == 0, 1, -1).astype(np.int64)
@@ -429,7 +436,7 @@ class GriessAlgebra:
                 raise SigmaImageError(
                     row, "operands too large for exact int64 arithmetic")
         A, a, B, X, fden = e.cart, e.xv, fs.carts, fs.xvs, fs.dens
-        ip = 2 * np.einsum("ij,kji->k", A, B) + 2 * s4 * (X @ a)
+        ip = 2 * _product(A, B, "ij,kji->k") + 2 * s4 * _product(X, a)
         for row, (num, den) in enumerate(zip(ip.tolist(), fden.tolist())):
             if 32 * num != s4 * e.den * den:
                 raise SigmaImageError(
@@ -444,7 +451,7 @@ class GriessAlgebra:
                 raise SigmaImageError(
                     row, "operands too large for exact int64 arithmetic")
         G, Y = images.carts, images.xvs
-        norm = 2 * np.einsum("kij,kji->k", G, G) + 2 * s4 * np.einsum("kp,kp->k", Y, Y)
+        norm = 2 * _product(G, G, "kij,kji->k") + 2 * s4 * _product(Y, Y, "kp,kp->k")
         for row, (num, den) in enumerate(zip(norm.tolist(), images.dens.tolist())):
             if 4 * num != s4 * den * den:
                 raise SigmaImageError(
@@ -494,7 +501,7 @@ class GriessAlgebra:
         i <= j over the lattice basis b, then one row per pair vector."""
         basis, npairs, m = self.lattice.basis, self.npairs, self.m
         i, j = np.triu_indices(self.lattice.rank)
-        quad = np.einsum("ki,kj->kij", basis[i], basis[j])
+        quad = _product(basis[i], basis[j], "ki,kj->kij")
         carts = np.concatenate([quad + quad.transpose(0, 2, 1),
                                 np.zeros((npairs, m, m), dtype=np.int64)])
         xvs = np.concatenate([np.zeros((len(i), npairs), dtype=np.int64),
@@ -514,7 +521,7 @@ def verify_twist_chain(algebra: GriessAlgebra, alpha0) -> dict:
     wt = algebra.conformal_wtilde().element
     phiwt = algebra.phi_twist(a0, wt)
     wplus = algebra.w_vector(lat.pair_of(a0), 1).element
-    perp = [r for r in lat.roots if int(np.dot(r, a0)) == 0]
+    perp = lat.roots[_product(lat.roots, a0) == 0]
     s_sub, wt_sub = algebra.sublattice_conformal_pair(perp)
     report = {
         "product_rule": wt * phiwt == Fraction(1, 4) * (wt + phiwt - wplus),

@@ -13,13 +13,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import isqrt, lcm
 
 import numpy as np
 
 from . import gf2code
 from .dynkin import LatticeError, lattice_type, root_count
-from .exact import inverse
+from .exact import int_product, inverse
+
+# every integer matrix product here: bounded first, on BLAS where exact
+_product = partial(int_product, error=LatticeError)
 
 
 def _hnf_basis(rows: np.ndarray) -> np.ndarray:
@@ -101,7 +105,7 @@ class RootLattice:
         if len(self.basis) != rank:
             raise LatticeError(f"{name}: roots span rank {len(self.basis)} != {rank}")
         # (numerator, denominator) of the inverse Gram matrix of the basis
-        self.gram_inverse = inverse(self.basis @ self.basis.T)
+        self.gram_inverse = inverse(_product(self.basis, self.basis.T))
 
     def __repr__(self) -> str:
         return f"RootLattice({self.name})"
@@ -161,8 +165,8 @@ class RootLattice:
         than 2^rank classes."""
         roots = self.roots
         num, den = self.gram_inverse
-        coeffs = roots @ (num @ self.basis).T // den
-        i, j = np.nonzero(np.triu(roots @ roots.T == 0))
+        coeffs = _product(roots, _product(num, self.basis).T) // den
+        i, j = np.nonzero(np.triu(_product(roots, roots.T) == 0))
         narrow = roots.astype(np.min_scalar_type(-2 * int(np.abs(roots).max())))
         sums = narrow[i] + narrow[j]
         _, first = np.unique(sums.view(np.dtype((np.void, sums.itemsize * self.ambient)))
@@ -189,7 +193,7 @@ class RootLattice:
         counts = np.where(roots_in > 0, roots_in, np.diff(starts, append=len(norms)))
         frames = np.flatnonzero((roots_in == 0) & (counts == 16))
         arr = vecs[starts[frames][:, None] + np.arange(16)]
-        gram = np.einsum("fim,fjm->fij", arr, arr) // self.scale_sq
+        gram = _product(arr, arr, "fim,fjm->fij") // self.scale_sq
         bad = counts != np.where(roots_in > 0, 2, 16)
         bad[frames] = ~np.isin(gram, [-4, 0, 4]).all(axis=(1, 2))
         if bad.any():
@@ -214,7 +218,8 @@ class RootLattice:
 
 def _gram(basis: np.ndarray, scale_sq: int) -> list[list[Fraction]]:
     """Gram matrix of a basis: the integer basis . basis^T over scale_sq."""
-    return [[Fraction(x, scale_sq) for x in row] for row in (basis @ basis.T).tolist()]
+    return [[Fraction(x, scale_sq) for x in row]
+            for row in _product(basis, basis.T).tolist()]
 
 
 def _basis_gram(lattice: RootLattice) -> list[list[Fraction]]:
@@ -227,7 +232,7 @@ def _shell_roots(scale_sq: int, generators) -> np.ndarray:
     HNF basis and mapped back through that basis."""
     basis = _hnf_basis(np.array(generators, dtype=np.int64))
     coeffs = [x for x, _ in short_vectors(_gram(basis, scale_sq), 2)]
-    return np.array(coeffs, dtype=np.int64).reshape(-1, len(basis)) @ basis
+    return _product(np.array(coeffs, dtype=np.int64).reshape(-1, len(basis)), basis)
 
 
 def short_vectors(gram, bound, shift=None) -> list[tuple[tuple[int, ...], Fraction]]:

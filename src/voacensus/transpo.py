@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import CheckError
-from .census import GRAM_32ND, GRAM_ZERO, IsingCensus, MissingPointError
+from .census import BLOCK_ROWS, GRAM_32ND, GRAM_ZERO, IsingCensus, MissingPointError
 from .griess import SigmaImageError
 
 
@@ -75,23 +75,29 @@ class SigmaTable:
     def __init__(self, rows: np.ndarray, gram: np.ndarray, seeds):
         n = len(rows)
         seeds = np.asarray(seeds, dtype=np.int64)
+        # the scans run BLOCK_ROWS rows y at a time, in row order, so each
+        # names the same first failure a whole-table scan would
+        blocks = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)]
         for s in seeds:
-            if (gram[np.ix_(rows[s], rows[s])] != gram).any():
+            ss = rows[s]
+            if any((gram[np.ix_(ss[y], ss)] != gram[y]).any() for y in blocks):
                 raise SigmaCheckError(f"sigma of point {s} does not preserve the Gram")
         if ((gram == GRAM_32ND).any(axis=1).all()
                 and len({row.tobytes() for row in rows}) != n):
             raise SigmaCheckError("sigma map is not injective on this census")
-        bad = np.flatnonzero((np.take_along_axis(rows, rows, axis=1)
-                              != np.arange(n)).any(axis=1))
-        if len(bad):
-            raise SigmaCheckError(f"sigma of point {bad[0]} is not an involution")
+        for y in blocks:
+            bad = np.flatnonzero((np.take_along_axis(rows[y], rows[y], axis=1)
+                                  != np.arange(n)).any(axis=1))
+            if len(bad):
+                raise SigmaCheckError(f"sigma of point {y.start + bad[0]} is not an involution")
         for s in seeds:
             ss = rows[s]
-            bad = np.flatnonzero((rows[ss] != ss[rows[:, ss]]).any(axis=1))
-            if len(bad):
-                raise SigmaCheckError(
-                    f"two derivations of row {ss[bad[0]]} disagree "
-                    f"(point {bad[0]} conjugated by point {s})")
+            for y in blocks:
+                bad = np.flatnonzero((rows[ss[y]] != ss[rows[y][:, ss]]).any(axis=1))
+                if len(bad):
+                    raise SigmaCheckError(
+                        f"two derivations of row {ss[y.start + bad[0]]} disagree "
+                        f"(point {y.start + bad[0]} conjugated by point {s})")
         # smallest point of each orbit, by relaxation along the seed rows
         low, nxt = None, np.arange(n)
         while not np.array_equal(low, nxt):
@@ -124,14 +130,13 @@ def sigma_permutations(census: IsingCensus) -> SigmaTable:
     table = np.tile(np.arange(n, dtype=np.int32), (n, 1))
     seeds: list[int] = []
     algebra = census.algebra
-    partners = census.gram == GRAM_32ND
     known = np.zeros(n, dtype=bool)
     while not known.all():
         s = int(np.argmin(known))
-        js = np.flatnonzero(partners[s])
+        js = np.flatnonzero(census.gram[s] == GRAM_32ND)
         try:
-            images = algebra.sigma_images(census.elements[s], census.elements[js])
-            table[s, js] = census.element_index(images)
+            table[s, js] = census.element_index(
+                algebra.sigma_images(census.elements[s], census.elements[js]))
         except SigmaImageError as exc:
             raise SigmaCheckError(
                 f"sigma image of ({s},{js[exc.row]}) failed: {exc}") from exc
@@ -152,9 +157,6 @@ def sigma_permutations(census: IsingCensus) -> SigmaTable:
                 known[z] = True
                 fresh_rows.append(z)
             frontier = np.concatenate(fresh_rows)
-    # the partner mask and the last batch of images go before the checks'
-    # temporaries come, which keeps the peak lower
-    partners = images = None
     return SigmaTable(table, census.gram, seeds)
 
 
@@ -296,10 +298,13 @@ def is_3transposition(sigmas: SigmaTable | np.ndarray
     return True, None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FischerSpace:
+    """`lines`: one read-only int32 row (a, b, c), a < b < c, per line, in
+    lexicographic order."""
+
     npoints: int
-    lines: tuple[tuple[int, int, int], ...]
+    lines: np.ndarray
 
 
 def fischer_space(census: IsingCensus, sigmas: SigmaTable | np.ndarray) -> FischerSpace:
@@ -311,16 +316,18 @@ def fischer_space(census: IsingCensus, sigmas: SigmaTable | np.ndarray) -> Fisch
     i, j = np.nonzero(np.triu(census.gram == GRAM_32ND, k=1))
     # each line comes from up to three pairs; sorted, its copies are adjacent
     # (np.unique would import numpy.ma, 15 ms of a CLI run)
-    lines = np.sort(np.stack([i, j, rows[i, j]], axis=1), axis=1)
+    lines = np.sort(np.stack([i, j, rows[i, j]], axis=1).astype(np.int32), axis=1)
     lines = lines[np.lexsort(lines.T[::-1])]
     first = np.ones(len(lines), dtype=bool)
     first[1:] = (lines[1:] != lines[:-1]).any(axis=1)
-    return FischerSpace(len(census), tuple(map(tuple, lines[first].tolist())))
+    lines = lines[first]
+    lines.flags.writeable = False
+    return FischerSpace(len(census), lines)
 
 
 def _incidences(space: FischerSpace) -> np.ndarray:
     """Rows (x, a, b): one per point x of a line {x, a, b}."""
-    lines = np.array(space.lines, dtype=np.int32).reshape(-1, 3)
+    lines = space.lines
     return np.concatenate([lines, lines[:, [1, 0, 2]], lines[:, [2, 0, 1]]])
 
 

@@ -9,9 +9,11 @@ translations take their sigma images from the product oracle.  `subcensus`
 restricts a built census to some of its points, as commutant censuses were
 built before they filtered the lattice points ahead of the Gram.
 `restricted_enumerator` counts an embedding's words by weight, to compare
-with `HAMMING_ENUMERATOR`.
+with `HAMMING_ENUMERATOR`.  `gram_law_failure` classifies a whole Gram at
+once, as `gram_from_elements` did before it went by row blocks.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -24,6 +26,20 @@ from transpo_oracle import product_sigma_image
 
 # the weight enumerator of the [8,4,4] Hamming code, weights 0..8
 HAMMING_ENUMERATOR = (1, 0, 0, 0, 14, 0, 0, 0, 1)
+
+
+def gram_law_failure(elements) -> str | None:
+    """The CensusCheckError text `census.gram_from_elements` raises for the
+    first pair outside the 0 / 1-32 / 1-4 law, from the whole n x n
+    numerator and denominator matrices at once, as it ran before it took
+    its rows in blocks; None if every pair obeys the law."""
+    num, den = elements.alg.inner_numerators(elements, elements)
+    ok = (num == 0) | (32 * num == den) | (4 * num == den)
+    if ok.all():
+        return None
+    i, j = map(int, np.argwhere(~ok)[0])
+    return (f"inner product of points {i},{j} is "
+            f"{Fraction(int(num[i, j]), int(den[i, j]))}, outside {{0, 1/32, 1/4}}")
 
 
 def restricted_enumerator(emb: HammingEmbedding) -> tuple[int, ...]:

@@ -547,3 +547,40 @@ def test_census_json():
     assert all("tag" in p for p in data["points"])
     assert len(data["gram_dense"]) == 6
     assert data["counts_by_tag"] == {"wminus": 3, "wplus": 3}
+
+
+def _doubled(points, k):
+    """The batch `points` with its row k replaced by twice that point."""
+    carts, xvs = points.carts.copy(), points.xvs.copy()
+    carts[k] *= 2
+    xvs[k] *= 2
+    return ElementBatch(points.alg, carts, xvs, points.dens)
+
+
+def test_blocked_gram_names_the_first_bad_pair():
+    # the Gram is classified by cz.BLOCK_ROWS rows; a doubled point is out
+    # of the law with itself and its 1/32 partners, and the error names the
+    # first bad pair in row-major order, as the whole-matrix scan does
+    c = registry.census("lattice:E8")
+    points = c.elements
+    # in the first block: point 3 and its first partner
+    bad = _doubled(points, 3)
+    want = oracle.gram_law_failure(bad)
+    i, j = map(int, re.match(r"inner product of points (\d+),(\d+)", want).groups())
+    assert i < cz.BLOCK_ROWS and 3 in (i, j)
+    with pytest.raises(cz.CensusCheckError) as exc:
+        cz.gram_from_elements(bad)
+    assert str(exc.value) == want
+    # in the last block: the points orthogonal to point 490, then point 490
+    # doubled, whose only bad pair is with itself
+    keep = np.append(np.flatnonzero(c.gram[490] == GRAM_ZERO), 490)
+    bad = _doubled(points[keep], len(keep) - 1)
+    want = oracle.gram_law_failure(bad)
+    last = len(keep) - 1
+    assert last // cz.BLOCK_ROWS > 0
+    assert want == f"inner product of points {last},{last} is 1, outside {{0, 1/32, 1/4}}"
+    with pytest.raises(cz.CensusCheckError) as exc:
+        cz.gram_from_elements(bad)
+    assert str(exc.value) == want
+    # unbroken, the blocks give the whole-matrix scan's Gram
+    assert oracle.gram_law_failure(points) is None

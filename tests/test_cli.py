@@ -324,6 +324,33 @@ def test_tower_rank_above_ceiling_is_usage_error(capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
+def test_w_level_above_ceiling_is_usage_error(capsys):
+    # refused before the affine character is built; w:500:0:0 takes about 4 s
+    t0 = time.perf_counter()
+    assert cli.main(["characters", "show", "w:500:0:0"]) == 2
+    assert time.perf_counter() - t0 < 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False
+    assert data["error"] == "w:500:0:0 has level 500, above the ceiling 64"
+    # the catalog's levels go to 8 (characters verify, w:8:0:0)
+    assert cli.main(["characters", "show", f"w:{cli.MAX_LEVEL}:0:0",
+                     "--cutoff", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_affine_level_above_ceiling_is_usage_error(capsys):
+    # affine:500:250 at cutoff 1000 takes about 28 s
+    t0 = time.perf_counter()
+    assert cli.main(["characters", "show", "affine:500:250", "--cutoff", "1000"]) == 2
+    assert time.perf_counter() - t0 < 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False
+    assert data["error"] == "affine:500:250 has level 500, above the ceiling 64"
+    assert cli.main(["characters", "show", f"affine:{cli.MAX_LEVEL}:1",
+                     "--cutoff", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def test_lattice_rank_ceiling_admits_the_catalog():
     catalog = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(2, 13)]
     catalog += ["E6", "E7", "E8", "E8H", "D4C", "D6C", "D8C", "D30"]

@@ -151,3 +151,64 @@ def test_no_float_linear_algebra_in_src():
             for i, line in enumerate(p.read_text().splitlines(), 1)
             if "np.linalg" in line or "numpy.linalg" in line]
     assert hits == []
+
+
+def _matmul_dtype(monkeypatch, a, b):
+    """The dtype `int_product(a, b)` hands to np.matmul, and its result."""
+    seen, matmul = [], np.matmul
+
+    def spy(x, y):
+        seen.append(x.dtype)
+        return matmul(x, y)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", spy)
+        out = exact.int_product(a, b, error=ValueError)
+    return seen[0], out
+
+
+def test_int_product_path_follows_the_bound(monkeypatch):
+    # bound k max|a| max|b| = 4 * 2^25 * (2^26 - 1) = 2^53 - 2^27, reached by
+    # the sum itself: below 2^53, so float64 through BLAS
+    a = np.full((1, 4), 1 << 25, dtype=np.int64)
+    b = np.full((4, 1), (1 << 26) - 1, dtype=np.int64)
+    dtype, out = _matmul_dtype(monkeypatch, a, -b)
+    assert dtype == np.float64 and out.dtype == np.int64
+    assert out.tolist() == [[-((1 << 53) - (1 << 27))]]
+    # exactly 2^53: int64
+    dtype, out = _matmul_dtype(monkeypatch, a, b + 1)
+    assert dtype == np.int64 and out.tolist() == [[1 << 53]]
+    # the int64 minimum has no int64 absolute value; its bound is read on
+    # Python ints, and against a zero operand it is 0
+    low = np.array([[np.iinfo(np.int64).min]])
+    dtype, out = _matmul_dtype(monkeypatch, low, np.zeros((1, 2), dtype=np.int64))
+    assert dtype == np.float64 and out.tolist() == [[0, 0]]
+    # past INT_GUARD the caller's error, before anything is multiplied
+    big = np.full((2, 2), 1 << 31, dtype=np.int64)
+    assert 2 * (1 << 31) ** 2 > exact.INT_GUARD
+    with pytest.raises(OverflowError, match="too large"):
+        exact.int_product(big, big, error=OverflowError)
+    with pytest.raises(ValueError, match="too large"):
+        exact.int_product(low, np.ones((1, 1), dtype=np.int64), error=ValueError)
+    with pytest.raises(ValueError, match="too large"):
+        exact.int_product(big[0], big, "i,ij->j", error=ValueError)
+
+
+@pytest.mark.parametrize("shapes,subscripts", [
+    (((3, 4), (4, 5)), None), (((4,), (4, 2)), None), (((3, 4), (4,)), None),
+    (((6,), (6,)), None), (((2, 3, 4), (4, 5)), None), (((4, 4), (3, 4, 4)), None),
+    (((2, 3, 4), (2, 4, 5)), None), (((0, 3), (3, 2)), None),
+    (((2, 0), (0, 3)), None), (((0, 2, 3), (3, 4)), None),
+    (((8, 8), (5, 8, 8)), "ij,kji->k"), (((5, 8, 8), (5, 8, 8)), "kij,kji->k"),
+    (((5, 7), (5, 7)), "kp,kp->k"), (((6, 3), (6, 3)), "pi,pj->pij"),
+    (((4, 3, 2), (4, 5, 2)), "fim,fjm->fij"), (((0, 8, 8), (0, 8, 8)), "kij,kji->k"),
+])
+@pytest.mark.parametrize("scale", [4, 1 << 20, 1 << 27])
+def test_int_product_matches_python_ints(shapes, subscripts, scale):
+    # small entries take the float path, 2^27-sized ones the int64 path
+    rng = np.random.default_rng(sum(map(sum, shapes)) + scale)
+    a, b = (rng.integers(-scale, scale + 1, size=s, dtype=np.int64) for s in shapes)
+    want = (a.astype(object) @ b.astype(object) if subscripts is None
+            else np.einsum(subscripts, a.astype(object), b.astype(object)))
+    got = exact.int_product(a, b, subscripts, error=ValueError)
+    assert got.dtype == np.int64 and got.shape == np.shape(want)
+    assert np.array_equal(got.astype(object), want)

@@ -181,7 +181,7 @@ def test_orbit_reduced_checks_match_full_scans(spec, orbits):
     assert len(table.reps) == orbits
     assert tp.is_3transposition(table) == oracle.is_3transposition(rows)
     space = tp.fischer_space(c, table)
-    assert space.lines == oracle.fischer_lines(c, rows)
+    assert space.lines.tolist() == [list(line) for line in oracle.fischer_lines(c, rows)]
     symplectic = oracle.is_symplectic_type(space, rows)
     hypotheses = oracle.check_fischer_hypotheses(space, c, rows)
     # the reduced scans, and below 496 points (about 10 s there) the same
@@ -334,7 +334,7 @@ def test_symplectic_rejects_order3_plane():
             if x != y:
                 trip = tuple(sorted((idx[x], idx[y], int(table[idx[x], idx[y]]))))
                 lines.add(trip)
-    space = tp.FischerSpace(9, tuple(sorted(lines)))
+    space = tp.FischerSpace(9, np.array(sorted(lines), dtype=np.int32))
     assert not tp.is_symplectic_type(space, table)
 
 
@@ -452,3 +452,45 @@ def test_frame_validation():
 def test_group_order_empty():
     # no involutions generate the trivial group
     assert tp.group_order([]) == 1
+
+
+def _refusal(rows, gram, seeds):
+    with pytest.raises(tp.SigmaCheckError) as exc:
+        tp.SigmaTable(rows, gram, seeds)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_blocked_table_scans_name_the_whole_scan_failure(where):
+    # each scan goes by BLOCK_ROWS rows; a corrupted row in the first or the
+    # last block of lattice:E8 (496 points, 8 blocks) is refused with the
+    # text of the whole-table scan
+    c = registry.census("lattice:E8")
+    table = registry.sigma_table("lattice:E8")
+    n, seeds, gram = len(c), table.seeds, c.gram
+    first = (n - 1) // tp.BLOCK_ROWS * tp.BLOCK_ROWS if where == "last" else 0
+    block = [r for r in range(first, min(first + tp.BLOCK_ROWS, n)) if r not in seeds]
+    s0 = seeds[0]
+    cases = []
+    # a seed row with two images swapped moves the Gram
+    rows = table.rows.copy()
+    a, b = (int(x) for x in np.flatnonzero(gram[s0] == GRAM_32ND)[:2])
+    rows[s0, [a, b]] = rows[s0, [b, a]]
+    cases.append((rows, "does not preserve the Gram"))
+    # a derived row with two images swapped is no involution
+    rows = table.rows.copy()
+    r = block[len(block) // 2]
+    a, b = (int(x) for x in np.flatnonzero(gram[r] == GRAM_32ND)[:2])
+    rows[r, [a, b]] = rows[r, [b, a]]
+    cases.append((rows, f"sigma of point {r} is not an involution"))
+    # the identity as a derived row is an involution and distinct from the
+    # others, but R(s0) fails at r and at sigma_s0(r), both in this block
+    rows = table.rows.copy()
+    r = next(r for r in block if table.rows[s0, r] in block and table.rows[s0, r] != r)
+    rows[r] = np.arange(n)
+    y = min(r, int(table.rows[s0, r]))
+    cases.append((rows, f"(point {y} conjugated by point {s0})"))
+    for rows, text in cases:
+        want = oracle.table_check_failure(rows, gram, seeds)
+        assert want is not None and text in want
+        assert _refusal(rows, gram, seeds) == want

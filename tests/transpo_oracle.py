@@ -2,7 +2,9 @@
 
 Each scan visits every point (or every row) of a plain permutation
 table, with no use of orbits.  They are the scans `transpo` ran before it
-checked one point per orbit of a checked SigmaTable, kept as they were.
+checked one point per orbit of a checked SigmaTable, kept as they were;
+`table_check_failure` runs the SigmaTable scans on the whole table at once,
+as they ran before they went by row blocks.
 `pair_product` is the one-pair Griess product as `GriessAlgebra.product`
 computed it before its partners were stacked, and `product_sigma_image` is
 the one-pair sigma rule through it and `GriessAlgebra.inner`, as `griess`
@@ -104,6 +106,31 @@ def consistency_failure(table: np.ndarray):
         bad = np.flatnonzero((table[sx] != sx[table[:, sx]]).any(axis=1))
         if len(bad):
             return int(sx[bad[0]]), int(bad[0]), x
+    return None
+
+
+def table_check_failure(rows: np.ndarray, gram: np.ndarray, seeds):
+    """The SigmaCheckError text of the first failed scan of a SigmaTable,
+    with each scan over the whole table at once as `transpo` ran it before
+    its scans went by row blocks: the seeds' Gram preservation, distinct
+    rows, involutions, then R(s) at every seed.  None if all pass."""
+    n = len(rows)
+    for s in seeds:
+        if (gram[np.ix_(rows[s], rows[s])] != gram).any():
+            return f"sigma of point {s} does not preserve the Gram"
+    if ((gram == GRAM_32ND).any(axis=1).all()
+            and len({row.tobytes() for row in rows}) != n):
+        return "sigma map is not injective on this census"
+    bad = np.flatnonzero((np.take_along_axis(rows, rows, axis=1)
+                          != np.arange(n)).any(axis=1))
+    if len(bad):
+        return f"sigma of point {bad[0]} is not an involution"
+    for s in seeds:
+        ss = rows[s]
+        bad = np.flatnonzero((rows[ss] != ss[rows[:, ss]]).any(axis=1))
+        if len(bad):
+            return (f"two derivations of row {ss[bad[0]]} disagree "
+                    f"(point {bad[0]} conjugated by point {s})")
     return None
 
 
