@@ -11,19 +11,15 @@ realization).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import CheckError, gf2code, rootlat
+from .exact import BLOCK_ROWS
 from .gf2code import BinaryCode, HammingEmbedding
 from .griess import ElementBatch, GriessAlgebra, GriessElement
 
 GRAM_ZERO, GRAM_32ND, GRAM_QUARTER, GRAM_UNKNOWN = 0, 1, 2, 3
-# rows per block of an n x n stage of a realized census (its Gram here, the
-# sigma-table checks in `transpo`): a stage holds its int8 or int32 result
-# and block-sized temporaries, never an n x n int64 one
-BLOCK_ROWS = 64
 
 
 class CensusError(ValueError):
@@ -89,7 +85,8 @@ class IsingCensus:
         # a derived census (direct sum, realized code census): per source
         # census, the position here of each of its points
         self.sources = sources
-        self._elem_index = None
+        # (sorted fingerprints, the points in that order) once looked up
+        self._fingerprints = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -101,18 +98,37 @@ class IsingCensus:
         return dict(sorted(out.items()))
 
     def element_index(self, rows: ElementBatch) -> np.ndarray:
-        """The census position of each row of `rows`, looked up by its row
-        bytes in one dict per census; MissingPointError names the first row
-        that is not a census point."""
+        """The census position of each row of `rows`; MissingPointError names
+        the first row that is not a census point.
+
+        The census keeps one fingerprint per point (`ElementBatch.
+        fingerprints`), sorted.  A row's fingerprint selects the points that
+        share it, and every one of them is compared with the row exactly
+        (den, cart and pair vector), the last equal point winning, so a
+        collision costs a comparison and never a wrong position.
+        """
         if self.elements is None:
             raise CensusError("census carries no realizations")
-        if self._elem_index is None:
-            self._elem_index = {k: i for i, k in enumerate(self.elements.row_bytes())}
-        pos = [self._elem_index.get(k, -1) for k in rows.row_bytes()]
-        if -1 in pos:
-            row = pos.index(-1)
+        if self._fingerprints is None:
+            fp = self.elements.fingerprints()
+            order = np.argsort(fp, kind="stable")
+            self._fingerprints = fp[order], order
+        known, order = self._fingerprints
+        fp = rows.fingerprints()
+        lo = np.searchsorted(known, fp, side="left")
+        hi = np.searchsorted(known, fp, side="right")
+        pos = np.full(len(rows), -1, dtype=np.int64)
+        for t in range(int((hi - lo).max(initial=0))):
+            r = np.flatnonzero(lo + t < hi)
+            k = order[lo[r] + t]
+            same = ((self.elements.dens[k] == rows.dens[r])
+                    & (self.elements.carts[k] == rows.carts[r]).all(axis=(1, 2))
+                    & (self.elements.xvs[k] == rows.xvs[r]).all(axis=1))
+            pos[r[same]] = k[same]
+        if (pos < 0).any():
+            row = int(np.argmax(pos < 0))
             raise MissingPointError(row, f"row {row} is not a census point")
-        return np.array(pos, dtype=np.int64)
+        return pos
 
     def to_json(self, include_gram: bool = True) -> dict:
         out = {
@@ -134,24 +150,29 @@ class IsingCensus:
 def gram_from_elements(elements: ElementBatch) -> np.ndarray:
     """Coded Gram matrix of realized points; validates the 0 / 1-32 / 1-4 law.
 
-    Classified BLOCK_ROWS rows at a time, from `inner_numerators(block,
-    elements)`; the blocks run in row order, so the error names the first
-    bad pair (i, j) in row-major order.
+    Classified in BLOCK_ROWS x BLOCK_ROWS tiles, from `inner_numerators(row
+    block, column block)`, so no product converts the whole batch.  A row
+    block is checked once all its tiles are in and the blocks run in row
+    order, so the error names the first bad pair (i, j) in row-major order.
     """
-    n = len(elements)
+    n, alg = len(elements), elements.alg
     gram = np.empty((n, n), dtype=np.int8)
-    for lo in range(0, n, BLOCK_ROWS):
-        num, den = elements.alg.inner_numerators(elements[lo:lo + BLOCK_ROWS], elements)
-        block = gram[lo:lo + BLOCK_ROWS]
-        block.fill(-1)
-        block[num == 0] = GRAM_ZERO
-        block[32 * num == den] = GRAM_32ND
-        block[4 * num == den] = GRAM_QUARTER
+    blocks = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)]
+    for rows in blocks:
+        block = gram[rows]
+        for cols in blocks:
+            num, den = alg.inner_numerators(elements[rows], elements[cols])
+            tile = block[:, cols]
+            tile.fill(-1)
+            tile[num == 0] = GRAM_ZERO
+            tile[32 * num == den] = GRAM_32ND
+            tile[4 * num == den] = GRAM_QUARTER
         if (block < 0).any():
             i, j = map(int, np.argwhere(block < 0)[0])
+            i += rows.start
             raise CensusCheckError(
-                f"inner product of points {lo + i},{j} is "
-                f"{Fraction(int(num[i, j]), int(den[i, j]))}, outside {{0, 1/32, 1/4}}")
+                f"inner product of points {i},{j} is "
+                f"{alg.inner(elements[i], elements[j])}, outside {{0, 1/32, 1/4}}")
     if not (np.diag(gram) == GRAM_QUARTER).all():
         raise CensusCheckError("a census point does not have norm 1/4")
     return gram
@@ -187,16 +208,21 @@ def commutant_filter(lattice: rootlat.RootLattice, algebra: GriessAlgebra,
                      constraints: list[GriessElement], source: str) -> IsingCensus:
     """Census of the lattice census points orthogonal to every constraint.
 
-    The points are filtered before any Gram is taken: a point is kept when
-    its row of `GriessAlgebra.inner_numerators` against the constraints is
-    all zero, so with no constraints every point is kept.  Each Gram entry
+    The points are filtered before any Gram is taken, BLOCK_ROWS at a time:
+    a point is kept when its row of `GriessAlgebra.inner_numerators`
+    against the constraints is all zero, so with no constraints every point
+    is kept.  Each Gram entry
     depends only on its two elements, so the Gram of the kept points is the
     lattice census's Gram restricted to them (README: "How a commutant
     census is built").
     """
     points, elements = _lattice_points(lattice, algebra)
-    num, _ = algebra.inner_numerators(elements, ElementBatch.of(algebra, constraints))
-    idx = np.flatnonzero(~num.any(axis=1))
+    constraints = ElementBatch.of(algebra, constraints)
+    keep = np.empty(len(elements), dtype=bool)
+    for lo in range(0, len(elements), BLOCK_ROWS):
+        num, _ = algebra.inner_numerators(elements[lo:lo + BLOCK_ROWS], constraints)
+        keep[lo:lo + BLOCK_ROWS] = ~num.any(axis=1)
+    idx = np.flatnonzero(keep)
     # with every point kept, the batch itself: an index would copy it
     kept = elements if len(idx) == len(elements) else elements[idx]
     return IsingCensus([points[i] for i in idx.tolist()], kept, gram_from_elements(kept),

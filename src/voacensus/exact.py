@@ -27,6 +27,10 @@ _ZERO = Fraction(0)
 INT_GUARD = 1 << 62
 # every integer of magnitude up to 2^53 is a float64
 FLOAT_EXACT = 1 << 53
+# rows per block of a stage over a whole point batch or an n x n table (the
+# canonical form, the Gram, the sigma-table and the Fischer checks): a stage
+# holds its result and block-sized temporaries, never a whole-batch one
+BLOCK_ROWS = 64
 
 
 def _product_dtype(bound: int, error: type[Exception]) -> type:

@@ -23,15 +23,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import lcm
 
 import numpy as np
 
-from .exact import INT_GUARD, int_product, inverse, kernel
+from .exact import BLOCK_ROWS, INT_GUARD, int_product, inverse, kernel
 from .rootlat import LatticeError, RootLattice, _hnf_basis
 
 DIM_GUARD = 512
+# a row's fingerprint is its entries mod this prime against the powers of 3
+# mod it: with at most 2^11 entries per row (every algebra DIM_GUARD admits)
+# each partial sum is below 2^53, so `int_product` takes float64
+FINGERPRINT_PRIME = (1 << 21) - 9
 
 
 class GriessError(ValueError):
@@ -72,8 +76,10 @@ class ElementBatch:
     The constructor is the one place the canonical form is written: each
     row divided by the gcd of its integers and its denominator, which must
     be positive, and its `mag` (its largest integer, by which operations
-    bound their int64 results) checked against INT_GUARD.  A row past the
-    guard raises SigmaImageError (a GriessError) naming the first one.  An
+    bound their int64 results) checked against INT_GUARD.  The rows are
+    written BLOCK_ROWS at a time into arrays allocated once, so its only
+    whole-batch arrays are its input and its result; a row past the guard
+    raises SigmaImageError (a GriessError) naming the first one.  An
     integer index gives the GriessElement viewing that row; any other index
     gives a sub-batch of the same rows, which are canonical already.
     """
@@ -84,16 +90,21 @@ class ElementBatch:
         carts, xvs, dens = (np.asarray(x, dtype=np.int64) for x in (carts, xvs, dens))
         if (dens <= 0).any():
             raise GriessError("row denominators must be positive")
-        k = len(dens)
-        g = np.gcd(np.gcd(np.gcd.reduce(carts.reshape(k, alg.m * alg.m), axis=1),
-                          np.gcd.reduce(xvs, axis=1)), dens)
-        carts, xvs, dens = carts // g[:, None, None], xvs // g[:, None], dens // g
-        mags = np.maximum(np.maximum(np.abs(carts).max(axis=(1, 2), initial=0),
-                                     np.abs(xvs).max(axis=1, initial=0)), dens)
-        bad = np.flatnonzero(mags >= INT_GUARD)
-        if len(bad):
-            raise SigmaImageError(int(bad[0]), "integer overflow guard tripped")
-        self._set(alg, carts, xvs, dens, mags)
+        out = [np.empty(x.shape, dtype=np.int64) for x in (carts, xvs, dens, dens)]
+        for lo in range(0, len(dens), BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            g = np.gcd(np.gcd(np.gcd.reduce(carts[rows].reshape(-1, alg.m * alg.m), axis=1),
+                              np.gcd.reduce(xvs[rows], axis=1)), dens[rows])
+            c, x, d, mags = (a[rows] for a in out)
+            np.floor_divide(carts[rows], g[:, None, None], out=c)
+            np.floor_divide(xvs[rows], g[:, None], out=x)
+            np.floor_divide(dens[rows], g, out=d)
+            np.maximum(np.maximum(np.abs(c).max(axis=(1, 2), initial=0),
+                                  np.abs(x).max(axis=1, initial=0)), d, out=mags)
+            bad = np.flatnonzero(mags >= INT_GUARD)
+            if len(bad):
+                raise SigmaImageError(lo + int(bad[0]), "integer overflow guard tripped")
+        self._set(alg, *out)
 
     def _set(self, alg, carts, xvs, dens, mags) -> None:
         self.alg, self.carts, self.xvs, self.dens, self.mags = alg, carts, xvs, dens, mags
@@ -122,13 +133,29 @@ class ElementBatch:
                  self.mags[index])
         return sub
 
-    def row_bytes(self) -> list[bytes]:
-        """Each row's den, cart and pair vector as one bytes string: in the
-        canonical form, equal elements and only they have equal strings."""
-        k = len(self)
-        rows = np.concatenate([self.dens[:, None],
-                               self.carts.reshape(k, self.alg.m ** 2), self.xvs], axis=1)
-        return [row.tobytes() for row in rows]
+    def fingerprints(self) -> np.ndarray:
+        """One int64 per row, read off the row alone: its den, cart and pair
+        vector entries mod FINGERPRINT_PRIME against the powers of 3 mod it,
+        BLOCK_ROWS rows at a time.  Equal rows have equal fingerprints, so
+        a fingerprint narrows a search to the rows an exact comparison must
+        decide between; unequal rows may share one."""
+        k, mm = len(self), self.alg.m ** 2
+        weights = _fingerprint_weights(1 + mm + self.alg.npairs)
+        out = np.empty(k, dtype=np.int64)
+        for lo in range(0, k, BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            block = np.concatenate([self.dens[rows, None], self.carts[rows].reshape(-1, mm),
+                                    self.xvs[rows]], axis=1) % FINGERPRINT_PRIME
+            out[rows] = _product(block, weights)
+        return out
+
+
+@lru_cache(maxsize=None)
+def _fingerprint_weights(width: int) -> np.ndarray:
+    """The powers 3^i mod FINGERPRINT_PRIME, i < width, read-only."""
+    weights = np.array([pow(3, i, FINGERPRINT_PRIME) for i in range(width)], dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
 
 
 class GriessElement:
@@ -285,18 +312,26 @@ class GriessAlgebra:
         bad = ps[(ps < 0) | (ps >= self.npairs)]
         if len(bad):
             raise GriessError(f"pair index {bad[0]} is outside 0..{self.npairs - 1}")
-        xvs = np.zeros((len(ps), self.npairs), dtype=np.int64)
-        xvs[np.arange(len(ps)), ps] = 2 * signs
-        carts, dens = [self._pair_outer[ps]], [np.full(len(ps), 8)]
-        if len(xs):
+        n, k = len(ps), len(xs)
+        if k:
             if v.alg is not self:
                 raise GriessError("element belongs to a different algebra")
             if not (self.lattice.kind == "E" and self.lattice.rank == 8):
                 raise GriessError("twist automorphisms require a rank-8 E-type lattice")
-            xvs = np.concatenate([xvs, v.xv * self.twist_signs(xs)])
-            carts.append(np.broadcast_to(v.cart, (len(xs), self.m, self.m)))
-            dens.append(np.full(len(xs), v.den))
-        return ElementBatch(self, np.concatenate(carts), xvs, np.concatenate(dens))
+        # written in place, the twists' signs BLOCK_ROWS rows at a time
+        carts = np.empty((n + k, self.m, self.m), dtype=np.int64)
+        xvs = np.zeros((n + k, self.npairs), dtype=np.int64)
+        dens = np.full(n + k, 8, dtype=np.int64)
+        carts[:n] = self._pair_outer[ps]
+        xvs[np.arange(n), ps] = 2 * signs
+        if k:
+            xs = np.asarray(xs, dtype=np.int64)
+            carts[n:] = v.cart
+            dens[n:] = v.den
+            for lo in range(0, k, BLOCK_ROWS):
+                np.multiply(v.xv, self.twist_signs(xs[lo:lo + BLOCK_ROWS]),
+                            out=xvs[n + lo:n + lo + BLOCK_ROWS])
+        return ElementBatch(self, carts, xvs, dens)
 
     def _sum_pairs(self, pair_indices) -> GriessElement:
         xv = np.zeros(self.npairs, dtype=np.int64)

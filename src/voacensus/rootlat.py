@@ -20,7 +20,7 @@ import numpy as np
 
 from . import gf2code
 from .dynkin import LatticeError, lattice_type, root_count
-from .exact import int_product, inverse
+from .exact import BLOCK_ROWS, int_product, inverse
 
 # every integer matrix product here: bounded first, on BLAS where exact
 _product = partial(int_product, error=LatticeError)
@@ -153,7 +153,8 @@ class RootLattice:
 
     def norm4_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(basis coordinates, vectors, norms) of the nonzero vectors of
-        norm <= 4: the roots, then the sums of orthogonal root pairs with
+        norm <= 4: the roots, then the sums of orthogonal root pairs i < j
+        (found BLOCK_ROWS roots i at a time, in row-major order) with
         duplicates removed exactly (1-D `np.unique` on each row's bytes in
         the narrowest integer type that holds them: no packed key to wrap),
         their coordinates summed by linearity.  Complete on E8: W(E8) is
@@ -166,7 +167,13 @@ class RootLattice:
         roots = self.roots
         num, den = self.gram_inverse
         coeffs = _product(roots, _product(num, self.basis).T) // den
-        i, j = np.nonzero(np.triu(_product(roots, roots.T) == 0))
+        i, j = [], []
+        for lo in range(0, len(roots), BLOCK_ROWS):
+            bi, bj = np.nonzero(_product(roots[lo:lo + BLOCK_ROWS], roots.T) == 0)
+            bi += lo
+            i.append(bi[bj > bi])
+            j.append(bj[bj > bi])
+        i, j = np.concatenate(i), np.concatenate(j)
         narrow = roots.astype(np.min_scalar_type(-2 * int(np.abs(roots).max())))
         sums = narrow[i] + narrow[j]
         _, first = np.unique(sums.view(np.dtype((np.void, sums.itemsize * self.ambient)))
@@ -181,21 +188,26 @@ class RootLattice:
 
         One sort of `norm4_vectors` by (coordinates mod 2, norm, vector)
         puts each class's minimal vectors first in its run (none lies in
-        2L, of minimum 8); the checks run over all classes at once and
-        raise the first failure in key order.
+        2L, of minimum 8); the counts are checked over all classes at once,
+        the frames BLOCK_ROWS classes at a time, and the first failure in
+        key order is raised.  Each class turns only its own minimal
+        vectors into tuples.
         """
         coeffs, vecs, norms = self.norm4_vectors()
         parity = coeffs & 1
+        del coeffs
         order = np.lexsort([*vecs.T[::-1], norms, *parity.T[::-1]])
         parity, norms, vecs = parity[order], norms[order], vecs[order]
         starts = np.flatnonzero(np.diff(parity, axis=0, prepend=-1).any(axis=1))
         roots_in = np.add.reduceat(norms == 2, starts)
         counts = np.where(roots_in > 0, roots_in, np.diff(starts, append=len(norms)))
         frames = np.flatnonzero((roots_in == 0) & (counts == 16))
-        arr = vecs[starts[frames][:, None] + np.arange(16)]
-        gram = _product(arr, arr, "fim,fjm->fij") // self.scale_sq
         bad = counts != np.where(roots_in > 0, 2, 16)
-        bad[frames] = ~np.isin(gram, [-4, 0, 4]).all(axis=(1, 2))
+        for lo in range(0, len(frames), BLOCK_ROWS):
+            block = frames[lo:lo + BLOCK_ROWS]
+            arr = vecs[starts[block][:, None] + np.arange(16)]
+            gram = _product(arr, arr, "fim,fjm->fij") // self.scale_sq
+            bad[block] = ~((gram == 0) | (np.abs(gram) == 4)).all(axis=(1, 2))
         if bad.any():
             k = int(np.argmax(bad))
             if roots_in[k]:
@@ -205,10 +217,9 @@ class RootLattice:
             raise LatticeError("frame class minimal vectors are not a frame")
         classes = [Mod2Class(tuple([0] * self.rank), "zero",
                              tuple([0] * self.ambient), ())]
-        rows = list(map(tuple, vecs.tolist()))
         for key, lo, count, paired in zip(parity[starts].tolist(), starts.tolist(),
                                           counts.tolist(), roots_in.tolist()):
-            mins = tuple(rows[lo:lo + count])
+            mins = tuple(map(tuple, vecs[lo:lo + count].tolist()))
             classes.append(Mod2Class(tuple(key), "root-pair" if paired else "frame",
                                      mins[-1], mins))
         if len(classes) != 1 << self.rank:

@@ -17,6 +17,11 @@ from .census import BLOCK_ROWS, GRAM_32ND, GRAM_ZERO, IsingCensus, MissingPointE
 from .griess import SigmaImageError
 
 
+# line pairs per chunk of `is_symplectic_type`, each with about 450 bytes
+# of temporaries (its six points' 36 images, compared with all six)
+PLANE_PAIRS = 8 * BLOCK_ROWS
+
+
 class TranspoError(ValueError):
     pass
 
@@ -70,6 +75,10 @@ class SigmaTable:
     and a property that such automorphisms preserve holds everywhere once
     it holds at one point of each orbit.  `reps` is the smallest point of
     each orbit, ascending; `seeds` the seeds as given; `rows` is read-only.
+
+    Distinctness is checked without a key per row: one argsort of the rows
+    as opaque byte strings puts equal rows next to each other, and the
+    neighbours are compared exactly, BLOCK_ROWS at a time.
     """
 
     def __init__(self, rows: np.ndarray, gram: np.ndarray, seeds):
@@ -82,9 +91,13 @@ class SigmaTable:
             ss = rows[s]
             if any((gram[np.ix_(ss[y], ss)] != gram[y]).any() for y in blocks):
                 raise SigmaCheckError(f"sigma of point {s} does not preserve the Gram")
-        if ((gram == GRAM_32ND).any(axis=1).all()
-                and len({row.tobytes() for row in rows}) != n):
-            raise SigmaCheckError("sigma map is not injective on this census")
+        if all((gram[y] == GRAM_32ND).any(axis=1).all() for y in blocks):
+            flat = np.ascontiguousarray(rows)
+            order = np.argsort(flat.view(np.dtype((np.void, flat.strides[0]))).ravel())
+            for lo in range(0, n - 1, BLOCK_ROWS):
+                pair = order[lo:lo + BLOCK_ROWS + 1]
+                if (flat[pair[1:]] == flat[pair[:-1]]).all(axis=1).any():
+                    raise SigmaCheckError("sigma map is not injective on this census")
         for y in blocks:
             bad = np.flatnonzero((np.take_along_axis(rows[y], rows[y], axis=1)
                                   != np.arange(n)).any(axis=1))
@@ -123,6 +136,13 @@ def sigma_permutations(census: IsingCensus) -> SigmaTable:
     by the seeds closes the rest.  A product outside the census or failing
     the norm check, and a failed SigmaTable check, raise SigmaCheckError.
     A derived census (`IsingCensus.sources`) is gathered in `registry` instead.
+
+    A seed's partners go BLOCK_ROWS at a time, each block's images looked
+    up and dropped before the next block; derived rows are written by
+    blocks too.  A missing image is raised only after the seed's last
+    block, since one call over all partners checks every image before it
+    looks any up; a failed image check is raised from the first block
+    that fails, with the kernel's own order of checks within it.
     """
     if census.elements is None:
         raise TranspoError("sigma permutations need realized census points")
@@ -133,16 +153,24 @@ def sigma_permutations(census: IsingCensus) -> SigmaTable:
     known = np.zeros(n, dtype=bool)
     while not known.all():
         s = int(np.argmin(known))
+        e = census.elements[s]
         js = np.flatnonzero(census.gram[s] == GRAM_32ND)
-        try:
-            table[s, js] = census.element_index(
-                algebra.sigma_images(census.elements[s], census.elements[js]))
-        except SigmaImageError as exc:
+        missing = None
+        for lo in range(0, len(js), BLOCK_ROWS):
+            part = js[lo:lo + BLOCK_ROWS]
+            try:
+                images = algebra.sigma_images(e, census.elements[part])
+            except SigmaImageError as exc:
+                raise SigmaCheckError(
+                    f"sigma image of ({s},{part[exc.row]}) failed: {exc}") from exc
+            try:
+                table[s, part] = census.element_index(images)
+            except MissingPointError as exc:
+                missing = missing or (part[exc.row], exc)
+        if missing:
+            j, exc = missing
             raise SigmaCheckError(
-                f"sigma image of ({s},{js[exc.row]}) failed: {exc}") from exc
-        except MissingPointError as exc:
-            raise SigmaCheckError(
-                f"census not closed: image of ({s},{js[exc.row]}) is missing") from exc
+                f"census not closed: image of ({s},{j}) is missing") from exc
         known[s] = True
         seeds.append(s)
         frontier = np.flatnonzero(known)
@@ -152,8 +180,10 @@ def sigma_permutations(census: IsingCensus) -> SigmaTable:
                 sx = table[x]
                 z, first = np.unique(sx[frontier], return_index=True)
                 fresh = ~known[z]
-                z = z[fresh]
-                table[z] = sx[table[frontier[first[fresh]]][:, sx]]
+                z, src = z[fresh], frontier[first[fresh]]
+                for lo in range(0, len(z), BLOCK_ROWS):
+                    rows = slice(lo, lo + BLOCK_ROWS)
+                    table[z[rows]] = sx[table[src[rows]][:, sx]]
                 known[z] = True
                 fresh_rows.append(z)
             frontier = np.concatenate(fresh_rows)
@@ -283,18 +313,20 @@ def is_3transposition(sigmas: SigmaTable | np.ndarray
     """Check that all pairwise products of the involution rows have order <= 3.
 
     The witness is the first failing pair (i, j) in row-major order: orbits
-    fail whole, and each orbit's representative is its smallest point.
+    fail whole, and each orbit's representative is its smallest point.  The
+    rows j go BLOCK_ROWS at a time, in order.
     """
     rows, reps = _rows_and_reps(sigmas)
     ident = np.arange(rows.shape[1], dtype=rows.dtype)
     for i in reps:
-        r = rows[i][rows]                # rows: sigma_i after sigma_j
-        r2 = np.take_along_axis(r, r, axis=1)
-        r3 = np.take_along_axis(r, r2, axis=1)
-        ok = ((r == ident).all(axis=1) | (r2 == ident).all(axis=1)
-              | (r3 == ident).all(axis=1))
-        if not ok.all():
-            return False, (int(i), int(np.nonzero(~ok)[0][0]))
+        for lo in range(0, len(rows), BLOCK_ROWS):
+            r = rows[i][rows[lo:lo + BLOCK_ROWS]]    # sigma_i after sigma_j
+            r2 = np.take_along_axis(r, r, axis=1)
+            r3 = np.take_along_axis(r, r2, axis=1)
+            ok = ((r == ident).all(axis=1) | (r2 == ident).all(axis=1)
+                  | (r3 == ident).all(axis=1))
+            if not ok.all():
+                return False, (int(i), lo + int(np.argmin(ok)))
     return True, None
 
 
@@ -308,19 +340,28 @@ class FischerSpace:
 
 
 def fischer_space(census: IsingCensus, sigmas: SigmaTable | np.ndarray) -> FischerSpace:
-    """Lines {x, y, sigma_x(y)} over all non-commuting point pairs."""
+    """Lines {x, y, sigma_x(y)} over all non-commuting point pairs.
+
+    Each line {a, b, c}, a < b < c, is taken once, from its pair (a, b):
+    of its three pairs x < y only that one has sigma_x(y) > y, because
+    sigma_a(b) = c, sigma_a(c) = b and sigma_b(c) = a.  (The last: by
+    R(a), R(b) and the order-3 relation, c and sigma_b(a) both have the
+    row sigma_a sigma_b sigma_a, and the rows are distinct.)  So the pairs,
+    taken BLOCK_ROWS rows at a time in row-major order, give every line
+    once and in lexicographic order, with nothing to sort or remove.
+    """
     ok, witness = is_3transposition(sigmas)
     if not ok:
         raise TranspoError(f"not a 3-transposition set, witness {witness}")
     rows = _rows_and_reps(sigmas)[0]
-    i, j = np.nonzero(np.triu(census.gram == GRAM_32ND, k=1))
-    # each line comes from up to three pairs; sorted, its copies are adjacent
-    # (np.unique would import numpy.ma, 15 ms of a CLI run)
-    lines = np.sort(np.stack([i, j, rows[i, j]], axis=1).astype(np.int32), axis=1)
-    lines = lines[np.lexsort(lines.T[::-1])]
-    first = np.ones(len(lines), dtype=bool)
-    first[1:] = (lines[1:] != lines[:-1]).any(axis=1)
-    lines = lines[first]
+    lines = [np.empty((0, 3), dtype=np.int32)]
+    for lo in range(0, len(census), BLOCK_ROWS):
+        a, b = np.nonzero(census.gram[lo:lo + BLOCK_ROWS] == GRAM_32ND)
+        a += lo
+        c = rows[a, b]
+        first = (b > a) & (c > b)
+        lines.append(np.stack([a[first], b[first], c[first]], axis=1).astype(np.int32))
+    lines = np.concatenate(lines)
     lines.flags.writeable = False
     return FischerSpace(len(census), lines)
 
@@ -335,32 +376,39 @@ def is_symplectic_type(space: FischerSpace, sigmas: SigmaTable | np.ndarray) -> 
     """Every pair of intersecting lines generates exactly six points.
 
     For each point x that `sigmas` asks to visit, vectorized over the pairs
-    of lines {x, a, b}, {x, c, d} through x: the four cross images are
-    computed at once, the candidate sixth point is identified, and closure
-    of the six-point set is verified exactly.  A nine-point plane (or any
-    other size) fails.
+    of lines {x, a, b}, {x, c, d} through x, PLANE_PAIRS pairs at a time:
+    the four cross images are computed at once, the candidate sixth point
+    is identified, and closure of the six-point set is verified exactly.
+    A nine-point plane (or any other size) fails.
     """
     rows, reps = _rows_and_reps(sigmas)
     inc = _incidences(space)
     for x in reps:
         rest = inc[inc[:, 0] == x, 1:]
         s, t = np.triu_indices(len(rest), k=1)
-        known = np.column_stack([np.full(len(s), x, dtype=inc.dtype),
-                                 rest[s], rest[t]])
-        a, b, c, d = known[:, 1:].T
-        cross = np.stack([rows[a, c], rows[a, d], rows[b, c], rows[b, d]], axis=1)
-        is_old = (cross[:, :, None] == known[:, None, :]).any(axis=2)
-        new_vals = np.where(is_old, -1, cross)
-        zmax = new_vals.max(axis=1, initial=-1)
-        # every new value must agree (single sixth point) and exist
-        bad_multi = ((new_vals >= 0) & (new_vals != zmax[:, None])).any(axis=1)
-        if bad_multi.any() or (zmax < 0).any():
-            return False
-        six = np.column_stack([known, zmax])
-        img = rows[six[:, :, None], six[:, None, :]]
-        if not (img[..., None] == six[:, None, None, :]).any(axis=3).all():
-            return False
+        for lo in range(0, len(s), PLANE_PAIRS):
+            pairs = slice(lo, lo + PLANE_PAIRS)
+            if not _planes_close(rows, x, rest[s[pairs]], rest[t[pairs]]):
+                return False
     return True
+
+
+def _planes_close(rows: np.ndarray, x, first: np.ndarray, second: np.ndarray) -> bool:
+    """Whether each pair of lines {x, a, b}, {x, c, d}, (a, b) a row of
+    `first` and (c, d) the same row of `second`, spans exactly six points."""
+    known = np.column_stack([np.full(len(first), x, dtype=first.dtype), first, second])
+    a, b, c, d = known[:, 1:].T
+    cross = np.stack([rows[a, c], rows[a, d], rows[b, c], rows[b, d]], axis=1)
+    is_old = (cross[:, :, None] == known[:, None, :]).any(axis=2)
+    new_vals = np.where(is_old, -1, cross)
+    zmax = new_vals.max(axis=1, initial=-1)
+    # every new value must agree (single sixth point) and exist
+    bad_multi = ((new_vals >= 0) & (new_vals != zmax[:, None])).any(axis=1)
+    if bad_multi.any() or (zmax < 0).any():
+        return False
+    six = np.column_stack([known, zmax])
+    img = rows[six[:, :, None], six[:, None, :]]
+    return bool((img[..., None] == six[:, None, None, :]).any(axis=3).all())
 
 
 def check_fischer_hypotheses(space: FischerSpace, census: IsingCensus,
@@ -393,25 +441,57 @@ def check_fischer_hypotheses(space: FischerSpace, census: IsingCensus,
 
 
 def inductive_structure(sigmas: np.ndarray, x: int, y: int) -> dict:
-    """Commuting-set orders relative to one and two fixed involutions."""
+    """Commuting-set orders relative to one and two fixed involutions.
+
+    d1 holds the points z whose sigma_z commutes with sigma_x, d2 those
+    whose sigma_z also commutes with sigma_y, found BLOCK_ROWS rows at a
+    time.  Each set is closed under its own rows (sigma_z sigma_w sigma_z
+    commutes with what sigma_z and sigma_w commute with), so its group is
+    generated by the rows of its `_closure_seeds`.
+    """
     if np.array_equal(mul(sigmas[x], sigmas[y]), mul(sigmas[y], sigmas[x])):
         raise TranspoError("x and y must be non-commuting")
     sx, sy = sigmas[x], sigmas[y]
-    all_after_x = sigmas[:, sx]          # rows sigma_z after sigma_x
-    x_after_all = sx[sigmas]
-    commute_x = (all_after_x == x_after_all).all(axis=1)
-    all_after_y = sigmas[:, sy]
-    y_after_all = sy[sigmas]
-    commute_y = (all_after_y == y_after_all).all(axis=1)
-    d1 = np.nonzero(commute_x)[0]
-    d2 = np.nonzero(commute_x & commute_y)[0]
+    commute_x = np.empty(len(sigmas), dtype=bool)
+    commute_y = np.empty(len(sigmas), dtype=bool)
+    for lo in range(0, len(sigmas), BLOCK_ROWS):
+        block = sigmas[lo:lo + BLOCK_ROWS]      # rows sigma_z
+        commute_x[lo:lo + BLOCK_ROWS] = (block[:, sx] == sx[block]).all(axis=1)
+        commute_y[lo:lo + BLOCK_ROWS] = (block[:, sy] == sy[block]).all(axis=1)
+    d1 = np.flatnonzero(commute_x)
+    d2 = np.flatnonzero(commute_x & commute_y)
     d2_points = [int(i) for i in d2 if i not in (x, y)]
     return {
-        "d1_points": [int(i) for i in d1],
+        "d1_points": d1.tolist(),
         "d2_points": d2_points,
-        "d1_order": group_order([sigmas[int(i)] for i in d1]),
-        "d2_order": group_order([sigmas[i] for i in d2_points]),
+        "d1_order": group_order(sigmas[_closure_seeds(sigmas, d1)]),
+        "d2_order": group_order(sigmas[_closure_seeds(sigmas, d2_points)]),
     }
+
+
+def _closure_seeds(sigmas: np.ndarray, points) -> list[int]:
+    """Points whose rows generate the group of the rows of `points`, a set
+    closed under its own rows: each seed is the smallest point not yet
+    reached from the seeds before it by their rows.  Every point w reached
+    from seeds has sigma_w = g sigma_s g^-1 for a seed s and a product g of
+    seed rows (sigma_{sigma_s(w)} = sigma_s sigma_w sigma_s), so the seed
+    rows generate each sigma_w."""
+    left = np.zeros(len(sigmas), dtype=bool)
+    left[points] = True
+    reached = np.zeros(len(sigmas), dtype=bool)
+    seeds: list[int] = []
+    while left.any():
+        seeds.append(int(np.argmax(left)))
+        reached[seeds[-1]] = True
+        frontier = np.flatnonzero(reached)
+        while len(frontier):
+            # a mask, not np.unique, whose hash path imports numpy.ma
+            fresh = np.zeros(len(sigmas), dtype=bool)
+            fresh[sigmas[np.ix_(seeds, frontier)]] = True
+            frontier = np.flatnonzero(fresh & ~reached)
+            reached[frontier] = True
+        left &= ~reached
+    return seeds
 
 
 # ---------------------------------------------------------------------------

@@ -494,3 +494,96 @@ def test_blocked_table_scans_name_the_whole_scan_failure(where):
         want = oracle.table_check_failure(rows, gram, seeds)
         assert want is not None and text in want
         assert _refusal(rows, gram, seeds) == want
+
+
+def test_commuting_set_seeds_keep_the_orders():
+    # d1 and d2 are closed under their own rows, so the rows of their
+    # closure seeds generate the group of all their rows: the orders equal
+    # those of every row, on each census `group --inductive` reports
+    reported = []
+    for spec in [*sorted(registry.CENSUS_ALIASES), "code:rm24"]:
+        c = registry.census(spec)
+        table = registry.sigma_table(spec)
+        pair = cli._noncommuting_pair(c)
+        if pair is None or not tp.is_3transposition(table)[0]:
+            continue
+        ind = tp.inductive_structure(table.rows, *pair)
+        rows = table.rows
+        assert ind["d1_order"] == tp.group_order(rows[ind["d1_points"]]), spec
+        assert ind["d2_order"] == tp.group_order(rows[ind["d2_points"]]), spec
+        reported.append(spec)
+    assert reported == ["e8full", "hamming24", "ma2", "ma3", "ma4", "ma5", "md4",
+                        "me6", "me7", "me8", "uc", "code:rm24"]
+
+
+def test_closure_seeds_reach_every_point():
+    c = registry.census("lattice:E8")
+    rows = registry.sigma_table("lattice:E8").rows
+    x, y = cli._noncommuting_pair(c)
+    d1 = np.flatnonzero((rows[:, rows[x]] == rows[x][rows]).all(axis=1))
+    seeds = tp._closure_seeds(rows, d1)
+    assert (len(d1), len(seeds)) == (256, 11)
+    assert set(seeds) <= set(d1.tolist())
+    # conjugating by the seed rows from the seeds reaches all of d1
+    reached = set(seeds)
+    while True:
+        more = {int(rows[s, w]) for s in seeds for w in reached} - reached
+        if not more:
+            break
+        reached |= more
+    assert reached == set(d1.tolist())
+
+
+@pytest.mark.parametrize("spec", sorted(registry.CENSUS_ALIASES))
+def test_one_pass_lines_match_oracle(spec):
+    # each line is taken once, from its pair (a, b) with sigma_a(b) > b, in
+    # row-major order: the lines of every pair, sorted and deduplicated
+    c = registry.census(spec)
+    table = registry.sigma_table(spec)
+    want = [list(line) for line in oracle.fischer_lines(c, table.rows)]
+    for sigmas in (table, table.rows):
+        assert tp.fischer_space(c, sigmas).lines.tolist() == want
+
+
+def _far_row(rows, j):
+    """`rows` with row j a cyclic shift, whose product with almost any
+    involution has order above 3."""
+    bad = rows.copy()
+    bad[j] = np.roll(np.arange(len(rows), dtype=rows.dtype), 1)
+    return bad
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_blocked_3transposition_gives_the_whole_scan_witness(where):
+    # the rows j go by BLOCK_ROWS; a bad row in the first or the last block
+    # of lattice:E8 (496 points) is named as the whole-array scan names it
+    rows = registry.sigma_table("lattice:E8").rows
+    j = 5 if where == "first" else len(rows) - 3
+    assert (j // tp.BLOCK_ROWS == 0) == (where == "first")
+    bad = _far_row(rows, j)
+    want = oracle.is_3transposition(bad)
+    assert want == (False, (0, j))
+    assert tp.is_3transposition(bad) == want
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_chunked_symplectic_check_gives_the_whole_scan_result(where):
+    # the line pairs through a point go PLANE_PAIRS at a time; a cross
+    # image moved off its plane in the first or the last chunk at point 0
+    # of me8 fails as the whole scan fails
+    c = registry.census("me8")
+    table = registry.sigma_table("me8")
+    space = tp.fischer_space(c, table)
+    rest = tp._incidences(space)
+    rest = rest[rest[:, 0] == 0, 1:]
+    s, t = np.triu_indices(len(rest), k=1)
+    assert len(s) > tp.PLANE_PAIRS
+    k = 0 if where == "first" else len(s) - 1
+    (a, b), (cc, d) = rest[s[k]], rest[t[k]]
+    plane = {0, int(a), int(b), int(cc), int(d), int(table.rows[a, cc])}
+    rows = table.rows.copy()
+    rows[a, cc] = next(w for w in range(len(c)) if w not in plane)
+    assert oracle.is_symplectic_type(space, rows) is False
+    assert tp.is_symplectic_type(space, rows) is False
+    assert tp._planes_close(table.rows, 0, rest[s[k:k + 1]], rest[t[k:k + 1]])
+    assert not tp._planes_close(rows, 0, rest[s[k:k + 1]], rest[t[k:k + 1]])
