@@ -183,8 +183,6 @@ def run(args) -> dict:
                 }
         report["results"] = res
     elif args.command == "fischer":
-        import numpy as np
-
         from . import transpo
         c = registry.census(args.censusspec)
         table = registry.sigma_table(args.censusspec)
@@ -195,8 +193,7 @@ def run(args) -> dict:
             "symplectic_type": transpo.is_symplectic_type(space, table),
             **hyp,
         }
-        report["ok"] = all(bool(v) for v in report["results"].values()
-                           if isinstance(v, (bool, np.bool_)))
+        report["ok"] = all(v for v in report["results"].values() if isinstance(v, bool))
     elif args.command == "griess":
         report["command"] = f"griess {args.gcommand}"
         if args.gcommand == "build":
@@ -252,13 +249,14 @@ def run(args) -> dict:
 
 
 def _noncommuting_pair(c):
-    import numpy as np
-
+    """The first 1/32 pair (i, j) in row-major order, or None; j > i, as a
+    partner j < i would have given row j first."""
     from .census import GRAM_32ND
-    idx = np.argwhere(np.triu(c.gram == GRAM_32ND, k=1))
-    if len(idx) == 0:
-        return None
-    return int(idx[0][0]), int(idx[0][1])
+    for i, row in enumerate(c.gram):
+        partners = row == GRAM_32ND
+        if partners.any():
+            return i, int(partners.argmax())
+    return None
 
 
 def _show_series(spec: str, cutoff: int) -> dict:

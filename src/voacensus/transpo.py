@@ -62,8 +62,9 @@ class SigmaTable:
     With every point a seed, R is checked at every row.
 
     Why the seeds suffice: each point z outside the seeds is sigma_s(f) for
-    a seed s and a point f nearer to the seeds, so rows[z] = sigma_s sigma_f
-    sigma_s by R(s), and R(z) follows from R(s) and R(f) in three steps:
+    a seed s and a point f nearer to the seeds (a step (s, z, f) of
+    `_closure`), so rows[z] = sigma_s sigma_f sigma_s by R(s), and R(z)
+    follows from R(s) and R(f) in three steps:
 
         sigma_{sigma_z(y)} = sigma_s sigma_{sigma_f sigma_s(y)} sigma_s      by R(s)
                            = sigma_s sigma_f sigma_{sigma_s(y)} sigma_f sigma_s  by R(f)
@@ -130,64 +131,82 @@ def sigma_permutations(census: IsingCensus) -> SigmaTable:
 
     Entry (i, j) of its rows is the image of point j under the involution
     of point i: fixed when the points are orthogonal, and the third point of
-    their line when the inner product is 1/32.  Each sigma_x is an algebra
-    automorphism, so sigma_{sigma_x(y)} = sigma_x sigma_y sigma_x: only seed
-    rows (the smallest unknown index) take Griess products, and conjugation
-    by the seeds closes the rest.  A product outside the census or failing
-    the norm check, and a failed SigmaTable check, raise SigmaCheckError.
-    A derived census (`IsingCensus.sources`) is gathered in `registry` instead.
-
-    A seed's partners go BLOCK_ROWS at a time, each block's images looked
-    up and dropped before the next block; derived rows are written by
-    blocks too.  A missing image is raised only after the seed's last
-    block, since one call over all partners checks every image before it
-    looks any up; a failed image check is raised from the first block
-    that fails, with the kernel's own order of checks within it.
+    their line when the inner product is 1/32.  Only the seeds of the walk
+    `_closure` take Griess products, on their partners BLOCK_ROWS at a time;
+    every other row is sigma_x sigma_f sigma_x for its step (x, z, f),
+    written BLOCK_ROWS rows at a time, and the `SigmaTable` checks prove it.
+    The first partner block with an image outside the census or failing
+    the norm check (the kernel checks a block's images before it looks any
+    up), and a failed SigmaTable check, raise SigmaCheckError.  A derived
+    census (`IsingCensus.sources`) is gathered in `registry` instead.
     """
     if census.elements is None:
         raise TranspoError("sigma permutations need realized census points")
     n = len(census)
     table = np.tile(np.arange(n, dtype=np.int32), (n, 1))
-    seeds: list[int] = []
-    algebra = census.algebra
-    known = np.zeros(n, dtype=bool)
-    while not known.all():
-        s = int(np.argmin(known))
+
+    def seed_row(s: int) -> np.ndarray:
         e = census.elements[s]
         js = np.flatnonzero(census.gram[s] == GRAM_32ND)
-        missing = None
         for lo in range(0, len(js), BLOCK_ROWS):
             part = js[lo:lo + BLOCK_ROWS]
             try:
-                images = algebra.sigma_images(e, census.elements[part])
+                images = census.algebra.sigma_images(e, census.elements[part])
             except SigmaImageError as exc:
                 raise SigmaCheckError(
                     f"sigma image of ({s},{part[exc.row]}) failed: {exc}") from exc
             try:
                 table[s, part] = census.element_index(images)
             except MissingPointError as exc:
-                missing = missing or (part[exc.row], exc)
-        if missing:
-            j, exc = missing
-            raise SigmaCheckError(
-                f"census not closed: image of ({s},{j}) is missing") from exc
-        known[s] = True
-        seeds.append(s)
-        frontier = np.flatnonzero(known)
-        while len(frontier):
-            fresh_rows = []
-            for x in seeds:
-                sx = table[x]
-                z, first = np.unique(sx[frontier], return_index=True)
-                fresh = ~known[z]
-                z, src = z[fresh], frontier[first[fresh]]
-                for lo in range(0, len(z), BLOCK_ROWS):
-                    rows = slice(lo, lo + BLOCK_ROWS)
-                    table[z[rows]] = sx[table[src[rows]][:, sx]]
-                known[z] = True
-                fresh_rows.append(z)
-            frontier = np.concatenate(fresh_rows)
+                raise SigmaCheckError(
+                    f"census not closed: image of ({s},{part[exc.row]}) is missing") from exc
+        return table[s]
+
+    seeds, steps = _closure(n, seed_row)
+    for x, z, f in steps:
+        sx = table[x]
+        for lo in range(0, len(z), BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            table[z[rows]] = sx[table[f[rows]][:, sx]]
     return SigmaTable(table, census.gram, seeds)
+
+
+def _closure(n: int, row, points=None) -> tuple[list[int], list]:
+    """Seeds of `points` (all n points, or a set closed under its own rows)
+    and the steps that reach the rest from them, by the seed rows.
+
+    Each seed is the smallest point of `points` not yet reached from the
+    seeds before it, and `row(s)` gives its row when it is picked.  A step
+    (x, z, f) is a seed x and arrays with z = sigma_x(f) entrywise, each f
+    reached before the step (a seed or a z of an earlier step); each point
+    of `points` other than the seeds is one z of one step, with the first
+    f per z in the order the points were reached.  So sigma_z = sigma_x
+    sigma_f sigma_x by the rule the `SigmaTable` docstring proves, and the
+    seed rows generate the group of all the rows of `points`.
+    """
+    left = np.zeros(n, dtype=bool)
+    left[slice(None) if points is None else points] = True
+    reached = np.zeros(n, dtype=bool)
+    seeds, rows, steps = [], [], []
+    while left.any():
+        s = int(np.argmax(left))
+        seeds.append(s)
+        rows.append(row(s))
+        reached[s] = True
+        frontier = np.flatnonzero(reached)
+        while len(frontier):
+            fresh = []
+            for x, sx in zip(seeds, rows):
+                z, first = np.unique(sx[frontier], return_index=True)
+                new = ~reached[z]
+                z = z[new]
+                if len(z):
+                    steps.append((x, z, frontier[first[new]]))
+                reached[z] = True
+                fresh.append(z)
+            frontier = np.concatenate(fresh)
+        left &= ~reached
+    return seeds, steps
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +371,7 @@ def fischer_space(census: IsingCensus, sigmas: SigmaTable | np.ndarray) -> Fisch
     """
     ok, witness = is_3transposition(sigmas)
     if not ok:
-        raise TranspoError(f"not a 3-transposition set, witness {witness}")
+        raise SigmaCheckError(f"not a 3-transposition set, witness {witness}")
     rows = _rows_and_reps(sigmas)[0]
     lines = [np.empty((0, 3), dtype=np.int32)]
     for lo in range(0, len(census), BLOCK_ROWS):
@@ -447,7 +466,8 @@ def inductive_structure(sigmas: np.ndarray, x: int, y: int) -> dict:
     whose sigma_z also commutes with sigma_y, found BLOCK_ROWS rows at a
     time.  Each set is closed under its own rows (sigma_z sigma_w sigma_z
     commutes with what sigma_z and sigma_w commute with), so its group is
-    generated by the rows of its `_closure_seeds`.
+    generated by the rows of the seeds of its `_closure` (see there and
+    the `SigmaTable` docstring).
     """
     if np.array_equal(mul(sigmas[x], sigmas[y]), mul(sigmas[y], sigmas[x])):
         raise TranspoError("x and y must be non-commuting")
@@ -461,37 +481,13 @@ def inductive_structure(sigmas: np.ndarray, x: int, y: int) -> dict:
     d1 = np.flatnonzero(commute_x)
     d2 = np.flatnonzero(commute_x & commute_y)
     d2_points = [int(i) for i in d2 if i not in (x, y)]
+    seeds = [_closure(len(sigmas), lambda s: sigmas[s], p)[0] for p in (d1, d2_points)]
     return {
         "d1_points": d1.tolist(),
         "d2_points": d2_points,
-        "d1_order": group_order(sigmas[_closure_seeds(sigmas, d1)]),
-        "d2_order": group_order(sigmas[_closure_seeds(sigmas, d2_points)]),
+        "d1_order": group_order(sigmas[seeds[0]]),
+        "d2_order": group_order(sigmas[seeds[1]]),
     }
-
-
-def _closure_seeds(sigmas: np.ndarray, points) -> list[int]:
-    """Points whose rows generate the group of the rows of `points`, a set
-    closed under its own rows: each seed is the smallest point not yet
-    reached from the seeds before it by their rows.  Every point w reached
-    from seeds has sigma_w = g sigma_s g^-1 for a seed s and a product g of
-    seed rows (sigma_{sigma_s(w)} = sigma_s sigma_w sigma_s), so the seed
-    rows generate each sigma_w."""
-    left = np.zeros(len(sigmas), dtype=bool)
-    left[points] = True
-    reached = np.zeros(len(sigmas), dtype=bool)
-    seeds: list[int] = []
-    while left.any():
-        seeds.append(int(np.argmax(left)))
-        reached[seeds[-1]] = True
-        frontier = np.flatnonzero(reached)
-        while len(frontier):
-            # a mask, not np.unique, whose hash path imports numpy.ma
-            fresh = np.zeros(len(sigmas), dtype=bool)
-            fresh[sigmas[np.ix_(seeds, frontier)]] = True
-            frontier = np.flatnonzero(fresh & ~reached)
-            reached[frontier] = True
-        left &= ~reached
-    return seeds
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -11,7 +12,9 @@ from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from voacensus import census as cz, cli, registry, transpo as tp
 from voacensus.census import GRAM_32ND, GRAM_QUARTER, GRAM_ZERO
+from voacensus.griess import GriessAlgebra, SigmaImageError
 
+import census_oracle
 import transpo_oracle as oracle
 
 
@@ -516,14 +519,18 @@ def test_commuting_set_seeds_keep_the_orders():
                         "me6", "me7", "me8", "uc", "code:rm24"]
 
 
+def _commuting_sets(spec):
+    """d1 and d2 of `inductive_structure` at the CLI's non-commuting pair."""
+    rows = registry.sigma_table(spec).rows
+    ind = tp.inductive_structure(rows, *cli._noncommuting_pair(registry.census(spec)))
+    return rows, ind["d1_points"], ind["d2_points"]
+
+
 def test_closure_seeds_reach_every_point():
-    c = registry.census("lattice:E8")
-    rows = registry.sigma_table("lattice:E8").rows
-    x, y = cli._noncommuting_pair(c)
-    d1 = np.flatnonzero((rows[:, rows[x]] == rows[x][rows]).all(axis=1))
-    seeds = tp._closure_seeds(rows, d1)
+    rows, d1, _ = _commuting_sets("lattice:E8")
+    seeds, _ = tp._closure(len(rows), lambda s: rows[s], d1)
     assert (len(d1), len(seeds)) == (256, 11)
-    assert set(seeds) <= set(d1.tolist())
+    assert set(seeds) <= set(d1)
     # conjugating by the seed rows from the seeds reaches all of d1
     reached = set(seeds)
     while True:
@@ -531,7 +538,109 @@ def test_closure_seeds_reach_every_point():
         if not more:
             break
         reached |= more
-    assert reached == set(d1.tolist())
+    assert reached == set(d1)
+
+
+def _check_walk(rows, points):
+    """The seeds and steps of `_closure` over `points` of `rows`: each step
+    (x, z, f) has z = sigma_x(f), each f reached before, and every point of
+    `points` outside the seeds is reached by exactly one step."""
+    picked = []
+    seeds, steps = tp._closure(len(rows), lambda s: picked.append(s) or rows[s], points)
+    # each row is asked for once, when its seed is picked, and the points
+    # below a seed are reached before it
+    assert picked == seeds == sorted(set(seeds))
+    reached = {s: -1 for s in seeds}
+    for k, (x, z, f) in enumerate(steps):
+        assert x in seeds and len(z) == len(f) > 0
+        assert (rows[x][f] == z).all()
+        assert all(reached[int(w)] < k for w in f)
+        for w in z.tolist():
+            assert w not in reached
+            reached[w] = k
+    assert sorted(reached) == sorted(points)
+    return seeds
+
+
+# every catalog alias, the code and lattice censuses above, and a direct sum
+@pytest.mark.parametrize("spec", [
+    "me8", "uc", "me6", "me7", "md4", "ma1", "ma2", "ma3", "ma4", "ma5",
+    "hamming24", "e8full", "code:rm24", "code:dcode4", "code:dcode6",
+    "code:dcode8", "lattice:E8H", "lattice:D4C", "lattice:D6C", "lattice:D8C",
+    "lattice:A2+A2",
+])
+def test_closure_walk_derives_every_row(spec):
+    c = registry.census(spec)
+    table = registry.sigma_table(spec)
+    rows = table.rows
+    seeds = _check_walk(rows, range(len(c)))
+    # a derived census gathers its table; built from its own points where
+    # it has them, it takes the walk's seeds and the same rows
+    built = table if c.sources is None or c.elements is None else tp.sigma_permutations(c)
+    assert built.seeds.tolist() == seeds
+    assert np.array_equal(built.rows, rows)
+
+
+@pytest.mark.parametrize("spec", ["lattice:E8", "code:rm24"])
+def test_closure_walk_seeds_the_commuting_sets(spec):
+    rows, d1, d2 = _commuting_sets(spec)
+    for points in (d1, d2):
+        _check_walk(rows, points)
+
+
+def test_seed_raises_at_the_first_bad_partner(monkeypatch):
+    # seed 0 of me8 has 128 partners, two blocks; without the image of its
+    # first partner, that block fails before a refused image in the second
+    full = registry.census("me8")
+    table = registry.sigma_table("me8").rows
+    partners = np.flatnonzero(full.gram[0] == GRAM_32ND)
+    assert len(partners) > tp.BLOCK_ROWS
+    gone = int(table[0, partners[0]])
+    holed = census_oracle.subcensus(full, [i for i in range(len(full)) if i != gone], "holed")
+    first = int(np.flatnonzero(holed.gram[0] == GRAM_32ND)[0])
+    images = GriessAlgebra.sigma_images
+    calls = []
+
+    def refuse_later_blocks(self, e, fs):
+        calls.append(len(fs))
+        if len(calls) > 1:
+            raise SigmaImageError(0, "sigma image is not a central-charge-1/2 candidate")
+        return images(self, e, fs)
+
+    monkeypatch.setattr(GriessAlgebra, "sigma_images", refuse_later_blocks)
+    with pytest.raises(tp.SigmaCheckError,
+                       match=rf"census not closed: image of \(0,{first}\) is missing"):
+        tp.sigma_permutations(holed)
+    assert calls == [tp.BLOCK_ROWS]
+
+
+def test_non_3transposition_table_exits_1(monkeypatch, capsys):
+    # fischer refuses the table with a check failure, as group reports it
+    rows, gram = _quandle_sum(TRIANGLE, PENTAGON)
+    table = tp.SigmaTable(rows, gram, range(len(rows)))
+    quandle = cz.IsingCensus([None] * len(rows), None, gram, "t")
+    monkeypatch.setattr(registry, "census", lambda spec: quandle)
+    monkeypatch.setattr(registry, "sigma_table", lambda spec: table)
+    assert cli.main(["fischer", "--census", "quandle"]) == 1
+    assert "witness (3, 4)" in json.loads(capsys.readouterr().out)["error"]
+    assert cli.main(["group", "--census", "quandle"]) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["witness"] == [3, 4]
+
+
+def _argwhere_pair(c):
+    idx = np.argwhere(np.triu(c.gram == GRAM_32ND, k=1))
+    return (int(idx[0][0]), int(idx[0][1])) if len(idx) else None
+
+
+@pytest.mark.parametrize("spec", [
+    *sorted(registry.CENSUS_ALIASES), "lattice:A2+A2", "code:rm24",
+    "lattice:A1", "commutant:A2:s",
+])
+def test_noncommuting_pair_is_the_first_in_row_major_order(spec):
+    c = registry.census(spec)
+    want = _argwhere_pair(c)
+    assert cli._noncommuting_pair(c) == want
+    assert (want is None) == (spec in ("lattice:A1", "ma1", "commutant:A2:s"))
 
 
 @pytest.mark.parametrize("spec", sorted(registry.CENSUS_ALIASES))

@@ -17,7 +17,7 @@ import tracemalloc
 from pathlib import Path
 
 from voacensus import census as cz
-from voacensus import registry, transpo
+from voacensus import cli, registry, transpo
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MIB = 1 << 20
@@ -74,3 +74,11 @@ def test_census_jobs_import_no_unneeded_numpy_module():
         loaded = json.loads(out.stderr.strip().splitlines()[-1])
         assert loaded, args         # the job did load numpy
         assert [m for m in loaded if m.split(".")[:2] in UNNEEDED] == [], args
+
+
+def test_noncommuting_pair_reads_rows_not_the_table():
+    # the first row with a 1/32 entry gives the pair; a whole-table argwhere
+    # held 2.05 MiB on E8's 496 points
+    census = registry.census("lattice:E8")
+    assert cli._noncommuting_pair(census) == (0, 2)
+    assert _transient(lambda: cli._noncommuting_pair(census)) < 0.1 * MIB
